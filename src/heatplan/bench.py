@@ -24,11 +24,12 @@ from .gridmap import (
     Scenario,
     WorldMap,
     generate_map,
+    hop_distances,
     resolve_goal_regions,
     world_to_cell,
 )
 from .heatfield import FieldCache
-from .planner import PlannerConfig, plan
+from .planner import PlannerConfig, pair_distances, plan
 
 REPORT_COLUMNS = (
     "family",
@@ -53,42 +54,7 @@ def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
         raise ParameterError(f"seed cell ({col},{row}) out of bounds")
     if worldmap.occupancy[row, col]:
         raise ParameterError(f"seed cell ({col},{row}) is an obstacle")
-    free = worldmap.free
-    mask = np.zeros_like(free)
-    mask[row, col] = True
-    frontier = mask.copy()
-    while frontier.any():
-        grown = np.zeros_like(mask)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        frontier = grown & free & ~mask
-        mask |= frontier
-    return mask
-
-
-def _bfs_distance_grid(worldmap: WorldMap, seed_cell) -> np.ndarray:
-    """4-connected hop count from seed; -1 where unreachable or obstacle."""
-    col, row = int(seed_cell[0]), int(seed_cell[1])
-    if worldmap.occupancy[row, col]:
-        raise ParameterError(f"cell ({col},{row}) is an obstacle")
-    free = worldmap.free
-    dist = np.full(free.shape, -1, dtype=np.int64)
-    dist[row, col] = 0
-    frontier = np.zeros_like(free)
-    frontier[row, col] = True
-    d = 0
-    while frontier.any():
-        d += 1
-        grown = np.zeros_like(frontier)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        frontier = grown & free & (dist < 0)
-        dist[frontier] = d
-    return dist
+    return hop_distances(worldmap.free, [(col, row)]) >= 0
 
 
 def bfs_path_length(worldmap: WorldMap, a_cell, b_cell):
@@ -99,7 +65,7 @@ def bfs_path_length(worldmap: WorldMap, a_cell, b_cell):
             raise ParameterError(f"cell {name}=({col},{row}) out of bounds")
         if worldmap.occupancy[row, col]:
             raise ParameterError(f"cell {name}=({col},{row}) is an obstacle")
-    dist = _bfs_distance_grid(worldmap, a_cell)
+    dist = hop_distances(worldmap.free, [(int(a_cell[0]), int(a_cell[1]))])
     d = int(dist[int(b_cell[1]), int(b_cell[0])])
     return None if d < 0 else d
 
@@ -253,28 +219,16 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
     path_lengths = [_polyline_length(tr.waypoints) for tr in result.trajectories]
     detours = []
     for robot, tr, plen in zip(scenario.robots, result.trajectories, path_lengths):
-        start_cell = world_to_cell(tr.waypoints[0], worldmap)
-        dist = _bfs_distance_grid(worldmap, start_cell)
-        best = None
-        for reg in resolve_goal_regions(robot.instruction, worldmap):
-            for col, row in reg.cells:
-                d = dist[row, col]
-                if d >= 0 and (best is None or d < best):
-                    best = int(d)
-        if best is None or best == 0:
-            detours.append(None)
-        else:
-            detours.append(plen / (best * hx))
+        # the grid is undirected: one BFS from the goal cells, read at the start
+        goal_cells = [
+            cell for reg in resolve_goal_regions(robot.instruction, worldmap) for cell in reg.cells
+        ]
+        col, row = world_to_cell(tr.waypoints[0], worldmap)
+        best = int(hop_distances(worldmap.free, goal_cells)[row, col])
+        detours.append(plen / (best * hx) if best > 0 else None)
     min_clearance = None
     if len(result.trajectories) > 1 and len(result.trajectories[0].micro_steps):
-        stacked = np.stack([tr.micro_steps for tr in result.trajectories])
-        n = len(stacked)
-        dmin = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = np.sqrt(((stacked[i] - stacked[j]) ** 2).sum(axis=1)).min()
-                dmin = min(dmin, float(d))
-        min_clearance = dmin
+        min_clearance = min(float(d.min()) for _, d in pair_distances(result.trajectories))
     record = {
         "family": _family_of(worldmap),
         "n": len(scenario.robots),

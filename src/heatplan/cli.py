@@ -31,8 +31,9 @@ _PLANNER_FLAGS = {
 
 
 def _add_planner_flags(p: argparse.ArgumentParser):
-    p.add_argument("--steps", type=int, help="diffusion steps T (default 20)")
-    p.add_argument("--anneal", type=int, help="annealing steps K per diffusion step (default 10)")
+    defaults = PlannerConfig()
+    p.add_argument("--steps", type=int, help=f"diffusion steps T (default {defaults.T})")
+    p.add_argument("--anneal", type=int, help=f"annealing steps K per diffusion step (default {defaults.K})")
     p.add_argument("--beta", type=float, help="inter-robot guidance strength")
     p.add_argument("--d-safe", dest="d_safe", type=float, help="hard minimum robot separation, units")
     p.add_argument("--d-margin", dest="d_margin", type=float, help="soft repulsion threshold, units")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -74,17 +73,17 @@ class SemanticRegion:
 
 
 def _cells_4connected(cells) -> bool:
-    cellset = set(cells)
-    seen = {cells[0]}
-    queue = deque([cells[0]])
-    while queue:
-        c, r = queue.popleft()
-        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nxt = (c + dc, r + dr)
-            if nxt in cellset and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(cellset)
+    pts = np.asarray(cells, dtype=np.int64)
+    lo = pts.min(axis=0)
+    width, height = pts.max(axis=0) - lo + 1
+    # k 4-connected cells have width + height <= k + 1; the check also keeps
+    # the local grid below small when the cells are scattered
+    if width + height - 1 > len(set(cells)):
+        return False
+    local = pts - lo
+    inside = np.zeros((height, width), dtype=bool)
+    inside[local[:, 1], local[:, 0]] = True
+    return bool((hop_distances(inside, local[:1])[inside] >= 0).all())
 
 
 class WorldMap:
@@ -222,11 +221,20 @@ class Scenario:
             raise ParameterError("robot ids must be unique")
         if int(self.seed) < 0:
             raise ParameterError("seed must be unsigned")
+        start_owner = {}
         for robot in self.robots:
-            if robot.start is not None and not is_free(robot.start, self.map):
-                raise ParameterError(
-                    f"robot {robot.id!r} start {robot.start} is not in free space"
-                )
+            if robot.start is not None:
+                if not is_free(robot.start, self.map):
+                    raise ParameterError(
+                        f"robot {robot.id!r} start {robot.start} is not in free space"
+                    )
+                # pairwise guidance is undefined for robots on the same point
+                start = (float(robot.start[0]), float(robot.start[1]))
+                if start in start_owner:
+                    raise ParameterError(
+                        f"robots {start_owner[start]!r} and {robot.id!r} share start {start}"
+                    )
+                start_owner[start] = robot.id
             resolve_goal_regions(robot.instruction, self.map)  # raises if unknown
 
 
@@ -249,39 +257,48 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
 
 
 # ---------------------------------------------------------------------------
-# connectivity helper (generators need it; the benchmark module exposes the
-# public flood-fill oracle separately)
+# grid connectivity: the one BFS, shared by the generators and the benchmark's
+# reachability oracles
 
 
-def _component(occ, seed_cell):
-    """Boolean mask of free cells 4-connected to seed_cell."""
-    h, w = occ.shape
-    mask = np.zeros_like(occ, dtype=bool)
-    col, row = seed_cell
-    if occ[row, col]:
-        return mask
-    mask[row, col] = True
-    queue = deque([(col, row)])
-    while queue:
-        c, r = queue.popleft()
-        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nc, nr = c + dc, r + dr
-            if 0 <= nc < w and 0 <= nr < h and not occ[nr, nc] and not mask[nr, nc]:
-                mask[nr, nc] = True
-                queue.append((nc, nr))
-    return mask
+def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
+    """4-connected hop count from the nearest seed cell through ``free``.
+
+    ``seed_cells`` is a sequence of free ``(col, row)`` cells; the result is
+    an (H, W) int64 grid holding -1 on obstacles and unreachable cells.
+    """
+    cols, rows = np.asarray(seed_cells, dtype=np.int64).reshape(-1, 2).T
+    frontier = np.zeros(free.shape, dtype=bool)
+    frontier[rows, cols] = True
+    dist = np.where(frontier, 0, -1)
+    unseen = free & ~frontier
+    d = 0
+    while frontier.any():
+        d += 1
+        grown = np.zeros_like(frontier)
+        grown[1:, :] |= frontier[:-1, :]
+        grown[:-1, :] |= frontier[1:, :]
+        grown[:, 1:] |= frontier[:, :-1]
+        grown[:, :-1] |= frontier[:, 1:]
+        frontier = grown & unseen
+        unseen &= ~frontier
+        np.putmask(dist, frontier, d)
+    return dist
 
 
 def _largest_component(occ):
+    """Mask of the largest free component; ties go to the one holding the
+    lowest row-major free cell."""
     free = ~occ
     remaining = free.copy()
-    best = None
+    best, best_size = None, 0
     while remaining.any():
-        rows, cols = np.nonzero(remaining)
-        mask = _component(occ, (cols[0], rows[0]))
+        row, col = divmod(int(remaining.argmax()), occ.shape[1])
+        mask = hop_distances(free, [(col, row)]) >= 0
         remaining &= ~mask
-        if best is None or mask.sum() > best.sum():
-            best = mask
+        size = int(mask.sum())
+        if size > best_size:
+            best, best_size = mask, size
     return best
 
 

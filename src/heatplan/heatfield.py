@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DegenerateFieldError,
     DomainError,
+    MapFormatError,
     ParameterError,
     PlacementError,
 )
@@ -142,7 +143,6 @@ class _Solver:
     """Precomputed pair conductivities for one map."""
 
     def __init__(self, worldmap: WorldMap):
-        self.map = worldmap
         free = worldmap.free
         hx, hy = worldmap.cell_size
         self.inv_hx2 = 1.0 / (hx * hx)
@@ -180,60 +180,40 @@ class _Solver:
             return 0.29 / self.inv_hx2
         return 0.8 * self.stability
 
-    def step_inplace(self, u: np.ndarray, dt: float) -> None:
-        self.run_steps(u, 1, dt)
-
     def run_steps(self, u: np.ndarray, n_steps: int, dt: float) -> None:
-        """Advance ``u`` (shape (..., H, W); leading axes = batched solves)."""
+        """Advance the (H, W) mass grid ``u`` in place by ``n_steps`` steps of ``dt``."""
         kx = self.kx * dt
         ky = self.ky * dt
-        lead = u.shape[:-2]
-        fx = np.empty(lead + kx.shape)
-        fy = np.empty(lead + ky.shape)
+        fx = np.empty(kx.shape)
+        fy = np.empty(ky.shape)
         if self.kd is not None:
             kd = self.kd * dt
-            f1 = np.empty(lead + kd.shape)
-            f2 = np.empty(lead + kd.shape)
+            f1 = np.empty(kd.shape)
+            f2 = np.empty(kd.shape)
         for _ in range(n_steps):
-            np.subtract(u[..., :, 1:], u[..., :, :-1], out=fx)
+            np.subtract(u[:, 1:], u[:, :-1], out=fx)
             fx *= kx
-            np.subtract(u[..., 1:, :], u[..., :-1, :], out=fy)
+            np.subtract(u[1:, :], u[:-1, :], out=fy)
             fy *= ky
             if self.kd is not None:
-                np.subtract(u[..., 1:, 1:], u[..., :-1, :-1], out=f1)
+                np.subtract(u[1:, 1:], u[:-1, :-1], out=f1)
                 f1 *= kd
-                np.subtract(u[..., 1:, :-1], u[..., :-1, 1:], out=f2)
+                np.subtract(u[1:, :-1], u[:-1, 1:], out=f2)
                 f2 *= kd
-            u[..., :, :-1] += fx
-            u[..., :, 1:] -= fx
-            u[..., :-1, :] += fy
-            u[..., 1:, :] -= fy
+            u[:, :-1] += fx
+            u[:, 1:] -= fx
+            u[:-1, :] += fy
+            u[1:, :] -= fy
             if self.kd is not None:
-                u[..., :-1, :-1] += f1
-                u[..., 1:, 1:] -= f1
-                u[..., :-1, 1:] += f2
-                u[..., 1:, :-1] -= f2
-
-
-_solver_cache: dict = {}
-_solver_lock = threading.Lock()
-
-
-def _solver_for(worldmap: WorldMap) -> _Solver:
-    key = id(worldmap)
-    ops = _solver_cache.get(key)
-    if ops is None or ops.map is not worldmap:
-        ops = _Solver(worldmap)
-        with _solver_lock:
-            if len(_solver_cache) > 64:
-                _solver_cache.clear()
-            _solver_cache[key] = ops
-    return ops
+                u[:-1, :-1] += f1
+                u[1:, 1:] -= f1
+                u[:-1, 1:] += f2
+                u[1:, :-1] -= f2
 
 
 def stability_limit(worldmap: WorldMap) -> float:
     """Largest admissible explicit step, 0.25 h^2 for square cells."""
-    ops = _solver_for(worldmap)
+    ops = _Solver(worldmap)
     return min(ops.stability, ops.nonneg_limit)
 
 
@@ -246,7 +226,7 @@ def _smooth_switch_time(worldmap: WorldMap) -> float:
 def internal_dt(worldmap: WorldMap) -> float:
     """The integrator's fixed step: h^2/6 on square cells (the error-canceling
     choice for the isotropic stencil), 0.2 h^2 otherwise."""
-    return _solver_for(worldmap).internal_dt
+    return _Solver(worldmap).internal_dt
 
 
 def init_heat(sources: SourceSpec, worldmap: WorldMap) -> HeatState:
@@ -266,14 +246,14 @@ def init_heat(sources: SourceSpec, worldmap: WorldMap) -> HeatState:
 
 def heat_step(state: HeatState, dt: float) -> HeatState:
     """One explicit conservative update by ``dt``; returns a new state."""
-    ops = _solver_for(state.map)
+    ops = _Solver(state.map)
     if dt <= 0:
         raise ParameterError("dt must be positive")
     limit = min(ops.stability, ops.nonneg_limit)
     if dt > limit * (1 + 1e-12):
         raise ParameterError(f"dt={dt:g} above the stability bound {limit:g}")
     u = state.u.copy()
-    ops.step_inplace(u, dt)
+    ops.run_steps(u, 1, dt)
     return HeatState(u=u, time=state.time + dt, map=state.map)
 
 
@@ -285,20 +265,11 @@ def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSched
     plus one shorter landing step per snapshot, so snapshot times equal
     schedule.heat_time to float precision.
     """
-    return solve_many_to_times([sources], worldmap, schedule)[0]
-
-
-def solve_many_to_times(sources_list, worldmap: WorldMap, schedule: NoiseSchedule):
-    """Batched solve_to_times: one integration pass for several source specs.
-
-    Returns one snapshot list per source spec; numerically identical to
-    solving each spec alone (the update is linear and per-solve independent).
-    """
-    ops = _solver_for(worldmap)
+    ops = _Solver(worldmap)
     switch = _smooth_switch_time(worldmap)
-    u = np.stack([init_heat(src, worldmap).u for src in sources_list])
+    u = init_heat(sources, worldmap).u
     now = 0.0
-    snapshots = [[] for _ in sources_list]
+    snapshots = []
     for target in schedule.heat_time:
         target = float(target)
         if target < now - 1e-15:
@@ -313,8 +284,7 @@ def solve_many_to_times(sources_list, worldmap: WorldMap, schedule: NoiseSchedul
         if rem > 1e-18:
             ops.run_steps(u, 1, rem)
         now = target
-        for i in range(len(sources_list)):
-            snapshots[i].append(HeatState(u=u[i].copy(), time=target, map=worldmap))
+        snapshots.append(HeatState(u=u.copy(), time=target, map=worldmap))
     return snapshots
 
 
@@ -445,23 +415,6 @@ def score_fields(
     }
 
 
-def score_fields_batch(worldmap: WorldMap, labels, schedule: NoiseSchedule,
-                       log_floor: float = DEFAULT_LOG_FLOOR) -> dict:
-    """One batched integration for several labels; {label: {t: ScoreField}}."""
-    from .gridmap import resolve_goal_regions
-
-    labels = list(dict.fromkeys(labels))
-    sources = [SourceSpec(resolve_goal_regions(lbl, worldmap)) for lbl in labels]
-    per_label = solve_many_to_times(sources, worldmap, schedule)
-    out = {}
-    for label, states in zip(labels, per_label):
-        out[label] = {
-            t: build_score_field(states[t - 1], log_floor, t=t)
-            for t in range(1, schedule.T + 1)
-        }
-    return out
-
-
 class FieldCache:
     """Score-field ladders keyed by (map hash, label, schedule, floor).
 
@@ -571,13 +524,34 @@ def dump_field_bytes(field: ScoreField, schedule: NoiseSchedule | None = None) -
 
 
 def load_field_bytes(data: bytes, worldmap: WorldMap) -> ScoreField:
+    """Parse a binary dump made for ``worldmap``; errors name the bad field."""
     if data[:4] != _FIELD_MAGIC:
         raise ParameterError("not a field dump (bad magic)")
+    if len(data) < 8:
+        raise MapFormatError("header_length", "dump ends before the header length")
     (hlen,) = struct.unpack("<I", data[4:8])
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    shape = tuple(header["shape"])
-    vec = np.frombuffer(data[8 + hlen:], dtype="<f4").reshape(shape).astype(np.float64)
-    return ScoreField(t=int(header["t"]), vectors=vec, map=worldmap)
+    if len(data) < 8 + hlen:
+        raise MapFormatError("header_length", f"{hlen} header bytes announced, {len(data) - 8} present")
+    try:
+        header = json.loads(data[8:8 + hlen].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise MapFormatError("header", f"invalid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise MapFormatError("header", "expected a JSON object")
+    shape = [worldmap.height_cells, worldmap.width_cells, 2]
+    if header.get("shape") != shape:
+        raise MapFormatError("shape", f"expected {shape} for this map, got {header.get('shape')!r}")
+    if header.get("map_hash") != worldmap.content_hash():
+        raise MapFormatError("map_hash", "dump was made for a different map")
+    t = header.get("t")
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise MapFormatError("t", "expected an integer")
+    payload = data[8 + hlen:]
+    expected = 4 * shape[0] * shape[1] * 2  # float32 components
+    if len(payload) != expected:
+        raise MapFormatError("payload", f"expected {expected} bytes for shape {shape}, got {len(payload)}")
+    vec = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+    return ScoreField(t=t, vectors=vec, map=worldmap)
 
 
 def dump_field_json(field: ScoreField, schedule: NoiseSchedule | None = None) -> str:

@@ -470,6 +470,18 @@ def _point_to_region_distance(p, region, worldmap: WorldMap) -> float:
     return float(np.min(np.hypot(dx, dy)))
 
 
+def pair_distances(trajectories):
+    """Per-micro-step distance of every robot pair: [((i, j), (n_micro,) array)]
+    for i < j in trajectory order."""
+    stacked = np.stack([tr.micro_steps for tr in trajectories])  # (N, n_micro, 2)
+    n = len(stacked)
+    return [
+        ((i, j), np.sqrt(((stacked[i] - stacked[j]) ** 2).sum(axis=1)))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+
+
 def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
     """Check static freedom, pairwise separation and goal membership.
 
@@ -506,23 +518,20 @@ def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
 
     inter_violations = []
     if len(trajectories) > 1 and n_micro > 0:
-        stacked = np.stack([tr.micro_steps for tr in trajectories])  # (N, n_micro, 2)
-        ids = [tr.robot_id for tr in trajectories]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                d = np.sqrt(((stacked[i] - stacked[j]) ** 2).sum(axis=1))
-                for step in np.nonzero(d <= config.d_safe)[0]:
-                    inter_violations.append(
-                        {
-                            "robots": [ids[i], ids[j]],
-                            "step": int(step),
-                            "positions": [
-                                [float(v) for v in stacked[i, step]],
-                                [float(v) for v in stacked[j, step]],
-                            ],
-                            "distance": float(d[step]),
-                        }
-                    )
+        for (i, j), d in pair_distances(trajectories):
+            a, b = trajectories[i], trajectories[j]
+            for step in np.nonzero(d <= config.d_safe)[0]:
+                inter_violations.append(
+                    {
+                        "robots": [a.robot_id, b.robot_id],
+                        "step": int(step),
+                        "positions": [
+                            [float(v) for v in a.micro_steps[step]],
+                            [float(v) for v in b.micro_steps[step]],
+                        ],
+                        "distance": float(d[step]),
+                    }
+                )
         inter_violations.sort(key=lambda v: (v["step"], v["robots"]))
 
     by_id = {r.id: r for r in scenario.robots}

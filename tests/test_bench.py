@@ -3,10 +3,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import bench
 from heatplan.errors import GenerationError, ParameterError
+from heatplan.gridmap import hop_distances
 from heatplan.planner import PlannerConfig
 
 
@@ -43,22 +47,24 @@ def test_flood_fill_obstacle_seed_rejected():
         bench.flood_fill(m, (2, 2))
 
 
-def _reference_bfs(occ, seed):
-    """Independent deque BFS used as the second-implementation oracle."""
+def _reference_bfs(occ, seeds):
+    """Independent deque BFS used as the second-implementation oracle: hop
+    distance from the nearest of the free ``seeds`` cells, -1 where unreached."""
     h, w = occ.shape
-    mask = np.zeros_like(occ)
-    if occ[seed[1], seed[0]]:
-        return mask
-    mask[seed[1], seed[0]] = True
-    q = deque([seed])
+    dist = np.full(occ.shape, -1, dtype=np.int64)
+    q = deque()
+    for c, r in seeds:
+        if dist[r, c] < 0:
+            dist[r, c] = 0
+            q.append((c, r))
     while q:
         c, r = q.popleft()
         for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nc, nr = c + dc, r + dr
-            if 0 <= nc < w and 0 <= nr < h and not occ[nr, nc] and not mask[nr, nc]:
-                mask[nr, nc] = True
+            if 0 <= nc < w and 0 <= nr < h and not occ[nr, nc] and dist[nr, nc] < 0:
+                dist[nr, nc] = dist[r, c] + 1
                 q.append((nc, nr))
-    return mask
+    return dist
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -66,7 +72,33 @@ def test_flood_fill_matches_reference_bfs(seed):
     fam = hp.FAMILIES[seed % 4]
     m = hp.generate_map(fam, seed, cells=48)
     cell = m.regions[0].cells[0]
-    assert np.array_equal(bench.flood_fill(m, cell), _reference_bfs(m.occupancy, cell))
+    assert np.array_equal(bench.flood_fill(m, cell), _reference_bfs(m.occupancy, [cell]) >= 0)
+
+
+@st.composite
+def _grid_and_seeds(draw):
+    """A random occupancy grid up to 24x24 and 1-4 distinct free cells on it."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = np.argwhere(~occ)
+    assume(len(free) > 0)
+    picks = draw(st.lists(st.integers(0, len(free) - 1), min_size=1, max_size=4, unique=True))
+    return occ, [(int(free[i][1]), int(free[i][0])) for i in picks]
+
+
+@settings(deadline=None)
+@given(_grid_and_seeds())
+def test_hop_distances_match_reference_bfs(case):
+    occ, seeds = case
+    free = ~occ
+    single = hop_distances(free, seeds[:1])
+    assert np.array_equal(single, _reference_bfs(occ, seeds[:1]))
+    assert np.array_equal(hop_distances(free, seeds), _reference_bfs(occ, seeds))
+    m = hp.WorldMap("g", occ)
+    assert np.array_equal(bench.flood_fill(m, seeds[0]), single >= 0)
+    a, b = seeds[0], seeds[-1]
+    assert bench.bfs_path_length(m, a, b) == bench.bfs_path_length(m, b, a)
 
 
 def test_bfs_length_trivial_cases():

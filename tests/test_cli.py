@@ -87,6 +87,13 @@ def test_unknown_flag_exits_2():
     assert run_cli(["gen-map", "--family", "room", "--seed", "1", "--frobnicate"]) == 2
 
 
+def test_planner_flag_help_shows_config_defaults(capsys):
+    assert run_cli(["plan", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "diffusion steps T (default 20)" in text
+    assert "annealing steps K per diffusion step (default 16)" in text
+
+
 def test_bench_small_run(tmp_path):
     report = tmp_path / "r.csv"
     records = tmp_path / "r.jsonl"

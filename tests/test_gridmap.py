@@ -277,6 +277,21 @@ def test_scenario_duplicate_robot_ids_rejected():
         hp.Scenario(m, (gridmap.RobotSpec("r0", "apple", None), gridmap.RobotSpec("r0", "apple", None)), 0)
 
 
+def test_scenario_coincident_starts_rejected():
+    m = _map_with_labels()
+    robots = (
+        gridmap.RobotSpec("r0", "apple", (0.5, 0.5)),
+        gridmap.RobotSpec("r1", "basketball", (0.7, 0.5)),
+        gridmap.RobotSpec("r2", "basketball", [0.5, 0.5]),
+    )
+    with pytest.raises(ParameterError, match="'r0' and 'r2'"):
+        hp.Scenario(m, robots, 0)
+    doc = json.loads(hp.encode_scenario(hp.Scenario(m, robots[:2], 0)))
+    doc["robots"][1]["start"] = [0.5, 0.5]
+    with pytest.raises(MapFormatError, match="'r0' and 'r1'"):
+        hp.decode_scenario(json.dumps(doc))
+
+
 def test_worldmap_invariants():
     with pytest.raises(ParameterError):
         hp.WorldMap("full", np.ones((4, 4), dtype=bool))  # no free cell

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from heatplan import heatfield as hf
 from heatplan.errors import (
     DegenerateFieldError,
     DomainError,
+    MapFormatError,
     ParameterError,
     PlacementError,
 )
@@ -194,18 +196,6 @@ def test_annulus_insulation_exact():
         assert s.u[inside].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_batched_solve_matches_single():
-    m = hp.generate_map("conveyor", 2, cells=64)
-    sched = hp.build_schedule(8)
-    labels = m.labels()[:2]
-    specs = [hf.SourceSpec(m.regions_with_label(l)) for l in labels]
-    batched = hf.solve_many_to_times(specs, m, sched)
-    for i, spec in enumerate(specs):
-        single = hf.solve_to_times(spec, m, sched)
-        for a, b in zip(batched[i], single):
-            assert np.array_equal(a.u, b.u)
-
-
 # ---------------------------------------------------------------------------
 # score fields
 
@@ -389,13 +379,49 @@ def test_field_cache_hit_returns_same_object():
     assert set(a.keys()) == set(range(1, 6))
 
 
-def test_field_dump_roundtrip_bin_and_json(tmp_path):
+def _rewrite_header(data, **changes):
+    """Field dump ``data`` with its JSON header fields replaced."""
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8:8 + hlen])
+    header.update(changes)
+    raw = json.dumps(header).encode("utf-8")
+    return data[:4] + len(raw).to_bytes(4, "little") + raw + data[8 + hlen:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, bad_field",
+    [
+        pytest.param(None, None, id="roundtrip"),
+        pytest.param(lambda d, m: (d[:6], m), "header_length", id="cut-length"),
+        pytest.param(
+            lambda d, m: (d[:4] + (10**6).to_bytes(4, "little") + d[8:], m), "header_length",
+            id="long-header-length",
+        ),
+        pytest.param(
+            lambda d, m: (d[:4] + (5).to_bytes(4, "little") + b"{oops" + d[8:], m), "header",
+            id="bad-json",
+        ),
+        pytest.param(lambda d, m: (_rewrite_header(d, shape=[32, 32, 2]), m), "shape", id="shape"),
+        pytest.param(
+            lambda d, m: (d, hp.generate_map("conveyor", 2, cells=64)), "map_hash", id="other-map"
+        ),
+        pytest.param(lambda d, m: (_rewrite_header(d, t="2"), m), "t", id="t"),
+        pytest.param(lambda d, m: (d[:-4], m), "payload", id="cut-payload"),
+        pytest.param(lambda d, m: (d + b"\0" * 8, m), "payload", id="long-payload"),
+    ],
+)
+def test_field_dump_roundtrip_bin_and_json(tmp_path, corrupt, bad_field):
     m = hp.generate_map("conveyor", 1, cells=64)
     sched = hp.build_schedule(3)
     label = m.labels()[0]
     fields = hf.score_fields(m, m.regions_with_label(label), sched)
     f = fields[2]
     data = hf.dump_field_bytes(f, sched)
+    if corrupt is not None:
+        with pytest.raises(MapFormatError) as info:
+            hf.load_field_bytes(*corrupt(data, m))
+        assert info.value.field == bad_field
+        return
     f2 = hf.load_field_bytes(data, m)
     assert f2.t == 2
     assert np.allclose(f2.vectors, f.vectors, atol=1e-5)
