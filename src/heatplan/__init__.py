@@ -55,7 +55,6 @@ from .heatfield import (
     stability_limit,
 )
 from .planner import (
-    JointState,
     PlannerConfig,
     PlanResult,
     Trajectory,

@@ -13,6 +13,7 @@ import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -252,22 +253,17 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
     return record
 
 
-_worker_cache = None
-_worker_config = None
-_worker_result_json = False
-
-
-def _suite_worker_init(config, include_result_json):
-    global _worker_cache, _worker_config, _worker_result_json
-    _worker_cache = FieldCache()
-    _worker_config = config
-    _worker_result_json = include_result_json
-
-
-def _suite_worker(scenario):
-    record = run_one(scenario, _worker_config, _worker_cache, _worker_result_json)
-    record.pop("result")
-    return record
+def _run_map(scenarios, config, keep_results, include_result_json):
+    """Plan one map's scenarios in order on a cache that lives for this call
+    only, so each of the map's ladders is solved once."""
+    cache = FieldCache()
+    records = []
+    for scenario in scenarios:
+        record = run_one(scenario, config, cache, include_result_json)
+        if not keep_results:
+            record.pop("result")
+        records.append(record)
+    return records
 
 
 @dataclass(eq=False)
@@ -278,32 +274,34 @@ class SuiteReport:
 
 def run_suite(scenarios, config: PlannerConfig | None = None, workers: int = 1,
               keep_results: bool = False, include_result_json: bool = False) -> SuiteReport:
-    """Plan every scenario (optionally in parallel) and aggregate metrics.
+    """Plan every scenario map by map and aggregate metrics.
 
-    Records and rows are independent of ``workers`` except for measured
-    wall-clock fields.
+    Scenarios are grouped by map content.  Each group runs in order on its
+    own FieldCache, so each ladder is solved once per suite and released when
+    its map's scenarios are done.  With ``workers`` > 1 the groups are spread
+    over at most one process per map.  Records come back in input order and,
+    measured wall-clock fields aside, do not depend on ``workers``.
     """
     if not scenarios:
         raise ParameterError("no scenarios to run")
+    if keep_results and workers > 1:
+        raise ParameterError("keep_results requires workers=1")
     config = config if config is not None else PlannerConfig()
+    groups = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault(scenario.map.content_hash(), []).append(i)
+    batches = [[scenarios[i] for i in idx] for idx in groups.values()]
+    fixed = (repeat(config), repeat(keep_results), repeat(include_result_json))
+    workers = min(workers, len(batches))
     if workers <= 1:
-        cache = FieldCache()
-        records = []
-        for scenario in scenarios:
-            rec = run_one(scenario, config, cache, include_result_json)
-            if not keep_results:
-                rec.pop("result")
-            records.append(rec)
+        results = list(map(_run_map, batches, *fixed))
     else:
-        if keep_results:
-            raise ParameterError("keep_results requires workers=1")
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_suite_worker_init,
-            initargs=(config, include_result_json),
-        ) as pool:
-            records = list(pool.map(_suite_worker, scenarios, chunksize=1))
-    rows = aggregate_records(records)
-    return SuiteReport(rows=rows, records=records)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_map, batches, *fixed))
+    done = [record for batch in results for record in batch]
+    order = [i for idx in groups.values() for i in idx]
+    records = [done[j] for j in np.argsort(order)]
+    return SuiteReport(rows=aggregate_records(records), records=records)
 
 
 def aggregate_records(records) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -626,6 +627,16 @@ def _require_keys(obj, allowed, required, where):
             raise MapFormatError(f"{where}.{key}" if where else key, "missing field")
 
 
+def _is_real(v) -> bool:
+    """True for a non-bool number that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
 def decode_map(doc) -> WorldMap:
     """Parse a map document (JSON text or dict); errors name the bad field."""
     if isinstance(doc, (str, bytes)):
@@ -645,23 +656,25 @@ def decode_map(doc) -> WorldMap:
     for key, val in (("width_cells", width), ("height_cells", height)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise MapFormatError(key, "expected a positive integer")
-    ws = doc["world_size"]
-    if (
-        not isinstance(ws, list)
-        or len(ws) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in ws)
-    ):
-        raise MapFormatError("world_size", "expected [width, height] of positive numbers")
     rows = doc["occupancy"]
     if not isinstance(rows, list) or len(rows) != height:
         raise MapFormatError("occupancy", f"expected {height} rows")
-    occ = np.zeros((height, width), dtype=bool)
+    # every row is checked before the grid exists, so the declared size
+    # never drives an allocation the rows do not back
     for r, rowstr in enumerate(rows):
         if not isinstance(rowstr, str) or len(rowstr) != width:
             raise MapFormatError(f"occupancy[{r}]", f"expected a string of length {width}")
         if set(rowstr) - {"0", "1"}:
             raise MapFormatError(f"occupancy[{r}]", "expected only '0'/'1'")
-        occ[r] = np.frombuffer(rowstr.encode("ascii"), dtype=np.uint8) == ord("1")
+    occ = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(height, width) == ord("1")
+    ws = doc["world_size"]
+    # the rows bound width and height; each cell must have a positive float size
+    if (
+        not isinstance(ws, list)
+        or len(ws) != 2
+        or not all(_is_real(v) and float(v) / n > 0 for v, n in zip(ws, (width, height)))
+    ):
+        raise MapFormatError("world_size", "expected [width, height] of positive numbers")
     if not isinstance(doc["regions"], list):
         raise MapFormatError("regions", "expected a list")
     regions = []
@@ -746,8 +759,8 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
         path = Path(mapdoc)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        if not path.exists():
-            raise MapFormatError("map", f"map file {str(path)!r} not found")
+        if not path.is_file():
+            raise MapFormatError("map", f"no map file at {str(path)!r}")
         worldmap = load_map(path)
     else:
         worldmap = decode_map(mapdoc)
@@ -770,7 +783,7 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
             if (
                 not isinstance(start, list)
                 or len(start) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in start)
+                or not all(_is_real(v) for v in start)
             ):
                 raise MapFormatError(f"{where}.start", "expected [x, y] or null")
             start = (float(start[0]), float(start[1]))
@@ -788,8 +801,8 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
     if not isinstance(config, dict):
         raise MapFormatError("config", "expected an object")
     for key, val in config.items():
-        if not isinstance(val, (int, float, bool)):
-            raise MapFormatError(f"config.{key}", "expected a scalar value")
+        if not (isinstance(val, bool) or _is_real(val)):
+            raise MapFormatError(f"config.{key}", "expected a finite number or a boolean")
     try:
         return Scenario(worldmap, tuple(robots), seed, dict(config))
     except ParameterError as exc:

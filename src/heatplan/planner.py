@@ -102,12 +102,6 @@ class PlannerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class JointState:
-    positions: np.ndarray  # (N, 2) units
-    t: int
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     robot_id: str
     waypoints: np.ndarray    # (T+1, 2): initial position plus one per outer step
@@ -276,40 +270,34 @@ def _effective_level(ladder: dict, t: int, cell, t_max: int):
 
 
 def langevin_step(
-    state: JointState,
-    fields,
+    positions: np.ndarray,
+    t: int,
+    ladders,
     schedule: NoiseSchedule,
     config: PlannerConfig,
     rngs,
     noiseless: bool = False,
-    ladders=None,
-) -> JointState:
-    """One synchronous annealing update of all robots from a common snapshot.
+) -> np.ndarray:
+    """One synchronous annealing update of all robots' (N, 2) positions at
+    level t, from a common snapshot; returns the new positions.
 
-    With ``ladders`` (per-robot {t: ScoreField}), a robot outside its level's
-    field support escalates to the smallest covering level and uses that
-    level's alpha; otherwise the update is the plain level-t rule.
+    ``ladders`` holds each robot's {t: ScoreField}.  A robot outside its
+    level's field support escalates to the smallest covering level and uses
+    that level's alpha.
     """
-    t = state.t
-    for f in fields:
-        if f.t != t:
-            raise ParameterError(f"field t={f.t} does not match state t={t}")
-    worldmap = fields[0].map
-    pos = state.positions
+    worldmap = ladders[0][t].map
+    pos = positions
     n = len(pos)
     hx, hy = worldmap.cell_size
 
     s = np.empty_like(pos)
     alpha = np.empty((n, 1))
     for i in range(n):
-        field = fields[i]
-        t_eff = t
-        if ladders is not None:
-            cell = (
-                min(int(pos[i, 0] / hx), worldmap.width_cells - 1),
-                min(int(pos[i, 1] / hy), worldmap.height_cells - 1),
-            )
-            t_eff, field = _effective_level(ladders[i], t, cell, schedule.T)
+        cell = (
+            min(int(pos[i, 0] / hx), worldmap.width_cells - 1),
+            min(int(pos[i, 1] / hy), worldmap.height_cells - 1),
+        )
+        t_eff, field = _effective_level(ladders[i], t, cell, schedule.T)
         s[i] = interpolate(field, pos[i])
         alpha[i, 0] = schedule.alpha_at(t_eff)
 
@@ -349,7 +337,7 @@ def langevin_step(
         if not revert.any():
             break
         new[revert] = pos[revert]
-    return JointState(positions=new, t=t)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +404,10 @@ def plan(
         if time.perf_counter() - t_start > cfg.time_limit:
             timed_out = True
             break
-        state = JointState(positions=positions, t=t)
-        fields_t = [ladders[i][t] for i in range(n)]
         for k in range(1, cfg.K + 1):
             noiseless = cfg.final_step_noiseless and t == 1 and k == cfg.K
-            state = langevin_step(
-                state, fields_t, schedule, cfg, rngs, noiseless=noiseless, ladders=ladders
-            )
-            micro.append(state.positions.copy())
-        positions = state.positions
+            positions = langevin_step(positions, t, ladders, schedule, cfg, rngs, noiseless=noiseless)
+            micro.append(positions.copy())
         waypoints.append(positions.copy())
 
     wp = np.asarray(waypoints)                        # (steps+1, N, 2)

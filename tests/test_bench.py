@@ -279,6 +279,55 @@ def test_worker_count_invariance():
     assert hp.write_records(r1.records, include_timing=False) == hp.write_records(r8.records, include_timing=False)
 
 
+def _interleaved_suite():
+    # robot counts (1, 2) over 2 map variants list the maps A, B, A, B
+    spec = hp.SuiteSpec(families=("room",), robot_counts=(1, 2), scenarios_per_config=2,
+                        map_variants=2, base_seed=2, map_params={"cells": 32})
+    scenarios = hp.generate_suite(spec)
+    names = [sc.map.name for sc in scenarios]
+    assert names[:2] == names[2:] and names[0] != names[1]
+    return scenarios, PlannerConfig(T=4, K=2)
+
+
+def test_run_suite_records_in_input_order():
+    scenarios, cfg = _interleaved_suite()
+    report = hp.run_suite(scenarios, cfg, workers=1, include_result_json=True)
+    direct = [bench.run_one(sc, cfg, include_result_json=True) for sc in scenarios]
+    assert hp.write_records(report.records, include_timing=False) == hp.write_records(direct, include_timing=False)
+    assert [r["result_json"] for r in report.records] == [r["result_json"] for r in direct]
+    with pytest.raises(ParameterError, match="keep_results"):
+        hp.run_suite(scenarios[:1], cfg, workers=2, keep_results=True)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_suite_pool_no_larger_than_map_count(monkeypatch):
+    scenarios, cfg = _interleaved_suite()
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    pooled = hp.run_suite(scenarios, cfg, workers=8)
+    hp.run_suite(scenarios[:1], cfg, workers=8)  # one map: no pool
+    assert _InlinePool.sizes == [2]
+    serial = hp.run_suite(scenarios, cfg, workers=1)
+    assert hp.write_records(pooled.records, include_timing=False) == hp.write_records(serial.records, include_timing=False)
+
+
 def test_already_solved_fixture_rate_one():
     # easy scenarios at full default sampling budget; the sampler forgets the
     # start by design, so a capable config is part of the fixture

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatplan as hp
 from heatplan import gridmap
 from heatplan.errors import (
     DomainError,
     GenerationError,
+    HeatplanError,
     MapFormatError,
     ParameterError,
     UnknownLabelError,
@@ -196,6 +199,15 @@ def test_map_codec_wrong_row_length():
     assert "occupancy[3]" in str(ei.value)
 
 
+def test_map_codec_declared_size_checked_against_rows():
+    # a width numpy cannot allocate must fail on the rows, not in numpy
+    doc = {"version": 1, "name": "x", "width_cells": 2**70, "height_cells": 1,
+           "world_size": [2.0, 2.0], "occupancy": ["0"], "regions": []}
+    with pytest.raises(MapFormatError) as ei:
+        hp.decode_map(doc)
+    assert ei.value.field == "occupancy[0]"
+
+
 def test_map_codec_bad_version():
     m = hp.empty_map(cells=8)
     doc = json.loads(hp.encode_map(m))
@@ -253,6 +265,16 @@ def test_scenario_codec_map_path(tmp_path):
     assert sc2.robots[0].instruction == "apple"
 
 
+@pytest.mark.parametrize("map_path", ["", ".", "sub"])
+def test_scenario_codec_map_path_not_a_file(tmp_path, map_path):
+    (tmp_path / "sub").mkdir()
+    sc = hp.Scenario(_map_with_labels(), (gridmap.RobotSpec("r0", "apple", None),), seed=1)
+    doc = hp.encode_scenario(sc, map_path=map_path)
+    with pytest.raises(MapFormatError) as ei:
+        hp.decode_scenario(doc, base_dir=tmp_path)
+    assert ei.value.field == "map"
+
+
 def test_scenario_codec_bad_start_named():
     m = _map_with_labels()
     doc = json.loads(hp.encode_scenario(hp.Scenario(m, (gridmap.RobotSpec("r0", "apple", None),), 0)))
@@ -269,6 +291,74 @@ def test_scenario_codec_unknown_label_named():
     with pytest.raises(MapFormatError) as ei:
         hp.decode_scenario(json.dumps(doc))
     assert "robots[0].instruction" in str(ei.value)
+
+
+@pytest.mark.parametrize("world_width, start, config, field", [
+    (5e-324, [0, 0.5], {}, "world_size"),          # cells of zero width
+    (10**400, [0.5, 0.5], {}, "world_size"),       # too large for a float
+    (2.0, [10**400, 0.5], {}, "robots[0].start"),
+    (2.0, [0.5, 0.5], {"beta": float("nan")}, "config.beta"),
+])
+def test_scenario_codec_degenerate_numbers_named(world_width, start, config, field):
+    m = _map_with_labels()
+    doc = json.loads(hp.encode_scenario(hp.Scenario(m, (gridmap.RobotSpec("r0", "apple", None),), 0)))
+    doc["map"]["world_size"][0] = world_width
+    doc["robots"][0]["start"] = start
+    doc["config"] = config
+    with pytest.raises(MapFormatError) as ei:
+        hp.decode_scenario(doc)
+    assert ei.value.field == field
+
+
+# ---------------------------------------------------------------------------
+# decoder fuzz: a mutated document either decodes or raises a HeatplanError
+
+# half of the drawn values come from this list of edge cases
+_VALUES = st.sampled_from([None, True, -1, 0, 2**70, 10**400, 5e-324, float("inf"), float("nan"), "", ".", [], {}]) | (
+    st.integers() | st.floats() | st.text("01a. /", max_size=4) | st.lists(st.integers(-1, 40), max_size=2))
+
+
+def _field_paths(node, prefix=()):
+    """Every field of a document, following only the first item of a list."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _field_paths(child, prefix + (key,))
+    elif isinstance(node, list) and node:
+        yield from _field_paths(node[0], prefix + (0,))
+
+
+def _fuzz_scenario_doc():
+    m = _map_with_labels()
+    robots = (gridmap.RobotSpec("r0", "apple", (0.5, 0.5)), gridmap.RobotSpec("r1", "move to the basketball"))
+    return json.loads(hp.encode_scenario(hp.Scenario(m, robots, 3, {"beta": 1.5})))
+
+
+@pytest.mark.parametrize("decoder", ["map", "scenario"])
+@settings(deadline=None, max_examples=500)
+@given(data=st.data())
+def test_decoders_raise_only_heatplan_errors(decoder, data):
+    doc = _fuzz_scenario_doc()
+    if decoder == "map":
+        doc = doc["map"]
+    paths = list(_field_paths(doc))[1:]
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if data.draw(st.booleans()):
+                node[path[-1]] = data.draw(_VALUES)
+            else:
+                del node[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or retyped this field's parent
+    decode = hp.decode_map if decoder == "map" else hp.decode_scenario
+    for form in (doc, json.dumps(doc)):
+        try:
+            decode(form)
+        except HeatplanError:
+            pass
 
 
 def test_scenario_duplicate_robot_ids_rejected():

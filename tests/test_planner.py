@@ -113,9 +113,9 @@ def test_guidance_matches_finite_differences():
 # langevin_step
 
 
-def _constant_field(m, vec, t=1):
+def _constant_field(m, vec):
     vecs = np.tile(np.asarray(vec, dtype=float), (m.height_cells, m.width_cells, 1))
-    return hf.ScoreField(t=t, vectors=vecs, map=m)
+    return hf.ScoreField(t=1, vectors=vecs, map=m)
 
 
 def _schedule_with_alpha(alpha_1):
@@ -128,9 +128,8 @@ def test_langevin_pure_score_displacement():
     field = _constant_field(m, (1.0, 0.0))
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig(beta=0.0)
-    state = hp.JointState(positions=np.array([[1.0, 1.0]]), t=1)
-    out = hp.langevin_step(state, [field], sched, cfg, rngs=[None], noiseless=True)
-    assert out.positions[0] == pytest.approx([1.005, 1.0], abs=1e-12)
+    out = hp.langevin_step(np.array([[1.0, 1.0]]), 1, [{1: field}], sched, cfg, rngs=[None], noiseless=True)
+    assert out[0] == pytest.approx([1.005, 1.0], abs=1e-12)
 
 
 def test_langevin_fixed_point_without_forces():
@@ -138,9 +137,9 @@ def test_langevin_fixed_point_without_forces():
     field = _constant_field(m, (0.0, 0.0))
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
-    state = hp.JointState(positions=np.array([[0.7, 0.3], [1.3, 1.7]]), t=1)
-    out = hp.langevin_step(state, [field, field], sched, cfg, rngs=[None, None], noiseless=True)
-    assert np.array_equal(out.positions, state.positions)
+    pos = np.array([[0.7, 0.3], [1.3, 1.7]])
+    out = hp.langevin_step(pos, 1, [{1: field}] * 2, sched, cfg, rngs=[None, None], noiseless=True)
+    assert np.array_equal(out, pos)
 
 
 def test_langevin_guidance_separates_close_pair():
@@ -149,10 +148,9 @@ def test_langevin_guidance_separates_close_pair():
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
     pos = np.array([[1.0, 1.0], [1.11, 1.0]])
-    state = hp.JointState(positions=pos.copy(), t=1)
-    out = hp.langevin_step(state, [field, field], sched, cfg, rngs=[None, None], noiseless=True)
+    out = hp.langevin_step(pos.copy(), 1, [{1: field}] * 2, sched, cfg, rngs=[None, None], noiseless=True)
     d0 = np.linalg.norm(pos[1] - pos[0])
-    d1 = np.linalg.norm(out.positions[1] - out.positions[0])
+    d1 = np.linalg.norm(out[1] - out[0])
     assert d1 > d0
 
 
@@ -164,22 +162,12 @@ def test_langevin_never_crosses_wall():
     field = hf.ScoreField(t=1, vectors=vecs, map=m)
     sched = _schedule_with_alpha(0.2)
     cfg = PlannerConfig(beta=0.0)
-    state = hp.JointState(positions=np.array([[0.98, 1.0]]), t=1)
-    out = hp.langevin_step(state, [field], sched, cfg, rngs=[None], noiseless=True)
+    out = hp.langevin_step(np.array([[0.98, 1.0]]), 1, [{1: field}], sched, cfg, rngs=[None], noiseless=True)
     # the proposal points across the wall; the robot slides up to it instead
-    x = out.positions[0, 0]
+    x = out[0, 0]
     assert 0.98 <= x < 1.0
-    assert out.positions[0, 1] == 1.0
-    assert hp.is_free(out.positions[0], m)
-
-
-def test_langevin_field_t_mismatch_rejected():
-    m = hp.empty_map(cells=16)
-    field = _constant_field(m, (0.0, 0.0), t=3)
-    sched = hp.build_schedule(5)
-    state = hp.JointState(positions=np.array([[1.0, 1.0]]), t=2)
-    with pytest.raises(ParameterError):
-        hp.langevin_step(state, [field], sched, PlannerConfig(), rngs=[None])
+    assert out[0, 1] == 1.0
+    assert hp.is_free(out[0], m)
 
 
 # ---------------------------------------------------------------------------
