@@ -47,7 +47,6 @@ from .heatfield import (
     init_heat,
     internal_dt,
     interpolate,
-    interpolate_many,
     sample_heat,
     score_ascent_reaches,
     score_fields,

@@ -214,6 +214,7 @@ def _polyline_length(points: np.ndarray) -> float:
 def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None = None,
             include_result_json: bool = False) -> dict:
     """Plan one scenario and derive its per-scenario record."""
+    cache = cache if cache is not None else FieldCache()
     result = plan(scenario, config, cache=cache)
     worldmap = scenario.map
     hx = worldmap.cell_size[0]
@@ -221,11 +222,9 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
     detours = []
     for robot, tr, plen in zip(scenario.robots, result.trajectories, path_lengths):
         # the grid is undirected: one BFS from the goal cells, read at the start
-        goal_cells = [
-            cell for reg in resolve_goal_regions(robot.instruction, worldmap) for cell in reg.cells
-        ]
+        label = resolve_goal_regions(robot.instruction, worldmap)[0].label
         col, row = world_to_cell(tr.waypoints[0], worldmap)
-        best = int(hop_distances(worldmap.free, goal_cells)[row, col])
+        best = int(cache.goal_hops(worldmap, label)[row, col])
         detours.append(plen / (best * hx) if best > 0 else None)
     min_clearance = None
     if len(result.trajectories) > 1 and len(result.trajectories[0].micro_steps):

@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     PlacementError,
 )
-from .gridmap import SemanticRegion, WorldMap
+from .gridmap import SemanticRegion, WorldMap, hop_distances, resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
@@ -342,40 +342,46 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     return ScoreField(t=t, vectors=vectors, map=worldmap, supported=supported)
 
 
-def interpolate(field: ScoreField, p) -> np.ndarray:
-    """Bilinear interpolation of the vector grid at a continuous point.
+def interpolate(field, p) -> np.ndarray:
+    """Bilinear interpolation of score vectors at continuous points.
 
-    Queries outside the cell-center lattice hull (but inside the map) clamp
-    to the hull; queries outside the map raise DomainError.
+    ``field`` is one ScoreField, or a sequence of ScoreFields on one map with
+    one field per row of ``p``.  ``p`` is one point, shape (2,), or many,
+    shape (N, 2); the result has the shape of ``p``.  Queries outside the
+    cell-center lattice hull (but inside the map) clamp to the hull; queries
+    outside the map raise DomainError.
     """
-    return interpolate_many(field, np.asarray(p, dtype=np.float64).reshape(1, 2))[0]
-
-
-def interpolate_many(field: ScoreField, pts: np.ndarray) -> np.ndarray:
-    worldmap = field.map
-    w, h = worldmap.world_size
-    pts = np.asarray(pts, dtype=np.float64)
-    if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] >= w) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] >= h):
+    pts = np.asarray(p, dtype=np.float64)
+    one_point = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    fields = [field] * len(pts) if isinstance(field, ScoreField) else field
+    if len(fields) != len(pts):
+        raise ParameterError(f"{len(fields)} fields for {len(pts)} points")
+    worldmap = fields[0].map
+    if not ((pts >= 0.0).all() and (pts < worldmap.world_size).all()):
         raise DomainError("interpolation point outside the world rectangle")
-    hx, hy = worldmap.cell_size
     W, H = worldmap.width_cells, worldmap.height_cells
-    gx = np.clip(pts[:, 0] / hx - 0.5, 0.0, W - 1.0)
-    gy = np.clip(pts[:, 1] / hy - 0.5, 0.0, H - 1.0)
-    i0 = np.minimum(gx.astype(np.int64), W - 2) if W > 1 else np.zeros(len(pts), np.int64)
-    j0 = np.minimum(gy.astype(np.int64), H - 2) if H > 1 else np.zeros(len(pts), np.int64)
-    fx = (gx - i0)[:, None]
-    fy = (gy - j0)[:, None]
-    v = field.vectors
-    v00 = v[j0, i0]
-    v01 = v[j0, i0 + 1] if W > 1 else v00
-    v10 = v[j0 + 1, i0] if H > 1 else v00
-    v11 = v[j0 + 1, i0 + 1] if W > 1 and H > 1 else v00
-    return (
+    # lattice coordinates clamped to the cell-center hull; the lower corner
+    # (column, row) stops one cell short of the far edge
+    g = np.minimum(np.maximum(pts / worldmap.cell_size - 0.5, 0.0), (W - 1.0, H - 1.0))
+    lower = np.minimum(g.astype(np.int64), (max(W - 2, 0), max(H - 2, 0)))
+    frac = g - lower
+    fx, fy = frac[:, :1], frac[:, 1:]
+    # each point's 2x2 block of corner vectors, [row j0/j1, column i0/i1]; on
+    # a map one cell wide or high the block's slice is one wide and
+    # broadcasts, so the missing neighbour repeats the first
+    corners = np.empty((len(pts), 2, 2, 2))
+    for k, (f, (i, j)) in enumerate(zip(fields, lower.tolist())):
+        corners[k] = f.vectors[j:j + 2, i:i + 2]
+    v00, v01 = corners[:, 0, 0], corners[:, 0, 1]
+    v10, v11 = corners[:, 1, 0], corners[:, 1, 1]
+    out = (
         v00 * (1 - fx) * (1 - fy)
         + v01 * fx * (1 - fy)
         + v10 * (1 - fx) * fy
         + v11 * fx * fy
     )
+    return out[0] if one_point else out
 
 
 def sample_heat(state: HeatState, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -416,7 +422,8 @@ def score_fields(
 
 
 class FieldCache:
-    """Score-field ladders keyed by (map hash, label, schedule, floor).
+    """Score-field ladders keyed by (map hash, label, schedule, floor), and
+    goal-distance grids keyed by (map hash, label).
 
     Reads are lock-free once inserted; inserts take a lock, so concurrent
     readers with a single writer are safe.
@@ -424,12 +431,11 @@ class FieldCache:
 
     def __init__(self):
         self._store = {}
+        self._hops = {}
         self._lock = threading.Lock()
 
     def fields(self, worldmap: WorldMap, label: str, schedule: NoiseSchedule,
                log_floor: float = DEFAULT_LOG_FLOOR) -> dict:
-        from .gridmap import resolve_goal_regions
-
         key = (worldmap.content_hash(), label, schedule.key(), float(log_floor))
         hit = self._store.get(key)
         if hit is not None:
@@ -439,6 +445,19 @@ class FieldCache:
         with self._lock:
             self._store.setdefault(key, ladder)
         return self._store[key]
+
+    def goal_hops(self, worldmap: WorldMap, label: str) -> np.ndarray:
+        """4-connected hop count from every cell to the nearest cell of the
+        label's regions (-1 where unreached), computed once per (map, label)."""
+        key = (worldmap.content_hash(), label)
+        hit = self._hops.get(key)
+        if hit is not None:
+            return hit
+        cells = [cell for reg in resolve_goal_regions(label, worldmap) for cell in reg.cells]
+        hops = hop_distances(worldmap.free, cells)
+        with self._lock:
+            self._hops.setdefault(key, hops)
+        return self._hops[key]
 
     def __len__(self):
         return len(self._store)

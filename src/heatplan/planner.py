@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional
@@ -56,6 +58,13 @@ class PlannerConfig:
     log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
+        for f in dataclass_fields(self):
+            val = getattr(self, f.name)
+            if f.name in ("T", "K", "seed"):
+                if not (isinstance(val, numbers.Integral) or (f.name == "seed" and val is None)):
+                    raise ParameterError(f"{f.name} must be an integer, got {val!r}")
+            elif f.name != "final_step_noiseless" and not (isinstance(val, numbers.Real) and math.isfinite(val)):
+                raise ParameterError(f"{f.name} must be a finite number, got {val!r}")
         if self.T < 2:
             raise ParameterError("T must be >= 2")
         if self.K < 1:
@@ -90,14 +99,14 @@ class PlannerConfig:
             raise ParameterError(f"unknown planner parameter(s): {', '.join(sorted(bad))}")
         coerced = {}
         for key, val in overrides.items():
-            if key in ("T", "K"):
-                coerced[key] = int(val)
-            elif key == "seed":
-                coerced[key] = None if val is None else int(val)
-            elif key == "final_step_noiseless":
+            if key == "final_step_noiseless":
                 coerced[key] = bool(val)
+            elif key in ("T", "K", "seed"):
+                # a whole float (JSON's 10.0) becomes an int; anything else is
+                # left for __post_init__ to accept or reject by name
+                coerced[key] = int(val) if isinstance(val, float) and val.is_integer() else val
             else:
-                coerced[key] = float(val)
+                coerced[key] = float(val) if isinstance(val, numbers.Real) else val
         return replace(self, **coerced)
 
 
@@ -283,23 +292,22 @@ def langevin_step(
 
     ``ladders`` holds each robot's {t: ScoreField}.  A robot outside its
     level's field support escalates to the smallest covering level and uses
-    that level's alpha.
+    that level's alpha.  One ``interpolate`` call reads every robot's score,
+    each from its own effective-level field.
     """
     worldmap = ladders[0][t].map
     pos = positions
     n = len(pos)
     hx, hy = worldmap.cell_size
 
-    s = np.empty_like(pos)
-    alpha = np.empty((n, 1))
-    for i in range(n):
-        cell = (
-            min(int(pos[i, 0] / hx), worldmap.width_cells - 1),
-            min(int(pos[i, 1] / hy), worldmap.height_cells - 1),
-        )
-        t_eff, field = _effective_level(ladders[i], t, cell, schedule.T)
-        s[i] = interpolate(field, pos[i])
-        alpha[i, 0] = schedule.alpha_at(t_eff)
+    cols = np.minimum((pos[:, 0] / hx).astype(np.int64), worldmap.width_cells - 1)
+    rows = np.minimum((pos[:, 1] / hy).astype(np.int64), worldmap.height_cells - 1)
+    levels, fields = zip(*(
+        _effective_level(ladder, t, cell, schedule.T)
+        for ladder, cell in zip(ladders, zip(cols.tolist(), rows.tolist()))
+    ))
+    s = interpolate(fields, pos)
+    alpha = schedule.alpha[np.array(levels) - 1][:, None]
 
     if n > 1 and config.beta > 0:
         drift = s + config.beta * interrobot_guidance(pos, config.d_margin)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import bench
+from heatplan import heatfield as hf
 from heatplan.errors import GenerationError, ParameterError
 from heatplan.gridmap import hop_distances
 from heatplan.planner import PlannerConfig
@@ -326,6 +327,27 @@ def test_run_suite_pool_no_larger_than_map_count(monkeypatch):
     assert _InlinePool.sizes == [2]
     serial = hp.run_suite(scenarios, cfg, workers=1)
     assert hp.write_records(pooled.records, include_timing=False) == hp.write_records(serial.records, include_timing=False)
+
+
+def test_run_suite_one_goal_bfs_per_map_and_label(monkeypatch):
+    spec = hp.SuiteSpec(families=("room", "drop_region"), robot_counts=(3,), scenarios_per_config=3,
+                        map_variants=1, base_seed=4, map_params={"cells": 32})
+    scenarios = hp.generate_suite(spec)
+    calls = []
+
+    def counted(free, seed_cells):
+        calls.append(len(seed_cells))
+        return hop_distances(free, seed_cells)
+
+    # run_one's detour base reaches the BFS through the cache it plans with
+    monkeypatch.setattr(bench, "hop_distances", counted)
+    monkeypatch.setattr(hf, "hop_distances", counted)
+    hp.run_suite(scenarios, PlannerConfig(T=4, K=2), workers=1)
+    pairs = {
+        (sc.map.content_hash(), hp.resolve_goal_regions(r.instruction, sc.map)[0].label)
+        for sc in scenarios for r in sc.robots
+    }
+    assert len(calls) == len(pairs) < sum(len(sc.robots) for sc in scenarios)
 
 
 def test_already_solved_fixture_rate_one():

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import heatfield as hf
@@ -182,6 +185,36 @@ def test_snapshot_times_and_conservation():
         assert (s.u >= 0.0).all()
 
 
+@st.composite
+def _grid_and_sources(draw):
+    """A random occupancy grid up to 16x16 on a square or a 2:1 world (so
+    cells are often not square) and 1-3 one-cell source regions."""
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16))
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = np.argwhere(~occ)
+    assume(len(free) > 0)
+    picks = draw(st.lists(st.integers(0, len(free) - 1), min_size=1, max_size=3, unique=True))
+    size = draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0)]))
+    regions = [hp.SemanticRegion("goal", ((int(free[i][1]), int(free[i][0])),)) for i in picks]
+    return hp.WorldMap("g", occ, world_size=size), regions
+
+
+@settings(deadline=None, max_examples=200)
+@given(_grid_and_sources(), st.integers(2, 5))
+def test_solver_invariants_on_random_grids(case, T):
+    # level escalation in the sampler relies on supports that only grow with t
+    m, regions = case
+    states = hf.solve_to_times(hf.SourceSpec(regions), m, hp.build_schedule(T))
+    for s in states:
+        assert abs(s.u.sum() - 1.0) <= 1e-12
+        assert (s.u[m.occupancy] == 0.0).all()
+        assert (s.u >= 0.0).all()
+    supported = [hf.build_score_field(s, t=t).supported for t, s in enumerate(states, 1)]
+    for finer, coarser in zip(supported, supported[1:]):
+        assert not (finer & ~coarser).any()
+
+
 def test_annulus_insulation_exact():
     occ = np.zeros((32, 32), dtype=bool)
     occ[10:21, 10:21] = True
@@ -315,10 +348,72 @@ def test_interpolate_continuity_along_segment():
     a, b = np.array([0.31, 0.42]), np.array([1.63, 1.17])
     ts = np.linspace(0, 1, 2001)
     pts = a[None] + ts[:, None] * (b - a)[None]
-    vals = hf.interpolate_many(field, pts)
+    vals = hf.interpolate(field, pts)
     step = np.linalg.norm(b - a) / 2000
     deltas = np.linalg.norm(np.diff(vals, axis=0), axis=1)
     assert deltas.max() <= 2 * lip * step + 1e-12
+
+
+@st.composite
+def _fields_and_points(draw):
+    """1-3 random vector fields on one map of up to 6x6 cells (often one cell
+    wide or high, with unequal world sides) and 1-8 points, each paired with
+    one of the fields; about half the coordinates sit on the lattice hull's
+    edges or the map's border."""
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 6))
+    size = (draw(st.sampled_from([1.0, 2.0, 3.0])), draw(st.sampled_from([1.0, 2.0])))
+    m = hp.WorldMap("g", np.zeros((h, w), dtype=bool), world_size=size)
+    values = st.floats(-8, 8, allow_nan=False, allow_subnormal=False)
+    fields = [
+        hf.ScoreField(t=k + 1, vectors=draw(hnp.arrays(np.float64, (h, w, 2), elements=values)), map=m)
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    n = draw(st.integers(1, 8))
+
+    def coord(extent, cells):
+        half = extent / cells / 2
+        edges = [0.0, half, extent - half, np.nextafter(extent, 0.0)]
+        return draw(st.sampled_from(edges) | st.floats(0.0, extent, exclude_max=True))
+
+    pts = np.array([[coord(size[0], w), coord(size[1], h)] for _ in range(n)])
+    picks = [fields[draw(st.integers(0, len(fields) - 1))] for _ in range(n)]
+    return picks, pts
+
+
+def _bilinear_reference(field, p):
+    """The bilinear lookup written out for one point: the reference for the
+    batched ``interpolate``, in its arithmetic order."""
+    m = field.map
+    W, H = m.width_cells, m.height_cells
+    gx = min(max(p[0] / m.cell_size[0] - 0.5, 0.0), W - 1.0)
+    gy = min(max(p[1] / m.cell_size[1] - 0.5, 0.0), H - 1.0)
+    i0, j0 = min(int(gx), max(W - 2, 0)), min(int(gy), max(H - 2, 0))
+    i1, j1 = i0 + (W > 1), j0 + (H > 1)
+    fx, fy = gx - i0, gy - j0
+    v = field.vectors
+    return (v[j0, i0] * (1 - fx) * (1 - fy) + v[j0, i1] * fx * (1 - fy)
+            + v[j1, i0] * (1 - fx) * fy + v[j1, i1] * fx * fy)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fields_and_points())
+def test_interpolate_one_field_per_point_matches_single_queries(case):
+    fields, pts = case
+    got = hf.interpolate(fields, pts)
+    assert got.shape == pts.shape
+    for i, (field, p) in enumerate(zip(fields, pts)):
+        assert np.array_equal(got[i], hf.interpolate(field, p))
+        assert np.array_equal(got[i], hf.interpolate(field, pts)[i])
+        assert np.array_equal(got[i], _bilinear_reference(field, p))
+
+
+def test_interpolate_rejects_field_count_mismatch():
+    field = _linear_field()
+    with pytest.raises(ParameterError):
+        hf.interpolate([field, field], np.array([[0.5, 0.5]]))
+    with pytest.raises(DomainError):
+        hf.interpolate([field], np.array([[0.5, 2.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 import heatplan as hp
 from heatplan import heatfield as hf
 from heatplan.errors import ParameterError, SingularConfigurationError
-from heatplan.planner import PlannerConfig, _points_free, _segment_free
+from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free, _segment_free
 
 
 def centered_goal_map(cells=64, label="apple"):
@@ -36,8 +36,47 @@ def test_config_rejects_bad_margins():
 def test_config_overrides_and_unknown_keys():
     cfg = PlannerConfig().with_overrides({"beta": 5.0, "T": 10})
     assert cfg.beta == 5.0 and cfg.T == 10
+    # whole floats, as a JSON scenario config may hold them, become ints
+    cfg = PlannerConfig().with_overrides({"T": 10.0, "seed": 3.0})
+    assert (cfg.T, cfg.seed) == (10, 3) and type(cfg.T) is int
     with pytest.raises(ParameterError):
         PlannerConfig().with_overrides({"gamma": 1.0})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, field, value", [
+    ("constructor", "beta", NAN),
+    ("constructor", "time_limit", NAN),
+    ("constructor", "goal_tol", NAN),
+    ("constructor", "step_ratio", INF),
+    ("constructor", "sigma_max", INF),
+    ("constructor", "T", 20.0),
+    ("overrides", "K", 2.5),
+    ("overrides", "T", NAN),
+    ("overrides", "seed", INF),
+    ("overrides", "d_safe", -INF),
+    ("cli", "time_limit", "nan"),
+    ("cli", "beta", "inf"),
+])
+def test_config_rejects_non_finite_and_non_integral(path, field, value, tmp_path, capsys):
+    if path == "constructor":
+        with pytest.raises(ParameterError, match=field):
+            PlannerConfig(**{field: value})
+    elif path == "overrides":
+        with pytest.raises(ParameterError, match=field):
+            PlannerConfig().with_overrides({field: value})
+    else:
+        from heatplan.cli import main
+
+        m, _ = centered_goal_map(cells=8)
+        hp.save_map(m, tmp_path / "m.json")
+        sc = hp.Scenario(m, (hp.RobotSpec("r0", "apple", (0.1, 0.1)),), seed=0)
+        hp.save_scenario(sc, tmp_path / "s.json", map_path="m.json")
+        flag = "--" + field.replace("_", "-")
+        assert main(["plan", "--scenario", str(tmp_path / "s.json"), flag, value]) == 2
+        assert field in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +207,78 @@ def test_langevin_never_crosses_wall():
     assert 0.98 <= x < 1.0
     assert out[0, 1] == 1.0
     assert hp.is_free(out[0], m)
+
+
+def _cell_of(p, m):
+    return (min(int(p[0] / m.cell_size[0]), m.width_cells - 1),
+            min(int(p[1] / m.cell_size[1]), m.height_cells - 1))
+
+
+def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=False):
+    """The sampler step with one level lookup and one single-point
+    ``interpolate`` call per robot: the reference for the batched lookup."""
+    worldmap = ladders[0][t].map
+    n = len(pos)
+    s = np.empty_like(pos)
+    alpha = np.empty((n, 1))
+    for i in range(n):
+        t_eff, field = _effective_level(ladders[i], t, _cell_of(pos[i], worldmap), schedule.T)
+        s[i] = hf.interpolate(field, pos[i])
+        alpha[i, 0] = schedule.alpha_at(t_eff)
+    drift = s + config.beta * hp.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
+    prop = pos + 0.5 * alpha * alpha * drift
+    if not noiseless:
+        eps = np.empty_like(pos)
+        for i in range(n):
+            eps[i] = rngs[i].standard_normal(2)
+        prop = prop + alpha * eps
+    w, h = worldmap.world_size
+    np.clip(prop[:, 0], 0.0, w * (1 - 1e-12), out=prop[:, 0])
+    np.clip(prop[:, 1], 0.0, h * (1 - 1e-12), out=prop[:, 1])
+    new = prop.copy()
+    for i in range(n):
+        if new[i, 0] != pos[i, 0] or new[i, 1] != pos[i, 1]:
+            new[i] = _clamp_to_free(worldmap, pos[i], prop[i])
+    for _round in range(n + 1):
+        if n < 2:
+            break
+        dist = np.sqrt(((new[:, None, :] - new[None, :, :]) ** 2).sum(axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        bad = dist <= config.d_safe
+        if not bad.any():
+            break
+        revert = bad.any(axis=1) & np.any(new != pos, axis=1)
+        if not revert.any():
+            break
+        new[revert] = pos[revert]
+    return new
+
+
+def test_langevin_batched_lookup_matches_per_robot_reference():
+    m = hp.generate_map("room", 3, cells=32)
+    cfg = PlannerConfig(T=6, K=4)
+    sched = cfg.schedule()
+    cache = hf.FieldCache()
+    labels = ("hub", "apple", "cone", "kiosk", "apple")
+    ladders = [cache.fields(m, label, sched) for label in labels]
+    # far corners sit outside the fine levels' supports; the last two robots
+    # start 0.11 apart, inside d_margin, so guidance and reverts take part
+    starts = np.array([[0.1, 0.1], [1.9, 0.1], [0.1, 1.9], [1.0, 1.0], [1.11, 1.0]])
+    assert all(hp.is_free(p, m) for p in starts)
+    rngs = [[np.random.default_rng([9, i]) for i in range(len(labels))] for _ in range(2)]
+    batched = reference = starts
+    escalations = 0
+    for t in range(cfg.T, 0, -1):
+        for k in range(1, cfg.K + 1):
+            noiseless = t == 1 and k == cfg.K
+            escalations += sum(
+                _effective_level(ladder, t, _cell_of(p, m), sched.T)[0] > t
+                for ladder, p in zip(ladders, batched)
+            )
+            batched = hp.langevin_step(batched, t, ladders, sched, cfg, rngs[0], noiseless)
+            reference = _langevin_step_per_robot(reference, t, ladders, sched, cfg, rngs[1], noiseless)
+            assert np.array_equal(batched, reference)
+    assert escalations > 0
 
 
 # ---------------------------------------------------------------------------
