@@ -15,8 +15,7 @@ import heatplan as hp
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-params = hp.GeneratorParams(cells=128, n_labels=3, seal_duplicate=True)
-m = hp.generate_map("drop_region", seed=21, params=params)
+m = hp.generate_map("drop_region", seed=21, cells=128, n_labels=3, seal_duplicate=True)
 dup = m.regions[0].label
 instances = m.regions_with_label(dup)
 mask = hp.flood_fill(m, instances[0].cells[0])

@@ -15,7 +15,6 @@ from .errors import (
 from .gridmap import (
     FAMILIES,
     VOCABULARY,
-    GeneratorParams,
     RobotSpec,
     Scenario,
     SemanticRegion,
@@ -45,7 +44,6 @@ from .heatfield import (
     build_score_field,
     heat_step,
     init_heat,
-    internal_dt,
     interpolate,
     sample_heat,
     score_ascent_reaches,

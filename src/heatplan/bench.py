@@ -20,7 +20,6 @@ import numpy as np
 from .errors import GenerationError, ParameterError
 from .gridmap import (
     FAMILIES,
-    GeneratorParams,
     RobotSpec,
     Scenario,
     WorldMap,
@@ -42,6 +41,8 @@ REPORT_COLUMNS = (
     "min_clearance",
     "timeouts",
 )
+
+START_SEPARATION = 0.12  # min distance between a suite's generated starts, units
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,6 @@ class SuiteSpec:
     map_variants: int = 6
     base_seed: int = 0
     ood: bool = False
-    start_separation: float = 0.12
     map_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -118,7 +118,7 @@ def _suite_maps(spec: SuiteSpec, family: str):
         seed = int(
             np.random.default_rng(np.random.SeedSequence([spec.base_seed, fidx, v, 5])).integers(2**31)
         )
-        maps.append(generate_map(family, seed, GeneratorParams(**params)))
+        maps.append(generate_map(family, seed, **params))
     return maps
 
 
@@ -158,7 +158,7 @@ def generate_suite(spec: SuiteSpec):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.base_seed, fidx, n_robots, s, 11])
                 )
-                starts = _sample_starts(worldmap, component, n_robots, spec.start_separation, rng)
+                starts = _sample_starts(worldmap, component, n_robots, START_SEPARATION, rng)
                 labels = list(worldmap.labels())
                 if spec.ood:
                     # robot 0 targets the duplicated label; the reachable
@@ -243,7 +243,6 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
         "min_clearance": min_clearance,
         "static_violations": len(result.static_violations),
         "inter_robot_violations": len(result.inter_robot_violations),
-        "result": result,
     }
     if include_result_json:
         from .planner import result_to_json
@@ -252,17 +251,11 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
     return record
 
 
-def _run_map(scenarios, config, keep_results, include_result_json):
+def _run_map(scenarios, config, include_result_json):
     """Plan one map's scenarios in order on a cache that lives for this call
     only, so each of the map's ladders is solved once."""
     cache = FieldCache()
-    records = []
-    for scenario in scenarios:
-        record = run_one(scenario, config, cache, include_result_json)
-        if not keep_results:
-            record.pop("result")
-        records.append(record)
-    return records
+    return [run_one(scenario, config, cache, include_result_json) for scenario in scenarios]
 
 
 @dataclass(eq=False)
@@ -272,7 +265,7 @@ class SuiteReport:
 
 
 def run_suite(scenarios, config: PlannerConfig | None = None, workers: int = 1,
-              keep_results: bool = False, include_result_json: bool = False) -> SuiteReport:
+              include_result_json: bool = False) -> SuiteReport:
     """Plan every scenario map by map and aggregate metrics.
 
     Scenarios are grouped by map content.  Each group runs in order on its
@@ -283,14 +276,12 @@ def run_suite(scenarios, config: PlannerConfig | None = None, workers: int = 1,
     """
     if not scenarios:
         raise ParameterError("no scenarios to run")
-    if keep_results and workers > 1:
-        raise ParameterError("keep_results requires workers=1")
     config = config if config is not None else PlannerConfig()
     groups = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault(scenario.map.content_hash(), []).append(i)
     batches = [[scenarios[i] for i in idx] for idx in groups.values()]
-    fixed = (repeat(config), repeat(keep_results), repeat(include_result_json))
+    fixed = (repeat(config), repeat(include_result_json))
     workers = min(workers, len(batches))
     if workers <= 1:
         results = list(map(_run_map, batches, *fixed))
@@ -379,7 +370,7 @@ def write_records(records, include_timing: bool = True) -> str:
     """JSON-lines dump, one per-scenario record per line."""
     lines = []
     for rec in records:
-        out = {k: v for k, v in rec.items() if k not in ("result", "result_json")}
+        out = {k: v for k, v in rec.items() if k != "result_json"}
         if not include_timing:
             out.pop("planning_time_s")
         lines.append(json.dumps(out, separators=(",", ":")))

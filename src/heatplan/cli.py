@@ -8,6 +8,7 @@ comes from explicit --seed flags; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,41 +17,34 @@ from . import gridmap, heatfield, render
 from .errors import HeatplanError
 from .planner import PlannerConfig, plan, result_to_json
 
-_PLANNER_FLAGS = {
-    "steps": "T",
-    "anneal": "K",
-    "beta": "beta",
-    "d_safe": "d_safe",
-    "d_margin": "d_margin",
-    "step_ratio": "step_ratio",
-    "sigma_min": "sigma_min",
-    "sigma_max": "sigma_max",
-    "time_limit": "time_limit",
-    "goal_tol": "goal_tol",
-}
+# (flag dest, PlannerConfig field, type, help); the flag is --dest with dashes
+_PLANNER_FLAGS = (
+    ("steps", "T", int, "diffusion steps T"),
+    ("anneal", "K", int, "annealing steps K per diffusion step"),
+    ("beta", "beta", float, "inter-robot guidance strength"),
+    ("d_safe", "d_safe", float, "hard minimum robot separation, units"),
+    ("d_margin", "d_margin", float, "soft repulsion threshold, units"),
+    ("step_ratio", "step_ratio", float, "alpha_t / sigma_t"),
+    ("sigma_min", "sigma_min", float, "noise level sigma_1 of the finest step"),
+    ("sigma_max", "sigma_max", float, "noise level sigma_T of the coarsest step"),
+    ("time_limit", "time_limit", float, "seconds before abort"),
+    ("goal_tol", "goal_tol", float, "goal membership tolerance, units"),
+)
 
 
 def _add_planner_flags(p: argparse.ArgumentParser):
     defaults = PlannerConfig()
-    p.add_argument("--steps", type=int, help=f"diffusion steps T (default {defaults.T})")
-    p.add_argument("--anneal", type=int, help=f"annealing steps K per diffusion step (default {defaults.K})")
-    p.add_argument("--beta", type=float, help="inter-robot guidance strength")
-    p.add_argument("--d-safe", dest="d_safe", type=float, help="hard minimum robot separation, units")
-    p.add_argument("--d-margin", dest="d_margin", type=float, help="soft repulsion threshold, units")
-    p.add_argument("--step-ratio", dest="step_ratio", type=float, help="alpha_t / sigma_t")
-    p.add_argument("--sigma-min", dest="sigma_min", type=float)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float)
-    p.add_argument("--time-limit", dest="time_limit", type=float, help="seconds before abort")
-    p.add_argument("--goal-tol", dest="goal_tol", type=float, help="goal membership tolerance, units")
+    for dest, field, kind, text in _PLANNER_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                       help=f"{text} (default {getattr(defaults, field)})")
 
 
 def _planner_overrides(args) -> dict:
-    overrides = {}
-    for flag, field in _PLANNER_FLAGS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field] = val
-    return overrides
+    return {
+        field: getattr(args, dest)
+        for dest, field, _kind, _text in _PLANNER_FLAGS
+        if getattr(args, dest) is not None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,24 +115,21 @@ def _write_out(text: str, out: str | None):
 
 
 def _cmd_gen_map(args) -> int:
-    params = gridmap.GeneratorParams(cells=args.grid, n_labels=args.labels, seal_duplicate=args.ood)
-    worldmap = gridmap.generate_map(args.family, args.seed, params)
+    worldmap = gridmap.generate_map(
+        args.family, args.seed, cells=args.grid, n_labels=args.labels, seal_duplicate=args.ood
+    )
     _write_out(gridmap.encode_map(worldmap), args.out)
     return 0
 
 
-def _load_scenario_with_overrides(args):
-    scenario = gridmap.load_scenario(args.scenario)
-    config = PlannerConfig().with_overrides(scenario.config)
-    overrides = _planner_overrides(args)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return scenario, config.with_overrides(overrides)
-
-
 def _cmd_plan(args) -> int:
-    scenario, config = _load_scenario_with_overrides(args)
-    result = plan(scenario, config, use_scenario_config=False)
+    scenario = gridmap.load_scenario(args.scenario)
+    overrides = _planner_overrides(args)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    # the flags win over the scenario file's config
+    scenario = dataclasses.replace(scenario, config={**scenario.config, **overrides})
+    result = plan(scenario)
     _write_out(
         result_to_json(result, include_timing=not args.no_timing, include_micro=args.micro_steps),
         args.out,

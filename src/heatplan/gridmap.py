@@ -31,6 +31,8 @@ SCENARIO_FORMAT_VERSION = 1
 
 FAMILIES = ("drop_region", "conveyor", "room", "shelf")
 
+WORLD_SIZE = (2.0, 2.0)  # (width, height) in units of generated and empty maps
+
 # Demo label vocabulary; instruction matching is case-insensitive exact-token.
 VOCABULARY = (
     "apple",
@@ -94,11 +96,11 @@ class WorldMap:
     ----------
     name : str
     occupancy : (H, W) bool array, True = obstacle, row 0 = bottom.
-    world_size : (width, height) in units; default (2.0, 2.0).
+    world_size : (width, height) in units; default WORLD_SIZE.
     regions : sequence of SemanticRegion on free cells.
     """
 
-    def __init__(self, name, occupancy, world_size=(2.0, 2.0), regions=()):
+    def __init__(self, name, occupancy, world_size=WORLD_SIZE, regions=()):
         occupancy = np.asarray(occupancy, dtype=bool)
         if occupancy.ndim != 2 or occupancy.shape[0] < 1 or occupancy.shape[1] < 1:
             raise ParameterError("occupancy must be a non-empty 2D grid")
@@ -160,10 +162,10 @@ class WorldMap:
         )
 
 
-def empty_map(name="empty", cells=128, world_size=(2.0, 2.0), regions=()) -> WorldMap:
-    """Fully free square map; handy for analytic checks."""
+def empty_map(name="empty", cells=128, regions=()) -> WorldMap:
+    """Fully free square map on a WORLD_SIZE world; handy for analytic checks."""
     occ = np.zeros((cells, cells), dtype=bool)
-    return WorldMap(name, occ, world_size, regions)
+    return WorldMap(name, occ, regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -307,98 +309,86 @@ def _largest_component(occ):
 # generators
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Knobs for the four map families; documented ranges in README."""
-
-    cells: int = 128
-    world_size: tuple = (2.0, 2.0)
-    n_labels: int = 4
-    region_side: int = 2           # side of a square labeled region, in cells
-    region_separation: float = 0.30  # min distance between region centers, units
-    # drop_region
-    zones: tuple = (2, 4)          # number of large labeled zones
-    zone_side: tuple = (10, 18)    # zone rectangle side range, cells
-    fill_range: tuple = (0.06, 0.16)  # admissible obstacle fraction
-    block_side: tuple = (4, 12)    # scattered block side range, cells
-    # conveyor; gaps default comfortably above d_safe=0.10 (6.4 cells at 128)
-    # so two robots can pass, while any >=3 still satisfies the family rule
-    belts: tuple = (2, 3)
-    belt_thickness: tuple = (3, 6)
-    gap_cells: int = 7             # minimum passage width through a belt
-    # room
-    rooms_per_side: tuple = (2, 3)
-    doorway_cells: tuple = (2, 3)
-    wall_thickness: int = 2
-    # shelf; aisles must admit two robots passing at d_safe separation
-    min_aisle: int = 9
-    shelf_thickness: tuple = (2, 4)
-    # OOD: duplicate the first label and seal the duplicate behind a ring
-    seal_duplicate: bool = False
-
-    def __post_init__(self):
-        if self.cells < 16:
-            raise ParameterError("cells must be >= 16")
-        if self.n_labels < 1 or self.n_labels > len(VOCABULARY):
-            raise ParameterError(f"n_labels must be in 1..{len(VOCABULARY)}")
-        if self.min_aisle < 3:
-            raise ParameterError("min_aisle must be >= 3")
+# family tunings
+REGION_SIDE = 2                 # side of a square labeled region, in cells
+REGION_SEPARATION = 0.30        # min distance between region centers, units
+# drop_region
+ZONES = (2, 4)                  # number of large labeled zones
+ZONE_SIDE = (10, 18)            # zone rectangle side range, cells
+FILL_RANGE = (0.06, 0.16)       # admissible obstacle fraction
+BLOCK_SIDE = (4, 12)            # scattered block side range, cells
+# conveyor; gaps sit comfortably above d_safe=0.10 (6.4 cells at 128) so two
+# robots can pass, while any >=3 would still satisfy the family rule
+BELTS = (2, 3)
+BELT_THICKNESS = (3, 6)
+GAP_CELLS = 7                   # minimum passage width through a belt
+# room
+ROOMS_PER_SIDE = (2, 3)
+DOORWAY_CELLS = (2, 3)
+WALL_THICKNESS = 2
+# shelf; aisles must admit two robots passing at d_safe separation
+MIN_AISLE = 9
+SHELF_THICKNESS = (2, 4)
 
 
-def generate_map(family, seed, params: GeneratorParams | None = None, **overrides) -> WorldMap:
-    """Deterministic map generator for one of the four families."""
+def generate_map(family, seed, cells=128, n_labels=4, seal_duplicate=False) -> WorldMap:
+    """Deterministic map generator for one of the four families.
+
+    ``cells`` is the grid side, ``n_labels`` the number of labeled regions,
+    and ``seal_duplicate`` (the OOD variant) adds a second instance of the
+    first label sealed behind an obstacle ring.
+    """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if params is None:
-        params = GeneratorParams(**overrides)
-    elif overrides:
-        raise ParameterError("pass either params or keyword overrides, not both")
+    if cells < 16:
+        raise ParameterError("cells must be >= 16")
+    if n_labels < 1 or n_labels > len(VOCABULARY):
+        raise ParameterError(f"n_labels must be in 1..{len(VOCABULARY)}")
     seed = int(seed)
     if seed < 0:
         raise ParameterError("seed must be unsigned")
     rng = np.random.default_rng(np.random.SeedSequence([FAMILIES.index(family), seed]))
 
-    n = params.cells
-    occ = np.zeros((n, n), dtype=bool)
+    occ = np.zeros((cells, cells), dtype=bool)
     occ[0, :] = occ[-1, :] = True
     occ[:, 0] = occ[:, -1] = True
 
     protected = np.zeros_like(occ)  # cells obstacles must not touch
     zone_rects = []
     if family == "drop_region":
-        zone_rects = _drop_region_obstacles(occ, protected, rng, params)
+        zone_rects = _drop_region_obstacles(occ, protected, rng)
     elif family == "conveyor":
-        _conveyor_obstacles(occ, rng, params)
+        _conveyor_obstacles(occ, rng)
     elif family == "room":
-        _room_obstacles(occ, rng, params)
+        _room_obstacles(occ, rng)
     elif family == "shelf":
-        _shelf_obstacles(occ, rng, params)
+        _shelf_obstacles(occ, rng)
 
     if not (~occ).any():
         raise GenerationError(f"{family} generator produced no free space")
 
     main = _largest_component(occ)
-    regions = _place_regions(occ, main, zone_rects, rng, params)
-    if params.seal_duplicate:
-        regions.append(_sealed_duplicate(occ, main, regions, rng, params))
+    regions = _place_regions(occ, main, zone_rects, rng, n_labels)
+    if seal_duplicate:
+        regions.append(_sealed_duplicate(occ, main, regions, rng))
 
-    name = f"{family}-{seed}" + ("-ood" if params.seal_duplicate else "")
-    return WorldMap(name, occ, params.world_size, regions)
+    name = f"{family}-{seed}" + ("-ood" if seal_duplicate else "")
+    return WorldMap(name, occ, WORLD_SIZE, regions)
 
 
 def _paint_rect(occ, r0, r1, c0, c1, value=True):
     occ[r0:r1, c0:c1] = value
 
 
-def _drop_region_obstacles(occ, protected, rng, params):
+def _drop_region_obstacles(occ, protected, rng):
     """Border + open zone rectangles + scattered blocks up to a fill target."""
     n = occ.shape[0]
-    n_zones = int(rng.integers(params.zones[0], params.zones[1] + 1))
+    n_zones = int(rng.integers(ZONES[0], ZONES[1] + 1))
     zone_rects = []
     for _ in range(n_zones):
         for _attempt in range(200):
-            zw = int(rng.integers(params.zone_side[0], params.zone_side[1] + 1))
-            zh = int(rng.integers(params.zone_side[0], params.zone_side[1] + 1))
+            zw = int(rng.integers(ZONE_SIDE[0], ZONE_SIDE[1] + 1))
+            zh = int(rng.integers(ZONE_SIDE[0], ZONE_SIDE[1] + 1))
             c0 = int(rng.integers(2, n - 2 - zw))
             r0 = int(rng.integers(2, n - 2 - zh))
             if protected[max(r0 - 3, 0):r0 + zh + 3, max(c0 - 3, 0):c0 + zw + 3].any():
@@ -406,15 +396,15 @@ def _drop_region_obstacles(occ, protected, rng, params):
             protected[r0:r0 + zh, c0:c0 + zw] = True
             zone_rects.append((c0, r0, zw, zh))
             break
-    lo, hi = params.fill_range
+    lo, hi = FILL_RANGE
     target = float(rng.uniform(lo + 0.01, hi - 0.01))
     total = occ.size
     for _attempt in range(600):
         frac = occ.sum() / total
         if frac >= target - 0.004:
             break
-        bw = int(rng.integers(params.block_side[0], params.block_side[1] + 1))
-        bh = int(rng.integers(params.block_side[0], params.block_side[1] + 1))
+        bw = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
+        bh = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
         c0 = int(rng.integers(2, n - 2 - bw))
         r0 = int(rng.integers(2, n - 2 - bh))
         if protected[max(r0 - 2, 0):r0 + bh + 2, max(c0 - 2, 0):c0 + bw + 2].any():
@@ -429,12 +419,12 @@ def _drop_region_obstacles(occ, protected, rng, params):
     return zone_rects
 
 
-def _conveyor_obstacles(occ, rng, params):
-    """Long horizontal belts with >= gap_cells passages."""
+def _conveyor_obstacles(occ, rng):
+    """Long horizontal belts with >= GAP_CELLS passages."""
     n = occ.shape[0]
-    n_belts = int(rng.integers(params.belts[0], params.belts[1] + 1))
+    n_belts = int(rng.integers(BELTS[0], BELTS[1] + 1))
     for i in range(n_belts):
-        th = int(rng.integers(params.belt_thickness[0], params.belt_thickness[1] + 1))
+        th = int(rng.integers(BELT_THICKNESS[0], BELT_THICKNESS[1] + 1))
         yc = int(round((i + 1) * n / (n_belts + 1))) + int(rng.integers(-n // 16, n // 16 + 1))
         r0 = max(3, min(yc - th // 2, n - 3 - th))
         _paint_rect(occ, r0, r0 + th, 1, n - 1)
@@ -442,7 +432,7 @@ def _conveyor_obstacles(occ, rng, params):
         placed = []
         for _ in range(n_gaps):
             for _attempt in range(100):
-                gw = int(rng.integers(params.gap_cells, params.gap_cells + 4))
+                gw = int(rng.integers(GAP_CELLS, GAP_CELLS + 4))
                 c0 = int(rng.integers(3, n - 3 - gw))
                 if any(abs(c0 - p) < gw + 6 for p in placed):
                     continue
@@ -451,11 +441,11 @@ def _conveyor_obstacles(occ, rng, params):
                 break
 
 
-def _room_obstacles(occ, rng, params):
+def _room_obstacles(occ, rng):
     """k x k rooms separated by walls with one doorway per wall segment."""
     n = occ.shape[0]
-    k = int(rng.integers(params.rooms_per_side[0], params.rooms_per_side[1] + 1))
-    th = params.wall_thickness
+    k = int(rng.integers(ROOMS_PER_SIDE[0], ROOMS_PER_SIDE[1] + 1))
+    th = WALL_THICKNESS
     jitter = n // 20
 
     def split_positions():
@@ -480,7 +470,7 @@ def _room_obstacles(occ, rng, params):
             lo, hi = s0 + 2, s1 - 2 - th
             if hi <= lo:
                 continue
-            dw = int(rng.integers(params.doorway_cells[0], params.doorway_cells[1] + 1))
+            dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
             r0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
             _paint_rect(occ, r0, r0 + dw, x, x + th, value=False)
     for y in h_walls:
@@ -488,18 +478,18 @@ def _room_obstacles(occ, rng, params):
             lo, hi = s0 + 2, s1 - 2 - th
             if hi <= lo:
                 continue
-            dw = int(rng.integers(params.doorway_cells[0], params.doorway_cells[1] + 1))
+            dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
             c0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
             _paint_rect(occ, y, y + th, c0, c0 + dw, value=False)
 
 
-def _shelf_obstacles(occ, rng, params):
-    """Regular shelf rows; every aisle at least min_aisle cells wide."""
+def _shelf_obstacles(occ, rng):
+    """Regular shelf rows; every aisle at least MIN_AISLE cells wide."""
     n = occ.shape[0]
-    margin = params.min_aisle
+    margin = MIN_AISLE
     r = 1 + margin
     while True:
-        th = int(rng.integers(params.shelf_thickness[0], params.shelf_thickness[1] + 1))
+        th = int(rng.integers(SHELF_THICKNESS[0], SHELF_THICKNESS[1] + 1))
         if r + th > n - 1 - margin:
             break
         _paint_rect(occ, r, r + th, 1 + margin, n - 1 - margin)
@@ -507,14 +497,14 @@ def _shelf_obstacles(occ, rng, params):
         placed = []
         for _ in range(n_cross):
             for _attempt in range(100):
-                gw = int(rng.integers(params.min_aisle, params.min_aisle + 3))
+                gw = int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
                 c0 = int(rng.integers(1 + margin + 2, n - 1 - margin - 2 - gw))
                 if any(abs(c0 - p) < gw + 8 for p in placed):
                     continue
                 _paint_rect(occ, r, r + th, c0, c0 + gw, value=False)
                 placed.append(c0)
                 break
-        r += th + int(rng.integers(params.min_aisle, params.min_aisle + 3))
+        r += th + int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
 
 
 def _region_free_at(occ, main, r0, c0, side):
@@ -522,15 +512,15 @@ def _region_free_at(occ, main, r0, c0, side):
     return bool((~occ[block]).all() and main[block].all())
 
 
-def _place_regions(occ, main, zone_rects, rng, params):
+def _place_regions(occ, main, zone_rects, rng, n_labels):
     """Place n_labels square regions in the main free component."""
     n = occ.shape[0]
-    cw = params.world_size[0] / n
-    labels = [VOCABULARY[i] for i in rng.permutation(len(VOCABULARY))[: params.n_labels]]
+    cw = WORLD_SIZE[0] / n
+    labels = [VOCABULARY[i] for i in rng.permutation(len(VOCABULARY))[:n_labels]]
     regions = []
     centers = []
-    side = params.region_side
-    min_sep_cells = params.region_separation / cw
+    side = REGION_SIDE
+    min_sep_cells = REGION_SEPARATION / cw
 
     for idx, label in enumerate(labels):
         if idx < len(zone_rects):
@@ -563,15 +553,15 @@ def _place_regions(occ, main, zone_rects, rng, params):
         if not placed:
             raise GenerationError(
                 f"could not place region {label!r} with separation "
-                f"{params.region_separation} after 800 attempts"
+                f"{REGION_SEPARATION} after 800 attempts"
             )
     return regions
 
 
-def _sealed_duplicate(occ, main, regions, rng, params):
+def _sealed_duplicate(occ, main, regions, rng):
     """Second instance of regions[0].label sealed inside a closed obstacle ring."""
     n = occ.shape[0]
-    side = params.region_side
+    side = REGION_SIDE
     inner = side + 2          # free pocket side
     outer = inner + 4         # pocket plus 2-cell ring
     label = regions[0].label
@@ -801,8 +791,8 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
     if not isinstance(config, dict):
         raise MapFormatError("config", "expected an object")
     for key, val in config.items():
-        if not (isinstance(val, bool) or _is_real(val)):
-            raise MapFormatError(f"config.{key}", "expected a finite number or a boolean")
+        if not _is_real(val):
+            raise MapFormatError(f"config.{key}", "expected a finite number")
     try:
         return Scenario(worldmap, tuple(robots), seed, dict(config))
     except ParameterError as exc:

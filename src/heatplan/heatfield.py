@@ -223,12 +223,6 @@ def _smooth_switch_time(worldmap: WorldMap) -> float:
     return 0.0125 * worldmap.world_size[0] * worldmap.world_size[1]
 
 
-def internal_dt(worldmap: WorldMap) -> float:
-    """The integrator's fixed step: h^2/6 on square cells (the error-canceling
-    choice for the isotropic stencil), 0.2 h^2 otherwise."""
-    return _Solver(worldmap).internal_dt
-
-
 def init_heat(sources: SourceSpec, worldmap: WorldMap) -> HeatState:
     """Unit mass split equally across instances, uniform within each."""
     u = np.zeros((worldmap.height_cells, worldmap.width_cells), dtype=np.float64)
@@ -467,8 +461,7 @@ class FieldCache:
 # discrete reachability by annealed score ascent
 
 
-def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion,
-                         max_steps_per_level: int | None = None) -> bool:
+def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
     """Follow score vectors cell-to-cell from coarse t to fine t.
 
     At each level, repeatedly step to the 8-neighbor best aligned with the
@@ -480,8 +473,6 @@ def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: S
     occ = worldmap.occupancy
     H, W = occ.shape
     hx, hy = worldmap.cell_size
-    if max_steps_per_level is None:
-        max_steps_per_level = H * W
     moves = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1) if (dc, dr) != (0, 0)]
     norms = {m: float(np.hypot(m[0] * hx, m[1] * hy)) for m in moves}
     col, row = int(start_cell[0]), int(start_cell[1])
@@ -490,7 +481,7 @@ def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: S
     for t in sorted(fields.keys(), reverse=True):
         vecs = fields[t].vectors
         visited = set()
-        for _ in range(max_steps_per_level):
+        for _ in range(H * W):  # a walk that never revisits a cell ends within H*W steps
             if (col, row) in target:
                 return True
             visited.add((col, row))

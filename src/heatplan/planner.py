@@ -53,17 +53,18 @@ class PlannerConfig:
     sigma_max: float = DEFAULT_SIGMA_MAX
     seed: Optional[int] = None
     time_limit: float = 180.0
-    final_step_noiseless: bool = True
     goal_tol: float = 0.05
     log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
         for f in dataclass_fields(self):
             val = getattr(self, f.name)
+            if isinstance(val, bool):
+                raise ParameterError(f"{f.name} must be a number, got {val!r}")
             if f.name in ("T", "K", "seed"):
                 if not (isinstance(val, numbers.Integral) or (f.name == "seed" and val is None)):
                     raise ParameterError(f"{f.name} must be an integer, got {val!r}")
-            elif f.name != "final_step_noiseless" and not (isinstance(val, numbers.Real) and math.isfinite(val)):
+            elif not (isinstance(val, numbers.Real) and math.isfinite(val)):
                 raise ParameterError(f"{f.name} must be a finite number, got {val!r}")
         if self.T < 2:
             raise ParameterError("T must be >= 2")
@@ -99,14 +100,14 @@ class PlannerConfig:
             raise ParameterError(f"unknown planner parameter(s): {', '.join(sorted(bad))}")
         coerced = {}
         for key, val in overrides.items():
-            if key == "final_step_noiseless":
-                coerced[key] = bool(val)
-            elif key in ("T", "K", "seed"):
+            if key in ("T", "K", "seed"):
                 # a whole float (JSON's 10.0) becomes an int; anything else is
                 # left for __post_init__ to accept or reject by name
                 coerced[key] = int(val) if isinstance(val, float) and val.is_integer() else val
+            elif isinstance(val, numbers.Real) and not isinstance(val, bool):
+                coerced[key] = float(val)
             else:
-                coerced[key] = float(val) if isinstance(val, numbers.Real) else val
+                coerced[key] = val  # for __post_init__ to reject by name
         return replace(self, **coerced)
 
 
@@ -199,12 +200,6 @@ def _points_free(worldmap: WorldMap, pts: np.ndarray) -> np.ndarray:
 _SEG_FRACTIONS = np.arange(1, SEGMENT_SAMPLES + 1, dtype=np.float64) / SEGMENT_SAMPLES
 
 
-def _segment_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> bool:
-    """Validator's rule: endpoint plus 8 evenly spaced interior points free."""
-    pts = a[None, :] + _SEG_FRACTIONS[:, None] * (b - a)[None, :]
-    return bool(_points_free(worldmap, pts).all())
-
-
 def _clamp_to_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Walk the exact grid supercover from ``a`` toward ``b``; stop just short
     of the first obstacle cell.  The realized move therefore never crosses a
@@ -214,36 +209,45 @@ def _clamp_to_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> np.ndarr
     hx, hy = worldmap.cell_size
     W, H = worldmap.width_cells, worldmap.height_cells
     occ = worldmap.occupancy
-    dx, dy = float(b[0] - a[0]), float(b[1] - a[1])
-    col = min(int(a[0] / hx), W - 1)
-    row = min(int(a[1] / hy), H - 1)
+    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
+    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+    dx, dy = bx - ax, by - ay
+    col = min(int(ax / hx), W - 1)
+    row = min(int(ay / hy), H - 1)
     step_c = 1 if dx > 0 else -1
     step_r = 1 if dy > 0 else -1
     # parametric t at which the ray crosses the next cell boundary per axis
-    tx = ((col + (step_c > 0)) * hx - a[0]) / dx if dx != 0 else np.inf
-    ty = ((row + (step_r > 0)) * hy - a[1]) / dy if dy != 0 else np.inf
-    dtx = abs(hx / dx) if dx != 0 else np.inf
-    dty = abs(hy / dy) if dy != 0 else np.inf
+    tx = ((col + (step_c > 0)) * hx - ax) / dx if dx != 0 else math.inf
+    ty = ((row + (step_r > 0)) * hy - ay) / dy if dy != 0 else math.inf
+    dtx = abs(hx / dx) if dx != 0 else math.inf
+    dty = abs(hy / dy) if dy != 0 else math.inf
 
     def stop_at(t):
         t = max(0.0, t - 1e-9)
-        p = np.array([a[0] + t * dx, a[1] + t * dy])
-        c = min(int(p[0] / hx), W - 1)
-        r = min(int(p[1] / hy), H - 1)
-        return p if not occ[r, c] else np.array(a, dtype=float)
+        px, py = ax + t * dx, ay + t * dy
+        if occ[min(int(py / hy), H - 1), min(int(px / hx), W - 1)]:
+            return np.array([ax, ay])
+        return np.array([px, py])
+
+    def reach_b(t):
+        # the walk ends at t >= 1, yet b may lie exactly on the face of an
+        # obstacle cell that the walk never entered
+        if occ[min(int(by / hy), H - 1), min(int(bx / hx), W - 1)]:
+            return stop_at(min(t, 1.0))
+        return np.array([bx, by])
 
     while True:
         if tx < ty - 1e-15:
             t, col = tx, col + step_c
             if t >= 1.0 or not (0 <= col < W):
-                return np.array(b, dtype=float)
+                return reach_b(t)
             if occ[row, col]:
                 return stop_at(t)
             tx += dtx
         elif ty < tx - 1e-15:
             t, row = ty, row + step_r
             if t >= 1.0 or not (0 <= row < H):
-                return np.array(b, dtype=float)
+                return reach_b(t)
             if occ[row, col]:
                 return stop_at(t)
             ty += dty
@@ -251,10 +255,10 @@ def _clamp_to_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> np.ndarr
             # exact corner crossing: conservative, both side cells must be free
             t = tx
             if t >= 1.0:
-                return np.array(b, dtype=float)
+                return reach_b(t)
             nc, nr = col + step_c, row + step_r
             if not (0 <= nc < W and 0 <= nr < H):
-                return np.array(b, dtype=float)
+                return reach_b(t)
             if occ[row, nc] or occ[nr, col] or occ[nr, nc]:
                 return stop_at(t)
             col, row = nc, nr
@@ -374,12 +378,15 @@ def plan(
     scenario: Scenario,
     config: PlannerConfig | None = None,
     cache: FieldCache | None = None,
-    use_scenario_config: bool = True,
 ) -> PlanResult:
-    """Run the full annealed inference loop for every robot in the scenario."""
+    """Run the full annealed inference loop for every robot in the scenario.
+
+    The scenario's ``config`` overrides ``config``.  The last micro-step
+    drops the noise term.
+    """
     t_start = time.perf_counter()
     base = config if config is not None else PlannerConfig()
-    cfg = base.with_overrides(scenario.config) if use_scenario_config else base
+    cfg = base.with_overrides(scenario.config)
     worldmap = scenario.map
     if cache is None:
         cache = FieldCache()
@@ -398,14 +405,14 @@ def plan(
     ]
     rngs = [_robot_rng(seed, r.id) for r in robots]
 
-    positions = np.empty((n, 2), dtype=np.float64)
+    start = np.empty((n, 2), dtype=np.float64)
     for i, robot in enumerate(robots):
         if robot.start is not None:
-            positions[i] = robot.start
+            start[i] = robot.start
         else:
-            positions[i] = _sample_free_start(worldmap, rngs[i])
+            start[i] = _sample_free_start(worldmap, rngs[i])
 
-    waypoints = [positions.copy()]
+    positions = start
     micro = []
     timed_out = False
     for t in range(cfg.T, 0, -1):
@@ -413,13 +420,12 @@ def plan(
             timed_out = True
             break
         for k in range(1, cfg.K + 1):
-            noiseless = cfg.final_step_noiseless and t == 1 and k == cfg.K
+            noiseless = t == 1 and k == cfg.K
             positions = langevin_step(positions, t, ladders, schedule, cfg, rngs, noiseless=noiseless)
-            micro.append(positions.copy())
-        waypoints.append(positions.copy())
+            micro.append(positions)
 
-    wp = np.asarray(waypoints)                        # (steps+1, N, 2)
-    ms = np.asarray(micro) if micro else np.empty((0, n, 2))
+    ms = np.asarray(micro) if micro else np.empty((0, n, 2))  # (steps*K, N, 2)
+    wp = np.concatenate([start[None], ms[cfg.K - 1::cfg.K]])  # start plus one per outer step
     trajectories = tuple(
         Trajectory(robot_id=robots[i].id, waypoints=wp[:, i, :].copy(), micro_steps=ms[:, i, :].copy())
         for i in range(n)

@@ -35,6 +35,7 @@ OBSTACLE_FILL = "#37474f"
 FREE_FILL = "#fafafa"
 REGION_FILL = "#ffd54f"
 ARROW_STROKE = "#607d8b"
+HEAT_GAMMA = 0.35  # heat opacity is (u / peak) ** HEAT_GAMMA, lifting the faint tails
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class RenderSpec:
     layers: tuple = ("occupancy", "regions")
     stride: int = 4
     canvas: tuple = (640, 640)
-    heat_gamma: float = 0.35
 
     def __post_init__(self):
         if self.stride < 1:
@@ -129,7 +129,7 @@ def render_svg(
             peak = float(u.max())
             if peak <= 0:
                 raise RenderError(layer, "heat state has no mass")
-            levels = np.floor(np.clip((u / peak) ** spec.heat_gamma, 0, 1) * 15).astype(int)
+            levels = np.floor(np.clip((u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
             parts.append('<g id="heat">')
             for r in range(worldmap.height_cells):
                 row = levels[r]

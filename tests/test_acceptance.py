@@ -155,8 +155,7 @@ def test_criterion_4_reachability_equivalence():
     for fam in hp.FAMILIES:
         for k in range(30):
             sealed_goal = k % 2 == 1
-            params = hp.GeneratorParams(cells=64, seal_duplicate=sealed_goal, n_labels=2)
-            m = hp.generate_map(fam, 3000 + k, params)
+            m = hp.generate_map(fam, 3000 + k, cells=64, n_labels=2, seal_duplicate=sealed_goal)
             rng = np.random.default_rng((hash((fam, k)) & 0xFFFF))
             if sealed_goal:
                 goal = m.regions_with_label(m.regions[0].label)[1]  # the sealed instance

@@ -176,7 +176,7 @@ def test_generate_suite_starts_reachable_and_separated():
         starts = np.array([r.start for r in sc.robots])
         for i in range(len(starts)):
             for j in range(i + 1, len(starts)):
-                assert np.linalg.norm(starts[i] - starts[j]) >= spec.start_separation
+                assert np.linalg.norm(starts[i] - starts[j]) >= bench.START_SEPARATION
         for robot in sc.robots:
             cell = hp.world_to_cell(robot.start, sc.map)
             mask = bench.flood_fill(sc.map, cell)
@@ -296,8 +296,6 @@ def test_run_suite_records_in_input_order():
     direct = [bench.run_one(sc, cfg, include_result_json=True) for sc in scenarios]
     assert hp.write_records(report.records, include_timing=False) == hp.write_records(direct, include_timing=False)
     assert [r["result_json"] for r in report.records] == [r["result_json"] for r in direct]
-    with pytest.raises(ParameterError, match="keep_results"):
-        hp.run_suite(scenarios[:1], cfg, workers=2, keep_results=True)
 
 
 class _InlinePool:

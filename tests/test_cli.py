@@ -88,10 +88,18 @@ def test_unknown_flag_exits_2():
 
 
 def test_planner_flag_help_shows_config_defaults(capsys):
-    assert run_cli(["plan", "--help"]) == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "diffusion steps T (default 20)" in text
-    assert "annealing steps K per diffusion step (default 16)" in text
+    defaults = [("--steps", 20), ("--anneal", 16), ("--beta", 2.0), ("--d-safe", 0.1), ("--d-margin", 0.12),
+                ("--step-ratio", 0.3), ("--sigma-min", 0.01), ("--sigma-max", 1.0), ("--time-limit", 180.0),
+                ("--goal-tol", 0.05)]
+    for command in ("plan", "bench", "render", "fields"):
+        assert run_cli([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "diffusion steps T (default 20)" in text
+        assert "annealing steps K per diffusion step (default 16)" in text
+        for flag, default in defaults:
+            metavar = flag[2:].upper().replace("-", "_")
+            help_text = text.split(f"{flag} {metavar} ", 1)[1].split(" --", 1)[0]
+            assert help_text.endswith(f"(default {default})"), (command, flag, help_text)
 
 
 def test_bench_small_run(tmp_path):

@@ -86,17 +86,15 @@ def test_generated_regions_free_and_in_bounds(family, seed):
 
 
 def test_drop_region_fill_within_params_range(subtests=None):
-    params = gridmap.GeneratorParams(cells=64)
     for seed in range(10):
-        m = hp.generate_map("drop_region", seed, params)
+        m = hp.generate_map("drop_region", seed, cells=64)
         frac = m.occupancy.mean()
-        assert params.fill_range[0] <= frac <= params.fill_range[1]
+        assert gridmap.FILL_RANGE[0] <= frac <= gridmap.FILL_RANGE[1]
 
 
 def test_shelf_aisles_at_least_min_aisle():
-    params = gridmap.GeneratorParams(cells=64, min_aisle=4)
     for seed in range(10):
-        m = hp.generate_map("shelf", seed, params)
+        m = hp.generate_map("shelf", seed, cells=64)
         occ = m.occupancy
         # every maximal free run in each column (between obstacles/borders)
         for col in range(1, m.width_cells - 1):
@@ -105,12 +103,12 @@ def test_shelf_aisles_at_least_min_aisle():
             for v in column:
                 if v:
                     if run:
-                        assert run >= params.min_aisle
+                        assert run >= gridmap.MIN_AISLE
                     run = 0
                 else:
                     run += 1
             if run:
-                assert run >= params.min_aisle
+                assert run >= gridmap.MIN_AISLE
 
 
 def test_conveyor_has_gaps_through_every_belt():
@@ -133,8 +131,7 @@ def test_generate_unknown_family_rejected():
 def test_ood_map_seals_exactly_one_duplicate():
     from heatplan.bench import flood_fill
 
-    params = gridmap.GeneratorParams(cells=64, seal_duplicate=True)
-    m = hp.generate_map("drop_region", 3, params)
+    m = hp.generate_map("drop_region", 3, cells=64, seal_duplicate=True)
     dup = m.regions[0].label
     instances = m.regions_with_label(dup)
     assert len(instances) == 2
@@ -298,6 +295,8 @@ def test_scenario_codec_unknown_label_named():
     (10**400, [0.5, 0.5], {}, "world_size"),       # too large for a float
     (2.0, [10**400, 0.5], {}, "robots[0].start"),
     (2.0, [0.5, 0.5], {"beta": float("nan")}, "config.beta"),
+    (2.0, [0.5, 0.5], {"K": True, "T": 3}, "config.K"),        # a boolean is not a number
+    (2.0, [0.5, 0.5], {"beta": False}, "config.beta"),
 ])
 def test_scenario_codec_degenerate_numbers_named(world_width, start, config, field):
     m = _map_with_labels()

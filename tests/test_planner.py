@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import heatfield as hf
 from heatplan.errors import ParameterError, SingularConfigurationError
-from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free, _segment_free
+from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 
 
 def centered_goal_map(cells=64, label="apple"):
@@ -57,6 +62,10 @@ NAN, INF = float("nan"), float("inf")
     ("overrides", "T", NAN),
     ("overrides", "seed", INF),
     ("overrides", "d_safe", -INF),
+    ("constructor", "K", True),
+    ("constructor", "goal_tol", False),
+    ("overrides", "beta", True),
+    ("overrides", "seed", False),
     ("cli", "time_limit", "nan"),
     ("cli", "beta", "inf"),
 ])
@@ -207,6 +216,70 @@ def test_langevin_never_crosses_wall():
     assert 0.98 <= x < 1.0
     assert out[0, 1] == 1.0
     assert hp.is_free(out[0], m)
+
+
+@st.composite
+def _grid_start_end(draw):
+    """A random grid up to 16x16 on a square or a 2:1 world, a start in a
+    free cell and an end anywhere in the world.  Grid sides are often powers
+    of two, so cell faces are exact floats; starts are often cell centers,
+    and ends often lie a whole number of half cells away along a diagonal,
+    so the walk meets exact corner crossings."""
+    side = st.sampled_from([2, 4, 8, 16]) | st.integers(1, 16)
+    h, w = draw(side), draw(side)
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = np.argwhere(~occ)
+    assume(len(free) > 0)
+    m = hp.WorldMap("g", occ, world_size=draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0)])))
+    hx, hy = m.cell_size
+    row, col = free[draw(st.integers(0, len(free) - 1))]
+    in_cell = st.sampled_from([0.5, 0.0]) | st.floats(0.0, 1.0, exclude_max=True)
+    fx, fy = draw(st.just((0.5, 0.5)) | st.tuples(in_cell, in_cell))
+    a = np.array([(col + fx) * hx, (row + fy) * hy])
+    assume(hp.is_free(a, m))
+    wx, wy = m.world_size
+    diagonal = st.tuples(st.integers(1, 4), st.sampled_from([-1, 1]), st.sampled_from([-1, 1])).map(
+        lambda k: a + np.array([k[1] * k[0] * hx / 2, k[2] * k[0] * hy / 2]))
+    anywhere = st.tuples(st.floats(0.0, wx, exclude_max=True), st.floats(0.0, wy, exclude_max=True)).map(np.array)
+    b = draw(diagonal | anywhere)
+    assume(0.0 <= b[0] < wx and 0.0 <= b[1] < wy)
+    return m, a, b
+
+
+def _corner_case(step_c, step_r):
+    """A move from the center of cell (1, 1) of a 4x4 map to the center of
+    its diagonal neighbour, through a corner whose own cell is blocked: the
+    side cell (1 + step_c, 1) when moving down, (1, 1 + step_r) when up."""
+    occ = np.zeros((4, 4), dtype=bool)
+    if step_r < 0:
+        occ[1, 1 + step_c] = True
+    else:
+        occ[1 + step_r, 1] = True
+    a = np.array([0.75, 0.75])
+    return hp.WorldMap("corner", occ), a, a + 0.5 * np.array([step_c, step_r])
+
+
+@settings(deadline=None, max_examples=500)
+@given(_grid_start_end())
+# random draws seldom put a sample exactly on a corner, the one point where
+# these moves touch the blocked cell
+@example(_corner_case(1, -1))
+@example(_corner_case(-1, 1))
+def test_clamp_to_free_stays_on_segment_and_out_of_walls(case):
+    m, a, b = case
+    p = _clamp_to_free(m, a, b)
+    d = b - a
+    k = int(np.argmax(np.abs(d)))
+    s = (p[k] - a[k]) / d[k] if d[k] else 0.0
+    assert -1e-12 <= s <= 1 + 1e-12
+    assert np.abs(a + s * d - p).max() <= 1e-12
+    # dense sampling is the reference for "never crosses a wall"; a sample
+    # that float rounding puts across a cell face is computed again exactly
+    samples = a + (np.arange(1, 2001) / 2000)[:, None] * (p - a)
+    for k in np.nonzero(~_points_free(m, samples))[0]:
+        f = Fraction(int(k) + 1, 2000)
+        exact = [float(Fraction(u) + f * (Fraction(v) - Fraction(u))) for u, v in zip(a, p)]
+        assert _points_free(m, np.array([exact]))[0], (k, exact)
 
 
 def _cell_of(p, m):
@@ -375,6 +448,9 @@ def test_plan_timeout_flag():
     sc = hp.Scenario(m, (hp.RobotSpec("r0", "apple", (0.1, 0.1)),), seed=0)
     res = hp.plan(sc, PlannerConfig(time_limit=1e-9))
     assert res.timed_out and not res.success
+    # no outer step ran: the start is the only waypoint
+    assert res.trajectories[0].waypoints.tolist() == [[0.1, 0.1]]
+    assert res.trajectories[0].micro_steps.shape == (0, 2)
 
 
 def test_plan_scenario_config_overrides():
@@ -488,5 +564,3 @@ def test_points_free_helper():
     pts = np.array([[0.1, 0.1], [1.15, 1.15], [3.0, 0.1], [-0.1, 0.1]])
     got = _points_free(m, pts)
     assert got.tolist() == [True, False, False, False]
-    assert _segment_free(m, np.array([0.1, 0.1]), np.array([0.3, 0.1]))
-    assert not _segment_free(m, np.array([1.0, 1.15]), np.array([1.3, 1.15]))
