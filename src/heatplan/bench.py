@@ -43,6 +43,7 @@ REPORT_COLUMNS = (
 )
 
 START_SEPARATION = 0.12  # min distance between a suite's generated starts, units
+MAP_PARAMS = ("cells", "n_labels", "seal_duplicate")  # generate_map's keywords
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,11 @@ class SuiteSpec:
             raise ParameterError("robot_counts must be positive")
         if self.scenarios_per_config < 1 or self.map_variants < 1:
             raise ParameterError("counts must be positive")
+        unknown = sorted(set(self.map_params) - set(MAP_PARAMS))
+        if unknown:
+            raise ParameterError(
+                f"unknown map_params key(s) {', '.join(map(repr, unknown))}; expected some of {MAP_PARAMS}"
+            )
 
 
 def _suite_maps(spec: SuiteSpec, family: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -340,6 +341,9 @@ def generate_map(family, seed, cells=128, n_labels=4, seal_duplicate=False) -> W
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    for name, value in (("cells", cells), ("n_labels", n_labels)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if cells < 16:
         raise ParameterError("cells must be >= 16")
     if n_labels < 1 or n_labels > len(VOCABULARY):

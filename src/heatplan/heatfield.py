@@ -20,12 +20,22 @@ fraction of a percent.  Single steps accept any dt up to the advertised
 stability bound 0.25 h^2; every admissible update has nonnegative weights,
 so u stays nonnegative.  Non-square cells fall back to the plain face
 stencil.
+
+A ladder takes these explicit h^2/6 steps only up to the smooth switch
+(heat time 0.05 on the 2x2 world), where cell-scale transients have decayed.
+The stencil is a fixed symmetric operator A (du/dt = A u), so each later
+level is exp(dt A) applied to the one before, computed by one Chebyshev
+expansion in about sqrt(dt * lam_max) stencil applications, lam_max being
+the Gershgorin bound on A's spectrum.  Each such level is projected onto
+u >= 0 and renormalised to unit mass; the expansion never couples cells the
+stencil does not, so obstacles and sealed components stay exactly zero.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -33,6 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from .errors import (
     DegenerateFieldError,
@@ -53,6 +64,13 @@ DEFAULT_LOG_FLOOR = 1e-300
 # larger is the log-floor cliff at the support edge and is clipped to this
 # scale, preserving direction.
 SCORE_CAP_CELLS = 3.0
+
+# Chebyshev coefficients below this are dropped from a late-ladder span.
+# The error that leaves in thin tails is far below CHEB_TOL * peak: on the
+# acceptance room maps, cells down to u/peak = 8e-14 move by under 0.5%
+# against the untruncated expansion, and a smaller tolerance only keeps
+# coefficients at their own rounding floor (about 45% more terms at 1e-14).
+CHEB_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +175,13 @@ class _Solver:
             self.kd = block.astype(np.float64) * (self.inv_hx2 / 6.0)
         else:
             self.kd = None
+        # Gershgorin: each row of A has diagonal -s and off-diagonals summing
+        # to s, s at most a fully free cell's summed conductivity, so the
+        # spectrum lies in [-2 s_max, 0]; 20/(3h^2) on square cells
+        s_max = 2.0 * c_face * (self.inv_hx2 + self.inv_hy2)
+        if self.isotropic:
+            s_max += 4.0 * self.inv_hx2 / 6.0
+        self.lam_max = 2.0 * s_max
 
     @property
     def nonneg_limit(self) -> float:
@@ -171,44 +196,83 @@ class _Solver:
             return (1.0 / 6.0) / self.inv_hx2  # h^2 / 6, cancels the h^2 error
         return 0.8 * self.stability
 
-    @property
-    def internal_dt_smooth(self) -> float:
-        """Coarser step for late times: high-frequency content has decayed,
-        so accuracy no longer needs the error-canceling dt, only stability
-        and nonnegativity."""
-        if self.isotropic:
-            return 0.29 / self.inv_hx2
-        return 0.8 * self.stability
+    def _flux_adder(self, scale: float):
+        """A function ``add(src, dst)`` doing ``dst += scale * A @ src`` in
+        place, A being the stencil's rate operator (du/dt = A u).  Every flux
+        is read from ``src`` before any is added, so ``src`` may be ``dst``:
+        that is one explicit step of ``scale``."""
+        kx = self.kx * scale
+        ky = self.ky * scale
+        fx = np.empty(kx.shape)
+        fy = np.empty(ky.shape)
+        kd = None if self.kd is None else self.kd * scale
+        if kd is not None:
+            f1 = np.empty(kd.shape)
+            f2 = np.empty(kd.shape)
+
+        def add(src: np.ndarray, dst: np.ndarray) -> None:
+            np.subtract(src[:, 1:], src[:, :-1], out=fx)
+            np.multiply(fx, kx, out=fx)
+            np.subtract(src[1:, :], src[:-1, :], out=fy)
+            np.multiply(fy, ky, out=fy)
+            if kd is not None:
+                np.subtract(src[1:, 1:], src[:-1, :-1], out=f1)
+                np.multiply(f1, kd, out=f1)
+                np.subtract(src[1:, :-1], src[:-1, 1:], out=f2)
+                np.multiply(f2, kd, out=f2)
+            dst[:, :-1] += fx
+            dst[:, 1:] -= fx
+            dst[:-1, :] += fy
+            dst[1:, :] -= fy
+            if kd is not None:
+                dst[:-1, :-1] += f1
+                dst[1:, 1:] -= f1
+                dst[:-1, 1:] += f2
+                dst[1:, :-1] -= f2
+
+        return add
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A @ v for the (H, W) grid ``v``: the explicit scheme's rate."""
+        out = np.zeros_like(v)
+        self._flux_adder(1.0)(v, out)
+        return out
 
     def run_steps(self, u: np.ndarray, n_steps: int, dt: float) -> None:
         """Advance the (H, W) mass grid ``u`` in place by ``n_steps`` steps of ``dt``."""
-        kx = self.kx * dt
-        ky = self.ky * dt
-        fx = np.empty(kx.shape)
-        fy = np.empty(ky.shape)
-        if self.kd is not None:
-            kd = self.kd * dt
-            f1 = np.empty(kd.shape)
-            f2 = np.empty(kd.shape)
+        step = self._flux_adder(dt)
         for _ in range(n_steps):
-            np.subtract(u[:, 1:], u[:, :-1], out=fx)
-            fx *= kx
-            np.subtract(u[1:, :], u[:-1, :], out=fy)
-            fy *= ky
-            if self.kd is not None:
-                np.subtract(u[1:, 1:], u[:-1, :-1], out=f1)
-                f1 *= kd
-                np.subtract(u[1:, :-1], u[:-1, 1:], out=f2)
-                f2 *= kd
-            u[:, :-1] += fx
-            u[:, 1:] -= fx
-            u[:-1, :] += fy
-            u[1:, :] -= fy
-            if self.kd is not None:
-                u[:-1, :-1] += f1
-                u[1:, 1:] -= f1
-                u[:-1, 1:] += f2
-                u[1:, :-1] -= f2
+            step(u, u)
+
+    def propagate(self, u: np.ndarray, span: float) -> None:
+        """Set ``u`` to exp(span A) u in place by one Chebyshev expansion
+        (Tal-Ezer & Kosloff 1984).
+
+        B = I + (2 / lam_max) A has its spectrum in [-1, 1], and exp(span A)
+        = f(B) with f(x) = exp(c (x - 1)), c = span * lam_max / 2.  The
+        coefficients of f come from one interpolation at a degree that
+        resolves it to rounding; those below CHEB_TOL are dropped, leaving
+        about sqrt(span * lam_max) stencil applications.  The error is
+        absolute, at most about CHEB_TOL times the peak, and the result is not
+        projected, so cells far below that could come out slightly negative.
+        """
+        c = 0.5 * span * self.lam_max
+        coef = chebinterpolate(lambda x: np.exp(c * (x - 1.0)), int(8 + 2 * math.sqrt(30.0 * c)))
+        coef = coef[:np.flatnonzero(np.abs(coef) > CHEB_TOL)[-1] + 1]
+        # T_{k+1} = 2 B T_k - T_{k-1} = 2 T_k - T_{k-1} + (4 / lam_max) A T_k
+        recur = self._flux_adder(4.0 / self.lam_max)
+        prev = u.copy()                                  # T_0 u
+        cur = u + (2.0 / self.lam_max) * self.apply(u)   # T_1 u
+        scratch = np.empty_like(u)
+        u *= coef[0]
+        for k in range(1, len(coef)):
+            if k > 1:
+                np.subtract(cur, prev, out=prev)
+                prev += cur
+                recur(cur, prev)
+                prev, cur = cur, prev
+            np.multiply(cur, coef[k], out=scratch)
+            u += scratch
 
 
 def stability_limit(worldmap: WorldMap) -> float:
@@ -219,7 +283,8 @@ def stability_limit(worldmap: WorldMap) -> float:
 
 def _smooth_switch_time(worldmap: WorldMap) -> float:
     """Heat time after which cell-scale transients have decayed and the
-    integrator may coarsen its step; 0.05 on the default 2x2 world."""
+    ladder leaves explicit steps for Chebyshev spans; 0.05 on the default
+    2x2 world."""
     return 0.0125 * worldmap.world_size[0] * worldmap.world_size[1]
 
 
@@ -254,9 +319,10 @@ def heat_step(state: HeatState, dt: float) -> HeatState:
 def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSchedule):
     """Integrate from time 0, snapshotting exactly at each schedule heat time.
 
-    Runs fixed steps (h^2/6 early, then a coarser but still stable and
-    nonnegativity-preserving step once cell-scale transients have decayed)
-    plus one shorter landing step per snapshot, so snapshot times equal
+    Up to the smooth switch, runs explicit steps of h^2/6 plus one shorter
+    landing step per snapshot.  Each snapshot after the switch comes from one
+    Chebyshev span (``_Solver.propagate``) from the previous one, projected
+    onto u >= 0 and renormalised to unit mass.  Snapshot times equal
     schedule.heat_time to float precision.
     """
     ops = _Solver(worldmap)
@@ -268,15 +334,17 @@ def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSched
         target = float(target)
         if target < now - 1e-15:
             raise ParameterError("schedule heat times must be nondecreasing")
-        for bound, dt in ((min(target, switch), ops.internal_dt),
-                          (target, ops.internal_dt_smooth)):
-            whole = int((bound * (1 - 1e-12) - now) / dt)
-            if whole > 0:
-                ops.run_steps(u, whole, dt)
-                now += whole * dt
-        rem = target - now
-        if rem > 1e-18:
-            ops.run_steps(u, 1, rem)
+        whole = int((min(target, switch) * (1 - 1e-12) - now) / ops.internal_dt)
+        if whole > 0:
+            ops.run_steps(u, whole, ops.internal_dt)
+            now += whole * ops.internal_dt
+        span = target - now
+        if target > switch and span > 0.0:
+            ops.propagate(u, span)
+            np.maximum(u, 0.0, out=u)
+            u /= u.sum()
+        elif span > 1e-18:
+            ops.run_steps(u, 1, span)
         now = target
         snapshots.append(HeatState(u=u.copy(), time=target, map=worldmap))
     return snapshots
@@ -504,7 +572,8 @@ def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: S
 
 # ---------------------------------------------------------------------------
 # field dumps (external interface; little-endian float32, row-major, row 0 =
-# bottom, component order (d/dx, d/dy))
+# bottom, component order (d/dx, d/dy); the support mask, when the field has
+# one, rides in the header as base64 of np.packbits in the same cell order)
 
 _FIELD_MAGIC = b"HPSF"
 
@@ -517,6 +586,8 @@ def _field_header(field: ScoreField, schedule: NoiseSchedule | None) -> dict:
         "dtype": "<f4",
         "order": "row-major, row 0 = bottom, components (ddx, ddy)",
     }
+    if field.supported is not None:
+        header["supported_b64"] = base64.b64encode(np.packbits(field.supported, axis=None)).decode("ascii")
     if schedule is not None:
         header["schedule"] = {
             "T": schedule.T,
@@ -561,7 +632,22 @@ def load_field_bytes(data: bytes, worldmap: WorldMap) -> ScoreField:
     if len(payload) != expected:
         raise MapFormatError("payload", f"expected {expected} bytes for shape {shape}, got {len(payload)}")
     vec = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-    return ScoreField(t=t, vectors=vec, map=worldmap)
+    return ScoreField(t=t, vectors=vec, map=worldmap, supported=_load_supported(header, shape[:2]))
+
+
+def _load_supported(header: dict, shape) -> Optional[np.ndarray]:
+    """The header's packed support mask, or None for a dump without one."""
+    packed = header.get("supported_b64")
+    if packed is None:
+        return None
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise MapFormatError("supported", f"invalid base64: {exc}") from exc
+    cells = shape[0] * shape[1]
+    if len(raw) != -(-cells // 8):
+        raise MapFormatError("supported", f"expected {-(-cells // 8)} packed bytes for {cells} cells, got {len(raw)}")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=cells).astype(bool).reshape(shape)
 
 
 def dump_field_json(field: ScoreField, schedule: NoiseSchedule | None = None) -> str:

@@ -39,6 +39,7 @@ from .heatfield import (
 )
 
 SEGMENT_SAMPLES = 9  # 8 interior points plus the segment endpoint
+START_ATTEMPTS = 1000  # draws of a missing start before plan gives up
 
 
 @dataclass(frozen=True)
@@ -374,6 +375,41 @@ def _sample_free_start(worldmap: WorldMap, rng: np.random.Generator) -> np.ndarr
     return np.array([(cols[idx] + jx) * hx, (rows[idx] + jy) * hy])
 
 
+def _separated_starts(robots, worldmap: WorldMap, rngs, d_safe: float) -> np.ndarray:
+    """(N, 2) start positions, every pair more than ``d_safe`` apart.
+
+    Given starts are kept, and two of them at or within ``d_safe`` raise a
+    ParameterError naming both robots.  A missing start is drawn from its
+    robot's own stream, in list order, and redrawn until it clears every
+    start placed before it.
+    """
+    start = np.empty((len(robots), 2), dtype=np.float64)
+    given = [i for i, r in enumerate(robots) if r.start is not None]
+    for i in given:
+        start[i] = robots[i].start
+    for a, i in enumerate(given):
+        for j in given[a + 1:]:
+            if np.hypot(*(start[i] - start[j])) <= d_safe:
+                raise ParameterError(
+                    f"robots {robots[i].id!r} and {robots[j].id!r} start within d_safe={d_safe:g}"
+                )
+    placed = list(given)
+    for i, robot in enumerate(robots):
+        if robot.start is not None:
+            continue
+        for _attempt in range(START_ATTEMPTS):
+            start[i] = _sample_free_start(worldmap, rngs[i])
+            if all(np.hypot(*(start[i] - start[j])) > d_safe for j in placed):
+                break
+        else:
+            raise ParameterError(
+                f"robot {robot.id!r}: no start more than d_safe={d_safe:g} from the others "
+                f"in {START_ATTEMPTS} draws"
+            )
+        placed.append(i)
+    return start
+
+
 def plan(
     scenario: Scenario,
     config: PlannerConfig | None = None,
@@ -382,7 +418,9 @@ def plan(
     """Run the full annealed inference loop for every robot in the scenario.
 
     The scenario's ``config`` overrides ``config``.  The last micro-step
-    drops the noise term.
+    drops the noise term.  Starts must be more than ``d_safe`` apart: given
+    ones that are not raise a ParameterError, and missing ones are redrawn
+    until they are (see ``_separated_starts``).
     """
     t_start = time.perf_counter()
     base = config if config is not None else PlannerConfig()
@@ -405,13 +443,7 @@ def plan(
     ]
     rngs = [_robot_rng(seed, r.id) for r in robots]
 
-    start = np.empty((n, 2), dtype=np.float64)
-    for i, robot in enumerate(robots):
-        if robot.start is not None:
-            start[i] = robot.start
-        else:
-            start[i] = _sample_free_start(worldmap, rngs[i])
-
+    start = _separated_starts(robots, worldmap, rngs, cfg.d_safe)
     positions = start
     micro = []
     timed_out = False

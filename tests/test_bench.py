@@ -212,6 +212,11 @@ def test_suite_spec_validation():
         hp.SuiteSpec(scenarios_per_config=0)
 
 
+def test_suite_spec_unknown_map_param_rejected_when_built():
+    with pytest.raises(ParameterError, match="'min_aisle'"):
+        hp.SuiteSpec(map_params={"min_aisle": 4})
+
+
 # ---------------------------------------------------------------------------
 # suite execution and reports
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -126,6 +127,16 @@ def test_conveyor_has_gaps_through_every_belt():
 def test_generate_unknown_family_rejected():
     with pytest.raises(ParameterError):
         hp.generate_map("maze", 0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"cells": 16.5}, "cells"),
+    ({"cells": "64"}, "cells"),
+    ({"n_labels": 2.5}, "n_labels"),
+])
+def test_generate_non_integer_size_rejected_by_name(kwargs, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        hp.generate_map("room", 1, **kwargs)
 
 
 def test_ood_map_seals_exactly_one_duplicate():
@@ -347,7 +358,7 @@ def test_decoders_raise_only_heatplan_errors(decoder, data):
             for key in path[:-1]:
                 node = node[key]
             if data.draw(st.booleans()):
-                node[path[-1]] = data.draw(_VALUES)
+                node[path[-1]] = copy.deepcopy(data.draw(_VALUES))  # _VALUES shares its [] and {}
             else:
                 del node[path[-1]]
         except (KeyError, IndexError, TypeError):

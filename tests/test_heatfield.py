@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -227,6 +228,106 @@ def test_annulus_insulation_exact():
     for s in states:
         assert s.u[~inside].sum() == 0.0
         assert s.u[inside].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_grid_and_sources(), st.integers(0, 2**32 - 1))
+def test_apply_is_the_explicit_step_rate(case, seed):
+    m, _ = case
+    ops = hf._Solver(m)
+    u = np.where(m.free, np.random.default_rng(seed).random(m.free.shape), 0.0)
+    stepped = u.copy()
+    ops.run_steps(stepped, 1, ops.internal_dt)
+    assert np.allclose(stepped - u, ops.internal_dt * ops.apply(u), rtol=0, atol=1e-15 * max(u.max(), 1e-300))
+
+
+def test_chebyshev_span_matches_many_small_explicit_steps():
+    m = hp.generate_map("room", 1, cells=32)
+    ops = hf._Solver(m)
+    u = hf.init_heat(hf.SourceSpec(m.regions_with_label(m.labels()[0])), m).u
+    ops.run_steps(u, int(hf._smooth_switch_time(m) / ops.internal_dt), ops.internal_dt)
+    span = 0.05
+    cheb = u.copy()
+    ops.propagate(cheb, span)
+    ops.run_steps(u, 20_000, span / 20_000)  # forward Euler, error ~ dt
+    assert np.abs(cheb - u).max() <= 1e-5 * u.max()
+
+
+def test_sealed_component_stays_exactly_cold():
+    occ = np.zeros((32, 32), dtype=bool)
+    occ[10:21, 10:21] = True
+    occ[13:18, 13:18] = False  # sealed pocket
+    m = hp.WorldMap("pocket", occ)
+    pocket = np.zeros_like(occ)
+    pocket[13:18, 13:18] = True
+    sched = hp.build_schedule(20)
+    assert sched.heat_time[-2] > hf._smooth_switch_time(m)  # several Chebyshev spans
+    states = hf.solve_to_times(hf.SourceSpec([hp.SemanticRegion("apple", ((3, 3),))]), m, sched)
+    for s in states:
+        assert (s.u[pocket] == 0.0).all()
+        assert (s.u[occ] == 0.0).all()
+
+
+def _late_ladder_cases():
+    """(suite spec, family, map variant, label) for the room and sealed OOD
+    maps of the benchmark (seed 1, 64x64, every map and label) and of the
+    acceptance suites (128x128: the room ladders and OOD ladders with the
+    thinnest level-16 tails, down to u/peak = 8e-14)."""
+    bench_room = hp.SuiteSpec(robot_counts=(3,), scenarios_per_config=4, map_variants=4,
+                              base_seed=1, map_params={"cells": 64})
+    bench_ood = hp.SuiteSpec(families=("drop_region",), robot_counts=(3,), scenarios_per_config=8,
+                             map_variants=4, base_seed=1, ood=True, map_params={"cells": 64})
+    acc_n3 = hp.SuiteSpec(robot_counts=(3,), scenarios_per_config=30, map_variants=6, base_seed=42)
+    acc_ood = hp.SuiteSpec(families=("drop_region",), robot_counts=(1,), scenarios_per_config=50,
+                           map_variants=10, base_seed=7, ood=True)
+    cases = [(bench_room, "room", v, None) for v in range(4)]
+    cases += [(bench_ood, "drop_region", v, None) for v in range(4)]
+    cases += [(acc_n3, "room", 0, "barrel"), (acc_n3, "room", 1, "barrel"), (acc_n3, "room", 5, "barrel")]
+    cases += [(acc_ood, "drop_region", 4, "hub"), (acc_ood, "drop_region", 5, "cone")]
+    return [pytest.param(*c, id=f"{c[1]}-{c[0].base_seed}-v{c[2]}-{c[3] or 'all'}") for c in cases]
+
+
+@pytest.mark.parametrize("spec, family, variant, only_label", _late_ladder_cases())
+def test_late_levels_keep_the_explicit_support(spec, family, variant, only_label, monkeypatch):
+    from heatplan.bench import _suite_maps
+    from heatplan.gridmap import hop_distances
+
+    m = _suite_maps(spec, family)[variant]
+    sched = hp.build_schedule(20)
+    late = [t for t in range(1, 21) if sched.heat_time[t - 1] > hf._smooth_switch_time(m)]
+    assert late == [16, 17, 18, 19, 20]
+    ops = hf._Solver(m)
+    propagate = hf._Solver.propagate
+    lowest = []
+
+    def spy(self, u, span):
+        propagate(self, u, span)
+        lowest.append(u.min())
+
+    for label in [only_label] if only_label else m.labels():
+        regions = m.regions_with_label(label)
+        lowest.clear()
+        monkeypatch.setattr(hf._Solver, "propagate", spy)
+        states = hf.solve_to_times(hf.SourceSpec(regions), m, sched)
+        monkeypatch.undo()
+        assert len(lowest) == 5 and min(lowest) >= 0.0  # no negative cell before the projection
+        # the explicit scheme's support grows with t inside the sources'
+        # component, so matching that component at level 16 fixes it for 16-20
+        u = hf.init_heat(hf.SourceSpec(regions), m).u
+        ops.run_steps(u, math.ceil(sched.heat_time[15] / ops.internal_dt), ops.internal_dt)
+        explicit = hf.build_score_field(hf.HeatState(u, 0.0, m)).supported
+        assert np.array_equal(explicit, hop_distances(m.free, [c for r in regions for c in r.cells]) >= 0)
+        # the same spans without truncating the expansion: dropping the
+        # coefficients below CHEB_TOL must not move even the thinnest
+        # supported tail by 1%
+        monkeypatch.setattr(hf, "CHEB_TOL", 0.0)
+        untruncated = hf.solve_to_times(hf.SourceSpec(regions), m, sched)
+        monkeypatch.undo()
+        for t in late:
+            u, ref = states[t - 1].u, untruncated[t - 1].u
+            supported = hf.build_score_field(states[t - 1], t=t).supported
+            assert np.array_equal(supported, explicit)
+            assert (np.abs(u - ref)[supported] <= 1e-2 * ref[supported]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +627,28 @@ def test_field_dump_roundtrip_bin_and_json(tmp_path, corrupt, bad_field):
     hf.save_field(f, tmp_path / "f.hpsf", sched, "bin")
     f3 = hf.load_field_bytes((tmp_path / "f.hpsf").read_bytes(), m)
     assert np.allclose(f3.vectors, f.vectors, atol=1e-5)
+
+
+def test_field_dump_keeps_the_support_mask():
+    m = hp.generate_map("room", 1, cells=64)
+    sched = hp.build_schedule(3)
+    f = hf.score_fields(m, m.regions_with_label(m.labels()[0]), sched)[2]
+    assert 0 < f.supported.sum() < m.free.sum()  # a partial support, not all-or-nothing
+    data = hf.dump_field_bytes(f, sched)
+    assert np.array_equal(hf.load_field_bytes(data, m).supported, f.supported)
+    doc = json.loads(hf.dump_field_json(f, sched))
+    packed = np.frombuffer(base64.b64decode(doc["supported_b64"]), dtype=np.uint8)
+    assert np.array_equal(np.unpackbits(packed, count=f.supported.size).reshape(f.supported.shape), f.supported)
+    # a dump made without the mask still loads, without one
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8:8 + hlen])
+    del header["supported_b64"]
+    raw = json.dumps(header).encode("utf-8")
+    assert hf.load_field_bytes(data[:4] + len(raw).to_bytes(4, "little") + raw + data[8 + hlen:], m).supported is None
+    for bad in (doc["supported_b64"][:-4], "not base64!", 7):
+        with pytest.raises(MapFormatError) as info:
+            hf.load_field_bytes(_rewrite_header(data, supported_b64=bad), m)
+        assert info.value.field == "supported"
 
 
 # ---------------------------------------------------------------------------

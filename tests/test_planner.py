@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
-from heatplan import heatfield as hf
+from heatplan import heatfield as hf, planner
 from heatplan.errors import ParameterError, SingularConfigurationError
 from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 
@@ -411,6 +411,30 @@ def test_plan_permutation_equivariance():
     tb = {t.robot_id: t for t in rb.trajectories}
     for rid in ("alpha", "bravo", "carol"):
         assert np.array_equal(ta[rid].micro_steps, tb[rid].micro_steps)
+
+
+def test_plan_rejects_given_starts_within_d_safe():
+    m, _ = centered_goal_map()
+    robots = (
+        hp.RobotSpec("r0", "apple", (0.30, 0.30)),
+        hp.RobotSpec("r1", "apple", (1.50, 1.50)),
+        hp.RobotSpec("r2", "apple", (0.35, 0.30)),  # 0.05 from r0, d_safe is 0.10
+    )
+    with pytest.raises(ParameterError, match="'r0' and 'r2'"):
+        hp.plan(hp.Scenario(m, robots, seed=1), PlannerConfig(T=3, K=2))
+
+
+def test_plan_redraws_a_sampled_start_until_separated():
+    m, _ = centered_goal_map()
+    cfg = PlannerConfig(T=3, K=2)
+    # r1's first draw from its own stream, which r0 is then placed next to
+    first = planner._sample_free_start(m, planner._robot_rng(7, "r1"))
+    robots = (hp.RobotSpec("r0", "apple", tuple(first + 0.03)), hp.RobotSpec("r1", "apple", None))
+    res = hp.plan(hp.Scenario(m, robots, seed=7), cfg)
+    start = res.trajectories[1].waypoints[0]
+    assert not np.array_equal(start, first)
+    assert np.hypot(*(start - res.trajectories[0].waypoints[0])) > cfg.d_safe
+    assert m.free[hp.world_to_cell(start, m)[::-1]]
 
 
 def test_plan_sealed_only_instance_fails_honestly():
