@@ -341,16 +341,16 @@ def generate_map(family, seed, cells=128, n_labels=4, seal_duplicate=False) -> W
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    for name, value in (("cells", cells), ("n_labels", n_labels)):
+    for name, value in (("seed", seed), ("cells", cells), ("n_labels", n_labels)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     if cells < 16:
         raise ParameterError("cells must be >= 16")
     if n_labels < 1 or n_labels > len(VOCABULARY):
         raise ParameterError(f"n_labels must be in 1..{len(VOCABULARY)}")
     seed = int(seed)
-    if seed < 0:
-        raise ParameterError("seed must be unsigned")
     rng = np.random.default_rng(np.random.SeedSequence([FAMILIES.index(family), seed]))
 
     occ = np.zeros((cells, cells), dtype=bool)

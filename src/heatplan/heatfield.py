@@ -24,11 +24,14 @@ stencil.
 A ladder takes these explicit h^2/6 steps only up to the smooth switch
 (heat time 0.05 on the 2x2 world), where cell-scale transients have decayed.
 The stencil is a fixed symmetric operator A (du/dt = A u), so each later
-level is exp(dt A) applied to the one before, computed by one Chebyshev
-expansion in about sqrt(dt * lam_max) stencil applications, lam_max being
-the Gershgorin bound on A's spectrum.  Each such level is projected onto
-u >= 0 and renormalised to unit mass; the expansion never couples cells the
-stencil does not, so obstacles and sealed components stay exactly zero.
+level is exp(s A) applied to the switch state, s being the level's heat
+time past that state.  All of them come from one Chebyshev recurrence: its
+vectors T_k(B) u, B = I + (2 / lam_max) A, do not depend on s, only the
+coefficients do, so the longest span's about sqrt(s * lam_max) stencil
+applications give every level, lam_max being the Gershgorin bound on A's
+spectrum.  Each such level is projected onto u >= 0 and renormalised to
+unit mass; the expansion never couples cells the stencil does not, so
+obstacles and sealed components stay exactly zero.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate
 
 from .errors import (
     DegenerateFieldError,
@@ -65,11 +67,12 @@ DEFAULT_LOG_FLOOR = 1e-300
 # scale, preserving direction.
 SCORE_CAP_CELLS = 3.0
 
-# Chebyshev coefficients below this are dropped from a late-ladder span.
+# Chebyshev coefficients below this are dropped from a late level's sum.
 # The error that leaves in thin tails is far below CHEB_TOL * peak: on the
-# acceptance room maps, cells down to u/peak = 8e-14 move by under 0.5%
+# acceptance room maps, cells down to u/peak = 8e-14 move by under 0.02%
 # against the untruncated expansion, and a smaller tolerance only keeps
-# coefficients at their own rounding floor (about 45% more terms at 1e-14).
+# coefficients near their own rounding floor (about 10% more stencil
+# applications at 1e-14).
 CHEB_TOL = 1e-12
 
 
@@ -244,35 +247,68 @@ class _Solver:
         for _ in range(n_steps):
             step(u, u)
 
-    def propagate(self, u: np.ndarray, span: float) -> None:
-        """Set ``u`` to exp(span A) u in place by one Chebyshev expansion
+    def propagate(self, u: np.ndarray, spans) -> list:
+        """[exp(s A) u for s in spans] from one Chebyshev recurrence
         (Tal-Ezer & Kosloff 1984).
 
-        B = I + (2 / lam_max) A has its spectrum in [-1, 1], and exp(span A)
-        = f(B) with f(x) = exp(c (x - 1)), c = span * lam_max / 2.  The
-        coefficients of f come from one interpolation at a degree that
-        resolves it to rounding; those below CHEB_TOL are dropped, leaving
-        about sqrt(span * lam_max) stencil applications.  The error is
-        absolute, at most about CHEB_TOL times the peak, and the result is not
-        projected, so cells far below that could come out slightly negative.
+        B = I + (2 / lam_max) A has its spectrum in [-1, 1], and exp(s A)
+        = f(B) with f(x) = exp(c (x - 1)), c = s * lam_max / 2.  The vectors
+        T_k(B) u do not depend on s, so the three-term recurrence runs once,
+        to the degree of the longest span, and each output adds its own
+        coefficients (``_exp_chebyshev_coefficients``) until they drop below
+        CHEB_TOL: about sqrt(s * lam_max) stencil applications for the
+        longest span.  The error is absolute, at most about CHEB_TOL times
+        the peak, and the outputs are not projected, so cells far below that
+        could come out slightly negative.
         """
-        c = 0.5 * span * self.lam_max
-        coef = chebinterpolate(lambda x: np.exp(c * (x - 1.0)), int(8 + 2 * math.sqrt(30.0 * c)))
-        coef = coef[:np.flatnonzero(np.abs(coef) > CHEB_TOL)[-1] + 1]
+        coefs = []
+        for span in spans:
+            a = _exp_chebyshev_coefficients(0.5 * span * self.lam_max)
+            coefs.append(a[:np.flatnonzero(np.abs(a) > CHEB_TOL)[-1] + 1])
+        # rows longest first, so the outputs still adding at degree k are a prefix
+        order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
+        lengths = np.array([len(coefs[i]) for i in order], dtype=int)
+        table = np.zeros((len(coefs), max(lengths, default=1)))
+        for row, i in enumerate(order):
+            table[row, :lengths[row]] = coefs[i]
+        out = table[:, 0, None, None] * u
+        scratch = np.empty_like(out)
         # T_{k+1} = 2 B T_k - T_{k-1} = 2 T_k - T_{k-1} + (4 / lam_max) A T_k
         recur = self._flux_adder(4.0 / self.lam_max)
         prev = u.copy()                                  # T_0 u
         cur = u + (2.0 / self.lam_max) * self.apply(u)   # T_1 u
-        scratch = np.empty_like(u)
-        u *= coef[0]
-        for k in range(1, len(coef)):
+        for k in range(1, table.shape[1]):
             if k > 1:
                 np.subtract(cur, prev, out=prev)
                 prev += cur
                 recur(cur, prev)
                 prev, cur = cur, prev
-            np.multiply(cur, coef[k], out=scratch)
-            u += scratch
+            m = np.count_nonzero(lengths > k)
+            np.multiply(table[:m, k, None, None], cur, out=scratch[:m])
+            out[:m] += scratch[:m]
+        return [out[order.index(i)] for i in range(len(coefs))]
+
+
+def _exp_chebyshev_coefficients(c: float) -> np.ndarray:
+    """Chebyshev coefficients of exp(c (x - 1)) on [-1, 1], c >= 0:
+    a_0 = e^-c I_0(c) and a_k = 2 e^-c I_k(c), to a degree that resolves
+    them to rounding.
+
+    Miller's backward recurrence I_{k-1} = I_{k+1} + (2k / c) I_k, run on
+    the ratios r_k = I_k / I_{k-1} = c / (2k + c r_{k+1}) so nothing
+    overflows, from r = 0 past the last degree; the products of the ratios
+    are then normalised by f(1) = a_0 + sum a_k = 1.
+    """
+    degree = int(8 + 2 * math.sqrt(30.0 * c))
+    ratios = np.empty(degree)
+    r = 0.0
+    for k in range(degree, 0, -1):
+        r = c / (2 * k + c * r)
+        ratios[k - 1] = r
+    a = np.empty(degree + 1)
+    a[0] = 1.0
+    a[1:] = 2.0 * np.cumprod(ratios)
+    return a / a.sum()
 
 
 def stability_limit(worldmap: WorldMap) -> float:
@@ -320,8 +356,9 @@ def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSched
     """Integrate from time 0, snapshotting exactly at each schedule heat time.
 
     Up to the smooth switch, runs explicit steps of h^2/6 plus one shorter
-    landing step per snapshot.  Each snapshot after the switch comes from one
-    Chebyshev span (``_Solver.propagate``) from the previous one, projected
+    landing step per snapshot.  The snapshots after the switch all come from
+    one Chebyshev recurrence (``_Solver.propagate``) started at the switch
+    state, one span per snapshot measured from that state; each is projected
     onto u >= 0 and renormalised to unit mass.  Snapshot times equal
     schedule.heat_time to float precision.
     """
@@ -330,23 +367,27 @@ def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSched
     u = init_heat(sources, worldmap).u
     now = 0.0
     snapshots = []
+    late = []
     for target in schedule.heat_time:
         target = float(target)
-        if target < now - 1e-15:
+        if target < (late[-1] if late else now) - 1e-15:
             raise ParameterError("schedule heat times must be nondecreasing")
-        whole = int((min(target, switch) * (1 - 1e-12) - now) / ops.internal_dt)
-        if whole > 0:
-            ops.run_steps(u, whole, ops.internal_dt)
-            now += whole * ops.internal_dt
-        span = target - now
-        if target > switch and span > 0.0:
-            ops.propagate(u, span)
-            np.maximum(u, 0.0, out=u)
-            u /= u.sum()
-        elif span > 1e-18:
-            ops.run_steps(u, 1, span)
+        if not late:
+            whole = int((min(target, switch) * (1 - 1e-12) - now) / ops.internal_dt)
+            if whole > 0:
+                ops.run_steps(u, whole, ops.internal_dt)
+                now += whole * ops.internal_dt
+        if late or target > switch:
+            late.append(target)
+            continue
+        if target - now > 1e-18:
+            ops.run_steps(u, 1, target - now)
         now = target
         snapshots.append(HeatState(u=u.copy(), time=target, map=worldmap))
+    for target, v in zip(late, ops.propagate(u, [t - now for t in late])):
+        np.maximum(v, 0.0, out=v)
+        v /= v.sum()
+        snapshots.append(HeatState(u=v, time=target, map=worldmap))
     return snapshots
 
 

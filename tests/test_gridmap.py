@@ -133,10 +133,21 @@ def test_generate_unknown_family_rejected():
     ({"cells": 16.5}, "cells"),
     ({"cells": "64"}, "cells"),
     ({"n_labels": 2.5}, "n_labels"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": None}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_generate_non_integer_size_rejected_by_name(kwargs, name):
+    kwargs = {"seed": 1, **kwargs}
     with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
-        hp.generate_map("room", 1, **kwargs)
+        hp.generate_map("room", **kwargs)
+
+
+def test_generate_negative_seed_rejected_by_name():
+    with pytest.raises(ParameterError, match="^seed must be >= 0"):
+        hp.generate_map("room", -1)
+    assert hp.generate_map("room", np.int64(1), cells=16).name == "room-1"
 
 
 def test_ood_map_seals_exactly_one_duplicate():

@@ -1,6 +1,8 @@
 import base64
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,16 +243,75 @@ def test_apply_is_the_explicit_step_rate(case, seed):
     assert np.allclose(stepped - u, ops.internal_dt * ops.apply(u), rtol=0, atol=1e-15 * max(u.max(), 1e-300))
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 3e3, 1e4])
+def test_exp_chebyshev_coefficients_match_interpolation(c):
+    from numpy.polynomial.chebyshev import chebinterpolate
+
+    a = hf._exp_chebyshev_coefficients(c)
+    ref = chebinterpolate(lambda x: np.exp(c * (x - 1.0)), len(a) - 1)
+    assert np.abs(a - ref).max() <= 1e-13
+    assert abs(a[-1]) <= 1e-15  # the degree resolves exp(c (x - 1)) to rounding
+
+
+def test_ladder_solve_does_not_import_numpy_polynomial():
+    code = (
+        "import sys, heatplan as hp\n"
+        "m = hp.generate_map('room', 1, cells=32)\n"
+        "hp.score_fields(m, m.regions_with_label(m.labels()[0]), hp.build_schedule(20))\n"
+        "print(sorted(n for n in sys.modules if n.startswith('numpy.polynomial')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_chebyshev_span_matches_many_small_explicit_steps():
     m = hp.generate_map("room", 1, cells=32)
     ops = hf._Solver(m)
     u = hf.init_heat(hf.SourceSpec(m.regions_with_label(m.labels()[0])), m).u
     ops.run_steps(u, int(hf._smooth_switch_time(m) / ops.internal_dt), ops.internal_dt)
-    span = 0.05
-    cheb = u.copy()
-    ops.propagate(cheb, span)
-    ops.run_steps(u, 20_000, span / 20_000)  # forward Euler, error ~ dt
-    assert np.abs(cheb - u).max() <= 1e-5 * u.max()
+    spans = [0.05, 0.01, 0.03]  # out of order: outputs come back in the order asked
+    outputs = ops.propagate(u, spans)
+    assert len(outputs) == len(spans)
+    for span, cheb in zip(spans, outputs):
+        ref = u.copy()
+        ops.run_steps(ref, 20_000, span / 20_000)  # forward Euler, error ~ dt
+        assert np.abs(cheb - ref).max() <= 1e-5 * ref.max()
+
+
+def test_chebyshev_outputs_are_their_truncated_sums():
+    # every output adds exactly its own coefficients above CHEB_TOL, checked
+    # against the same sums on a dense B = I + (2 / lam_max) A
+    occ = np.zeros((10, 12), dtype=bool)
+    occ[3:7, 5] = True
+    m = hp.WorldMap("wall", occ)
+    ops = hf._Solver(m)
+    u = np.where(m.free, np.random.default_rng(3).random(occ.shape), 0.0)
+    eye = np.eye(u.size)
+    A = np.stack([ops.apply(e.reshape(u.shape)).ravel() for e in eye], axis=1)
+    B = eye + (2.0 / ops.lam_max) * A
+    spans = [0.02, 0.002, 0.02, 0.01]
+    for span, out in zip(spans, ops.propagate(u, spans)):
+        a = hf._exp_chebyshev_coefficients(0.5 * span * ops.lam_max)
+        a = a[np.abs(a) > hf.CHEB_TOL]
+        prev, cur = u.ravel(), B @ u.ravel()
+        ref = a[0] * prev + a[1] * cur
+        for coef in a[2:]:
+            prev, cur = cur, 2.0 * (B @ cur) - prev
+            ref += coef * cur
+        assert np.abs(out.ravel() - ref).max() <= 1e-14 * u.max()
+
+
+@pytest.mark.parametrize("heat_time", [
+    [0.001, 0.01, 0.005, 0.02, 0.1, 0.2],   # before the smooth switch
+    [0.001, 0.01, 0.02, 0.1, 0.2, 0.15],    # among the Chebyshev levels
+])
+def test_decreasing_heat_times_rejected(heat_time):
+    m = hp.generate_map("room", 1, cells=32)
+    sigma = np.sqrt(2.0 * np.array(heat_time))
+    sched = hf.NoiseSchedule(T=len(heat_time), sigma=sigma, alpha=0.3 * sigma, heat_time=np.array(heat_time))
+    with pytest.raises(ParameterError, match="nondecreasing"):
+        hf.solve_to_times(hf.SourceSpec(m.regions_with_label(m.labels()[0])), m, sched)
 
 
 def test_sealed_component_stays_exactly_cold():
@@ -300,9 +361,10 @@ def test_late_levels_keep_the_explicit_support(spec, family, variant, only_label
     propagate = hf._Solver.propagate
     lowest = []
 
-    def spy(self, u, span):
-        propagate(self, u, span)
-        lowest.append(u.min())
+    def spy(self, u, spans):
+        outputs = propagate(self, u, spans)
+        lowest.extend(v.min() for v in outputs)
+        return outputs
 
     for label in [only_label] if only_label else m.labels():
         regions = m.regions_with_label(label)
