@@ -223,8 +223,8 @@ class Scenario:
         ids = [r.id for r in self.robots]
         if len(set(ids)) != len(ids):
             raise ParameterError("robot ids must be unique")
-        if int(self.seed) < 0:
-            raise ParameterError("seed must be unsigned")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an unsigned integer, got {self.seed!r}")
         start_owner = {}
         for robot in self.robots:
             if robot.start is not None:
@@ -380,6 +380,15 @@ def generate_map(family, seed, cells=128, n_labels=4, seal_duplicate=False) -> W
     return WorldMap(name, occ, WORLD_SIZE, regions)
 
 
+def _position(rng, lo, hi, cells):
+    """``int(rng.integers(lo, hi))``, the same draw; a grid too small for the
+    feature being placed leaves the range empty, which is a GenerationError
+    naming ``cells``."""
+    if hi <= lo:
+        raise GenerationError(f"cells={cells} is too small for this family's layout")
+    return int(rng.integers(lo, hi))
+
+
 def _paint_rect(occ, r0, r1, c0, c1, value=True):
     occ[r0:r1, c0:c1] = value
 
@@ -393,8 +402,8 @@ def _drop_region_obstacles(occ, protected, rng):
         for _attempt in range(200):
             zw = int(rng.integers(ZONE_SIDE[0], ZONE_SIDE[1] + 1))
             zh = int(rng.integers(ZONE_SIDE[0], ZONE_SIDE[1] + 1))
-            c0 = int(rng.integers(2, n - 2 - zw))
-            r0 = int(rng.integers(2, n - 2 - zh))
+            c0 = _position(rng, 2, n - 2 - zw, n)
+            r0 = _position(rng, 2, n - 2 - zh, n)
             if protected[max(r0 - 3, 0):r0 + zh + 3, max(c0 - 3, 0):c0 + zw + 3].any():
                 continue
             protected[r0:r0 + zh, c0:c0 + zw] = True
@@ -409,8 +418,8 @@ def _drop_region_obstacles(occ, protected, rng):
             break
         bw = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
         bh = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
-        c0 = int(rng.integers(2, n - 2 - bw))
-        r0 = int(rng.integers(2, n - 2 - bh))
+        c0 = _position(rng, 2, n - 2 - bw, n)
+        r0 = _position(rng, 2, n - 2 - bh, n)
         if protected[max(r0 - 2, 0):r0 + bh + 2, max(c0 - 2, 0):c0 + bw + 2].any():
             continue
         after = (occ.sum() + bw * bh) / total  # upper bound; overlap only lowers it
@@ -437,7 +446,7 @@ def _conveyor_obstacles(occ, rng):
         for _ in range(n_gaps):
             for _attempt in range(100):
                 gw = int(rng.integers(GAP_CELLS, GAP_CELLS + 4))
-                c0 = int(rng.integers(3, n - 3 - gw))
+                c0 = _position(rng, 3, n - 3 - gw, n)
                 if any(abs(c0 - p) < gw + 6 for p in placed):
                     continue
                 _paint_rect(occ, r0, r0 + th, c0, c0 + gw, value=False)
@@ -502,7 +511,7 @@ def _shelf_obstacles(occ, rng):
         for _ in range(n_cross):
             for _attempt in range(100):
                 gw = int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
-                c0 = int(rng.integers(1 + margin + 2, n - 1 - margin - 2 - gw))
+                c0 = _position(rng, 1 + margin + 2, n - 1 - margin - 2 - gw, n)
                 if any(abs(c0 - p) < gw + 8 for p in placed):
                     continue
                 _paint_rect(occ, r, r + th, c0, c0 + gw, value=False)

@@ -19,7 +19,9 @@ integrator's step dt = h^2/6, leaving the far Gaussian tail accurate to a
 fraction of a percent.  Single steps accept any dt up to the advertised
 stability bound 0.25 h^2; every admissible update has nonnegative weights,
 so u stays nonnegative.  Non-square cells fall back to the plain face
-stencil.
+stencil.  The stencil runs on each grid as one flat row of cells, with
+zero conductivity on the pairs that wrap across a row end, and gives the
+same bits as on the 2-D grid.
 
 A ladder takes these explicit h^2/6 steps only up to the smooth switch
 (heat time 0.05 on the 2x2 world), where cell-scale transients have decayed.
@@ -161,7 +163,15 @@ class ScoreField:
 
 
 class _Solver:
-    """Precomputed pair conductivities for one map."""
+    """Precomputed pair conductivities for one map.
+
+    The stencil reads each C-contiguous (H, W) grid as one flat row of H*W
+    cells, so each flux family pairs cell p with cell p + d: d = 1 (east),
+    W (north), W + 1 and W - 1 (the two diagonals), and is one contiguous
+    slice pair.  A pair that wraps across a row end has zero conductivity,
+    so its flux adds only +-0.0 and every cell gets the bits of the 2-D
+    stencil.
+    """
 
     def __init__(self, worldmap: WorldMap):
         free = worldmap.free
@@ -171,13 +181,24 @@ class _Solver:
         self.stability = 0.5 / (self.inv_hx2 + self.inv_hy2)
         self.isotropic = abs(hx - hy) <= 1e-12 * max(hx, hy)
         c_face = 2.0 / 3.0 if self.isotropic else 1.0
-        self.kx = (free[:, 1:] & free[:, :-1]).astype(np.float64) * (c_face * self.inv_hx2)
-        self.ky = (free[1:, :] & free[:-1, :]).astype(np.float64) * (c_face * self.inv_hy2)
+        H, W = free.shape
+        # (offset d, 2-D conductivity, the cells p of its pairs (p, p + d))
+        families = [
+            (1, (free[:, 1:] & free[:, :-1]) * (c_face * self.inv_hx2), np.s_[:, :-1]),
+            (W, (free[1:, :] & free[:-1, :]) * (c_face * self.inv_hy2), np.s_[:-1, :]),
+        ]
         if self.isotropic:
-            block = free[:-1, :-1] & free[:-1, 1:] & free[1:, :-1] & free[1:, 1:]
-            self.kd = block.astype(np.float64) * (self.inv_hx2 / 6.0)
-        else:
-            self.kd = None
+            # corners, active only when the whole 2x2 block is free
+            block = (free[:-1, :-1] & free[:-1, 1:] & free[1:, :-1] & free[1:, 1:]) * (self.inv_hx2 / 6.0)
+            families += [(W + 1, block, np.s_[:-1, :-1]), (W - 1, block, np.s_[:-1, 1:])]
+        # a family with no pairs (a grid one cell wide or high) is skipped,
+        # as its 2-D flux array is empty
+        self._families = []
+        for d, k, cells in families:
+            if k.size:
+                flat = np.zeros((H, W))
+                flat[cells] = k
+                self._families.append((d, flat.ravel()[:H * W - d]))
         # Gershgorin: each row of A has diagonal -s and off-diagonals summing
         # to s, s at most a fully free cell's summed conductivity, so the
         # spectrum lies in [-2 s_max, 0]; 20/(3h^2) on square cells
@@ -203,35 +224,22 @@ class _Solver:
         """A function ``add(src, dst)`` doing ``dst += scale * A @ src`` in
         place, A being the stencil's rate operator (du/dt = A u).  Every flux
         is read from ``src`` before any is added, so ``src`` may be ``dst``:
-        that is one explicit step of ``scale``."""
-        kx = self.kx * scale
-        ky = self.ky * scale
-        fx = np.empty(kx.shape)
-        fy = np.empty(ky.shape)
-        kd = None if self.kd is None else self.kd * scale
-        if kd is not None:
-            f1 = np.empty(kd.shape)
-            f2 = np.empty(kd.shape)
+        that is one explicit step of ``scale``.  Both grids must be flat
+        without a copy (C-contiguous); any other grid raises."""
+        fluxes = [(d, k * scale, np.empty(k.shape)) for d, k in self._families]
 
         def add(src: np.ndarray, dst: np.ndarray) -> None:
-            np.subtract(src[:, 1:], src[:, :-1], out=fx)
-            np.multiply(fx, kx, out=fx)
-            np.subtract(src[1:, :], src[:-1, :], out=fy)
-            np.multiply(fy, ky, out=fy)
-            if kd is not None:
-                np.subtract(src[1:, 1:], src[:-1, :-1], out=f1)
-                np.multiply(f1, kd, out=f1)
-                np.subtract(src[1:, :-1], src[:-1, 1:], out=f2)
-                np.multiply(f2, kd, out=f2)
-            dst[:, :-1] += fx
-            dst[:, 1:] -= fx
-            dst[:-1, :] += fy
-            dst[1:, :] -= fy
-            if kd is not None:
-                dst[:-1, :-1] += f1
-                dst[1:, 1:] -= f1
-                dst[:-1, 1:] += f2
-                dst[1:, :-1] -= f2
+            s = src.view()
+            s.shape = (-1,)
+            t = dst.view()
+            t.shape = (-1,)
+            n = s.size
+            for d, k, f in fluxes:
+                np.subtract(s[d:], s[:n - d], out=f)
+                np.multiply(f, k, out=f)
+            for d, _, f in fluxes:
+                t[:n - d] += f
+                t[d:] -= f
 
         return add
 

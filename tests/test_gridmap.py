@@ -150,6 +150,33 @@ def test_generate_negative_seed_rejected_by_name():
     assert hp.generate_map("room", np.int64(1), cells=16).name == "room-1"
 
 
+@pytest.mark.parametrize("family, seed, cells", [
+    ("shelf", 1, 32),
+    ("shelf", 4, 35),
+    ("drop_region", 1, 22),
+    ("conveyor", 1, 16),
+])
+def test_generate_too_small_for_the_layout_names_cells(family, seed, cells):
+    with pytest.raises(GenerationError, match=f"^cells={cells} "):
+        hp.generate_map(family, seed, cells=cells)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(gridmap.FAMILIES), st.integers(0, 2**32 - 1), st.integers(16, 48), st.booleans())
+def test_generate_small_maps_succeed_or_raise_typed(family, seed, cells, seal):
+    try:
+        m = hp.generate_map(family, seed, cells=cells, seal_duplicate=seal)
+    except HeatplanError:
+        return
+    assert m.occupancy.shape == (cells, cells)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "abc", None])
+def test_scenario_seed_must_be_an_unsigned_integer(seed):
+    with pytest.raises(ParameterError, match="^seed must be an unsigned integer"):
+        hp.Scenario(_map_with_labels(), (gridmap.RobotSpec("r0", "apple", None),), seed=seed)
+
+
 def test_ood_map_seals_exactly_one_duplicate():
     from heatplan.bench import flood_fill
 

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -241,6 +241,70 @@ def test_apply_is_the_explicit_step_rate(case, seed):
     stepped = u.copy()
     ops.run_steps(stepped, 1, ops.internal_dt)
     assert np.allclose(stepped - u, ops.internal_dt * ops.apply(u), rtol=0, atol=1e-15 * max(u.max(), 1e-300))
+
+
+def _stencil_2d(m, scale):
+    """``add(src, dst)``, dst += scale * A @ src, written on 2-D slices of
+    the grid: the reference for the solver's flat-row stencil."""
+    free = m.free
+    hx, hy = m.cell_size
+    isotropic = abs(hx - hy) <= 1e-12 * max(hx, hy)
+    c_face = 2.0 / 3.0 if isotropic else 1.0
+    inv_hx2, inv_hy2 = 1.0 / (hx * hx), 1.0 / (hy * hy)
+    kx = (free[:, 1:] & free[:, :-1]).astype(np.float64) * (c_face * inv_hx2) * scale
+    ky = (free[1:, :] & free[:-1, :]).astype(np.float64) * (c_face * inv_hy2) * scale
+    kd = None
+    if isotropic:
+        block = free[:-1, :-1] & free[:-1, 1:] & free[1:, :-1] & free[1:, 1:]
+        kd = block.astype(np.float64) * (inv_hx2 / 6.0) * scale
+
+    def add(src, dst):
+        fx = (src[:, 1:] - src[:, :-1]) * kx
+        fy = (src[1:, :] - src[:-1, :]) * ky
+        if kd is not None:
+            f1 = (src[1:, 1:] - src[:-1, :-1]) * kd
+            f2 = (src[1:, :-1] - src[:-1, 1:]) * kd
+        dst[:, :-1] += fx
+        dst[:, 1:] -= fx
+        dst[:-1, :] += fy
+        dst[1:, :] -= fy
+        if kd is not None:
+            dst[:-1, :-1] += f1
+            dst[1:, 1:] -= f1
+            dst[:-1, 1:] += f2
+            dst[1:, :-1] -= f2
+
+    return add
+
+
+@settings(deadline=None, max_examples=200)
+@given(_grid_and_sources(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True))
+# grids one cell high with square cells, where the diagonals have no pairs
+@example(case=(hp.WorldMap("g", np.zeros((1, 1), dtype=bool)), []), seed=0, frac=1.0)
+@example(case=(hp.WorldMap("g", np.zeros((1, 2), dtype=bool), world_size=(2.0, 1.0)), []), seed=0, frac=1.0)
+def test_flat_stencil_matches_the_2d_stencil_bit_for_bit(case, seed, frac):
+    m, _ = case
+    ops = hf._Solver(m)
+    u = np.where(m.free, np.random.default_rng(seed).random(m.free.shape), 0.0)
+    for dt in (ops.internal_dt, frac * min(ops.stability, ops.nonneg_limit)):
+        got, want = u.copy(), u.copy()
+        ops.run_steps(got, 1, dt)
+        _stencil_2d(m, dt)(want, want)
+        assert np.array_equal(got, want)
+    want = np.zeros_like(u)
+    _stencil_2d(m, 1.0)(u, want)
+    assert np.array_equal(ops.apply(u), want)
+
+
+def test_stencil_refuses_a_grid_it_cannot_flatten_without_a_copy():
+    # a reshape would copy such a grid and update the copy, not the grid
+    m = hp.empty_map(cells=8)
+    ops = hf._Solver(m)
+    wide = np.zeros((8, 16))
+    with pytest.raises(AttributeError):
+        ops.run_steps(wide[:, :8], 1, ops.internal_dt)
+    with pytest.raises(AttributeError):
+        ops.apply(np.zeros((8, 8)).T)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 3e3, 1e4])
