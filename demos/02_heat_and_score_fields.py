@@ -20,7 +20,7 @@ label = m.labels()[0]
 print(f"map {m.name}, heat source = region {label!r}")
 
 schedule = hp.build_schedule()  # T=20, sigma 0.01..1.0
-states = hf.solve_to_times(hf.SourceSpec(m.regions_with_label(label)), m, schedule)
+states = hf.solve_to_times(m.regions_with_label(label), m, schedule)
 
 print(f"{'t':>3} {'sigma':>7} {'heat time':>10} {'mass drift':>11} {'obstacle mass':>13}")
 for t in (1, 5, 10, 15, 20):

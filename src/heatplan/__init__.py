@@ -14,7 +14,6 @@ from .errors import (
 )
 from .gridmap import (
     FAMILIES,
-    VOCABULARY,
     RobotSpec,
     Scenario,
     SemanticRegion,
@@ -39,23 +38,18 @@ from .heatfield import (
     HeatState,
     NoiseSchedule,
     ScoreField,
-    SourceSpec,
     build_schedule,
     build_score_field,
-    heat_step,
     init_heat,
     interpolate,
     sample_heat,
-    score_ascent_reaches,
     score_fields,
     solve_to_times,
-    stability_limit,
 )
 from .planner import (
     PlannerConfig,
     PlanResult,
     Trajectory,
-    interrobot_cost,
     interrobot_guidance,
     langevin_step,
     plan,
@@ -67,7 +61,6 @@ from .bench import (
     SuiteReport,
     SuiteSpec,
     aggregate_records,
-    bfs_path_length,
     flood_fill,
     generate_suite,
     run_one,
@@ -75,7 +68,7 @@ from .bench import (
     write_records,
     write_report,
 )
-from .render import LAYERS, ROBOT_COLORS, RenderSpec, canvas_transform, figure_name, render_svg
+from .render import RenderSpec, figure_name, render_svg
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: scenario suites, reachability oracles, metric reports.
+"""Benchmark harness: scenario suites, a reachability oracle, metric reports.
 
 Suites expand deterministically from a base seed.  Every generated start is
 verified reachable to its goal by flood fill, so planner failures measure the
@@ -47,7 +47,7 @@ MAP_PARAMS = ("cells", "n_labels", "seal_duplicate")  # generate_map's keywords
 
 
 # ---------------------------------------------------------------------------
-# reachability oracles
+# reachability oracle
 
 
 def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
@@ -58,19 +58,6 @@ def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
     if worldmap.occupancy[row, col]:
         raise ParameterError(f"seed cell ({col},{row}) is an obstacle")
     return hop_distances(worldmap.free, [(col, row)]) >= 0
-
-
-def bfs_path_length(worldmap: WorldMap, a_cell, b_cell):
-    """Shortest 4-connected step count between free cells; None if disconnected."""
-    for name, cell in (("a", a_cell), ("b", b_cell)):
-        col, row = int(cell[0]), int(cell[1])
-        if not (0 <= col < worldmap.width_cells and 0 <= row < worldmap.height_cells):
-            raise ParameterError(f"cell {name}=({col},{row}) out of bounds")
-        if worldmap.occupancy[row, col]:
-            raise ParameterError(f"cell {name}=({col},{row}) is an obstacle")
-    dist = hop_distances(worldmap.free, [(int(a_cell[0]), int(a_cell[1]))])
-    d = int(dist[int(b_cell[1]), int(b_cell[0])])
-    return None if d < 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +353,6 @@ def write_report(report: SuiteReport, fmt: str = "csv", include_timing: bool = T
             rows.append(out)
         return json.dumps({"rows": rows}, separators=(",", ":")) + "\n"
     raise ParameterError(f"unsupported report format {fmt!r}")
-
-
-def read_report_json(text: str) -> list:
-    return json.loads(text)["rows"]
 
 
 def write_records(records, include_timing: bool = True) -> str:

@@ -12,10 +12,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import gridmap, heatfield, render
-from .errors import HeatplanError
-from .planner import PlannerConfig, plan, result_to_json
+from .errors import HeatplanError, MapFormatError
+from .planner import PlannerConfig, Trajectory, plan, result_to_json
 
 # (flag dest, PlannerConfig field, type, help); the flag is --dest with dashes
 _PLANNER_FLAGS = (
@@ -189,7 +191,7 @@ def _cmd_render(args) -> int:
         config = PlannerConfig().with_overrides(_planner_overrides(args))
         schedule = config.schedule()
         regions = gridmap.resolve_goal_regions(args.label, worldmap)
-        states = heatfield.solve_to_times(heatfield.SourceSpec(regions), worldmap, schedule)
+        states = heatfield.solve_to_times(regions, worldmap, schedule)
         if not (1 <= args.t <= schedule.T):
             raise HeatplanError(f"--t must be in 1..{schedule.T}")
         heat_state = states[args.t - 1]
@@ -200,24 +202,37 @@ def _cmd_render(args) -> int:
     trajectories = None
     if args.plan_path:
         doc = json.loads(Path(args.plan_path).read_text(encoding="utf-8"))
-        import numpy as np
-
-        from .planner import Trajectory
-
-        trajectories = tuple(
-            Trajectory(
-                robot_id=entry["id"],
-                waypoints=np.asarray(entry["waypoints"], dtype=float),
-                micro_steps=np.asarray(entry.get("micro_steps", []), dtype=float).reshape(-1, 2),
-            )
-            for entry in doc["robots"]
-        )
+        trajectories = _plan_trajectories(doc)
     svg = render.render_svg(
         worldmap, spec, heat=heat_state, score_field=score_field,
         trajectories=trajectories, scenario=scenario,
     )
     _write_out(svg, args.out)
     return 0
+
+
+def _plan_trajectories(doc) -> tuple:
+    """The waypoint paths of a plan result document; errors name the bad
+    field.  Only waypoints are drawn, so micro steps are not read."""
+    robots = doc.get("robots") if isinstance(doc, dict) else None
+    if not isinstance(robots, list):
+        raise MapFormatError("robots", "expected a list of robot entries")
+    trajectories = []
+    for i, entry in enumerate(robots):
+        where = f"robots[{i}]"
+        if not isinstance(entry, dict):
+            raise MapFormatError(where, "expected an object")
+        if not isinstance(entry.get("id"), str):
+            raise MapFormatError(f"{where}.id", "expected a string")
+        try:
+            waypoints = np.asarray(entry.get("waypoints"), dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            waypoints = None
+        if (waypoints is None or waypoints.ndim != 2 or waypoints.shape[1:] != (2,) or not len(waypoints)
+                or not np.isfinite(waypoints).all()):
+            raise MapFormatError(f"{where}.waypoints", "expected a nonempty list of finite [x, y] points")
+        trajectories.append(Trajectory(entry["id"], waypoints, np.empty((0, 2))))
+    return tuple(trajectories)
 
 
 def _cmd_fields(args) -> int:

@@ -220,6 +220,10 @@ class Scenario:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.robots or not all(isinstance(r, RobotSpec) for r in self.robots):
+            raise ParameterError(f"robots must be a nonempty sequence of RobotSpec, got {self.robots!r}")
+        for i, robot in enumerate(self.robots):
+            _check_robot(robot, f"robots[{i}]")
         ids = [r.id for r in self.robots]
         if len(set(ids)) != len(ids):
             raise ParameterError("robot ids must be unique")
@@ -242,6 +246,23 @@ class Scenario:
             resolve_goal_regions(robot.instruction, self.map)  # raises if unknown
 
 
+def _check_robot(robot: RobotSpec, where: str) -> None:
+    """Raise a ParameterError naming the first malformed field of ``robot``."""
+    if not isinstance(robot.id, str) or not robot.id:
+        raise ParameterError(f"{where}.id must be a nonempty string, got {robot.id!r}")
+    if not isinstance(robot.instruction, str):
+        raise ParameterError(f"{where}.instruction must be a string, got {robot.instruction!r}")
+    start = robot.start
+    if start is None:
+        return
+    try:
+        point = not isinstance(start, (str, bytes)) and len(start) == 2 and all(_is_real(v) for v in start)
+    except TypeError:  # no length
+        point = False
+    if not point:
+        raise ParameterError(f"{where}.start must be None or a point (x, y) of finite numbers, got {start!r}")
+
+
 def resolve_goal_regions(instruction: str, worldmap: WorldMap):
     """Match an instruction to goal regions.
 
@@ -261,8 +282,8 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
 
 
 # ---------------------------------------------------------------------------
-# grid connectivity: the one BFS, shared by the generators and the benchmark's
-# reachability oracles
+# grid connectivity: the one BFS, shared by the generators, the benchmark's
+# reachability oracle and the goal distances of its records
 
 
 def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
@@ -632,7 +653,7 @@ def _require_keys(obj, allowed, required, where):
 
 def _is_real(v) -> bool:
     """True for a non-bool number that converts to a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     try:
         return math.isfinite(float(v))

@@ -16,12 +16,13 @@ corners (c = 1/6, active only when the whole 2x2 corner block is free, so
 nothing leaks across corner-pinched walls); this isotropic form cancels its
 leading spatial error against the forward-Euler time error at the
 integrator's step dt = h^2/6, leaving the far Gaussian tail accurate to a
-fraction of a percent.  Single steps accept any dt up to the advertised
-stability bound 0.25 h^2; every admissible update has nonnegative weights,
+fraction of a percent.  Every step the ladder takes, its fixed step (h^2/6
+on square cells) or a shorter landing step, has nonnegative update weights,
 so u stays nonnegative.  Non-square cells fall back to the plain face
-stencil.  The stencil runs on each grid as one flat row of cells, with
-zero conductivity on the pairs that wrap across a row end, and gives the
-same bits as on the 2-D grid.
+stencil, with a fixed step of 0.8 times its stability bound.  The stencil
+runs on each grid as one flat row of cells, with zero conductivity on the
+pairs that wrap across a row end, and gives the same bits as on the 2-D
+grid.
 
 A ladder takes these explicit h^2/6 steps only up to the smooth switch
 (heat time 0.05 on the 2x2 world), where cell-scale transients have decayed.
@@ -95,12 +96,6 @@ class NoiseSchedule:
     def sigma_at(self, t: int) -> float:
         return float(self.sigma[t - 1])
 
-    def alpha_at(self, t: int) -> float:
-        return float(self.alpha[t - 1])
-
-    def heat_time_at(self, t: int) -> float:
-        return float(self.heat_time[t - 1])
-
     def key(self) -> tuple:
         return (self.T, float(self.sigma[0]), float(self.sigma[-1]), float(self.alpha[0] / self.sigma[0]))
 
@@ -120,23 +115,6 @@ def build_schedule(
     t = np.arange(T, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** (t / (T - 1))
     return NoiseSchedule(T=T, sigma=sigma, alpha=step_ratio * sigma, heat_time=sigma**2 / 2.0)
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Heat sources: one or more goal region instances, equal mass each."""
-
-    regions: tuple
-
-    def __init__(self, regions):
-        regions = tuple(regions)
-        if not regions:
-            raise ParameterError("SourceSpec needs at least one region")
-        object.__setattr__(self, "regions", regions)
-
-    @property
-    def instance_mass(self) -> float:
-        return 1.0 / len(self.regions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +184,6 @@ class _Solver:
         if self.isotropic:
             s_max += 4.0 * self.inv_hx2 / 6.0
         self.lam_max = 2.0 * s_max
-
-    @property
-    def nonneg_limit(self) -> float:
-        """Largest dt keeping every update weight nonnegative."""
-        if self.isotropic:
-            return 0.3 / self.inv_hx2  # self-weight 1 - (10/3) dt / h^2 >= 0
-        return self.stability
 
     @property
     def internal_dt(self) -> float:
@@ -319,12 +290,6 @@ def _exp_chebyshev_coefficients(c: float) -> np.ndarray:
     return a / a.sum()
 
 
-def stability_limit(worldmap: WorldMap) -> float:
-    """Largest admissible explicit step, 0.25 h^2 for square cells."""
-    ops = _Solver(worldmap)
-    return min(ops.stability, ops.nonneg_limit)
-
-
 def _smooth_switch_time(worldmap: WorldMap) -> float:
     """Heat time after which cell-scale transients have decayed and the
     ladder leaves explicit steps for Chebyshev spans; 0.05 on the default
@@ -332,11 +297,15 @@ def _smooth_switch_time(worldmap: WorldMap) -> float:
     return 0.0125 * worldmap.world_size[0] * worldmap.world_size[1]
 
 
-def init_heat(sources: SourceSpec, worldmap: WorldMap) -> HeatState:
-    """Unit mass split equally across instances, uniform within each."""
+def init_heat(regions, worldmap: WorldMap) -> HeatState:
+    """Unit mass split equally across the source regions (goal region
+    instances), uniform within each."""
+    regions = tuple(regions)
+    if not regions:
+        raise ParameterError("init_heat needs at least one source region")
     u = np.zeros((worldmap.height_cells, worldmap.width_cells), dtype=np.float64)
-    share = sources.instance_mass
-    for reg in sources.regions:
+    share = 1.0 / len(regions)
+    for reg in regions:
         per_cell = share / len(reg.cells)
         for col, row in reg.cells:
             if worldmap.occupancy[row, col]:
@@ -347,21 +316,9 @@ def init_heat(sources: SourceSpec, worldmap: WorldMap) -> HeatState:
     return HeatState(u=u, time=0.0, map=worldmap)
 
 
-def heat_step(state: HeatState, dt: float) -> HeatState:
-    """One explicit conservative update by ``dt``; returns a new state."""
-    ops = _Solver(state.map)
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    limit = min(ops.stability, ops.nonneg_limit)
-    if dt > limit * (1 + 1e-12):
-        raise ParameterError(f"dt={dt:g} above the stability bound {limit:g}")
-    u = state.u.copy()
-    ops.run_steps(u, 1, dt)
-    return HeatState(u=u, time=state.time + dt, map=state.map)
-
-
-def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSchedule):
-    """Integrate from time 0, snapshotting exactly at each schedule heat time.
+def solve_to_times(regions, worldmap: WorldMap, schedule: NoiseSchedule):
+    """Integrate from the source regions' heat at time 0, snapshotting
+    exactly at each schedule heat time.
 
     Up to the smooth switch, runs explicit steps of h^2/6 plus one shorter
     landing step per snapshot.  The snapshots after the switch all come from
@@ -372,7 +329,7 @@ def solve_to_times(sources: SourceSpec, worldmap: WorldMap, schedule: NoiseSched
     """
     ops = _Solver(worldmap)
     switch = _smooth_switch_time(worldmap)
-    u = init_heat(sources, worldmap).u
+    u = init_heat(regions, worldmap).u
     now = 0.0
     snapshots = []
     late = []
@@ -525,7 +482,7 @@ def score_fields(
     log_floor: float = DEFAULT_LOG_FLOOR,
 ) -> dict:
     """Solve one heat ladder for the given source regions; {t: ScoreField}."""
-    states = solve_to_times(SourceSpec(regions), worldmap, schedule)
+    states = solve_to_times(regions, worldmap, schedule)
     return {
         t: build_score_field(states[t - 1], log_floor, t=t)
         for t in range(1, schedule.T + 1)
@@ -570,15 +527,12 @@ class FieldCache:
             self._hops.setdefault(key, hops)
         return self._hops[key]
 
-    def __len__(self):
-        return len(self._store)
-
 
 # ---------------------------------------------------------------------------
 # discrete reachability by annealed score ascent
 
 
-def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
+def _score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
     """Follow score vectors cell-to-cell from coarse t to fine t.
 
     At each level, repeatedly step to the 8-neighbor best aligned with the
@@ -656,7 +610,7 @@ def dump_field_bytes(field: ScoreField, schedule: NoiseSchedule | None = None) -
 def load_field_bytes(data: bytes, worldmap: WorldMap) -> ScoreField:
     """Parse a binary dump made for ``worldmap``; errors name the bad field."""
     if data[:4] != _FIELD_MAGIC:
-        raise ParameterError("not a field dump (bad magic)")
+        raise MapFormatError("magic", f"expected {_FIELD_MAGIC!r}, got {bytes(data[:4])!r}")
     if len(data) < 8:
         raise MapFormatError("header_length", "dump ends before the header length")
     (hlen,) = struct.unpack("<I", data[4:8])

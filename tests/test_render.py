@@ -6,7 +6,7 @@ import pytest
 import heatplan as hp
 from heatplan import heatfield as hf
 from heatplan.errors import RenderError
-from heatplan.render import RenderSpec, canvas_transform, render_svg
+from heatplan.render import RenderSpec, _Canvas, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -52,7 +52,7 @@ def test_coordinate_fidelity_roundtrip():
     svg = render_svg(m, spec, trajectories=res.trajectories)
     root = ET.fromstring(svg)
     pts = root.find(f".//{SVG_NS}polyline").attrib["points"].split()
-    _, from_px = canvas_transform(m, spec)
+    from_px = _Canvas(m, spec).from_px
     for token, wp in zip(pts, res.trajectories[0].waypoints):
         px, py = (float(v) for v in token.split(","))
         x, y = from_px(px, py)
@@ -63,7 +63,7 @@ def test_all_layers_render_wellformed():
     m, sc, res = demo_scene()
     sched = hp.build_schedule(6)
     label = m.labels()[0]
-    states = hf.solve_to_times(hf.SourceSpec(m.regions_with_label(label)), m, sched)
+    states = hf.solve_to_times(m.regions_with_label(label), m, sched)
     field = hf.build_score_field(states[-1], t=6)
     spec = RenderSpec(layers=("occupancy", "heat", "regions", "field_arrows", "trajectories", "starts", "goals"))
     svg = render_svg(m, spec, heat=states[-1], score_field=field, trajectories=res.trajectories, scenario=sc)
@@ -87,7 +87,7 @@ def test_missing_layer_data_named():
 def test_arrow_stride_subsamples():
     m = hp.empty_map(cells=64)
     reg = hp.SemanticRegion("apple", ((32, 32),))
-    states = hf.solve_to_times(hf.SourceSpec([reg]), hp.empty_map(cells=64), hp.build_schedule(3))
+    states = hf.solve_to_times([reg], hp.empty_map(cells=64), hp.build_schedule(3))
     field = hf.build_score_field(states[-1], t=3)
     svg2 = render_svg(m, RenderSpec(layers=("field_arrows",), stride=2), score_field=field)
     svg8 = render_svg(m, RenderSpec(layers=("field_arrows",), stride=8), score_field=field)
