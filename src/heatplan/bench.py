@@ -10,6 +10,7 @@ worker count (wall-clock timing fields aside).
 from __future__ import annotations
 
 import json
+import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -83,20 +84,21 @@ class SuiteSpec:
     map_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.families:
-            raise ParameterError("families must be nonempty")
-        for fam in self.families:
+        for name, seq in (("families", self.families), ("robot_counts", self.robot_counts)):
+            if not isinstance(seq, (tuple, list)) or not seq:
+                raise ParameterError(f"must be a nonempty sequence, got {seq!r}", field=name)
+        for i, fam in enumerate(self.families):
             if fam not in FAMILIES:
-                raise ParameterError(f"unknown family {fam!r}")
-        if not self.robot_counts or any(n < 1 for n in self.robot_counts):
-            raise ParameterError("robot_counts must be positive")
-        if self.scenarios_per_config < 1 or self.map_variants < 1:
-            raise ParameterError("counts must be positive")
-        unknown = sorted(set(self.map_params) - set(MAP_PARAMS))
-        if unknown:
-            raise ParameterError(
-                f"unknown map_params key(s) {', '.join(map(repr, unknown))}; expected some of {MAP_PARAMS}"
-            )
+                raise ParameterError(f"must be one of {FAMILIES}, got {fam!r}", field=f"families[{i}]")
+        counts = [(f"robot_counts[{i}]", n, 1) for i, n in enumerate(self.robot_counts)]
+        counts += [("scenarios_per_config", self.scenarios_per_config, 1), ("map_variants", self.map_variants, 1),
+                   ("base_seed", self.base_seed, 0)]
+        for name, value, least in counts:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(f"must be an integer >= {least}, got {value!r}", field=name)
+        if not isinstance(self.map_params, dict) or set(self.map_params) - set(MAP_PARAMS):
+            raise ParameterError(f"must be a dict with keys among {MAP_PARAMS}, got {self.map_params!r}",
+                                 field="map_params")
 
 
 def _suite_maps(spec: SuiteSpec, family: str):

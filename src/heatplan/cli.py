@@ -49,6 +49,15 @@ def _planner_overrides(args) -> dict:
     }
 
 
+# argparse types; a ValueError here is reported against the flag, by the function's name
+def int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def step_or_all(text: str):
+    return text if text == "all" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heatplan")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -72,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="expand a suite, run it, write report and records")
     b.add_argument("--families", default=",".join(gridmap.FAMILIES), help="comma-separated families")
-    b.add_argument("--robots", default="3,6,9", help="comma-separated robot counts")
+    b.add_argument("--robots", type=int_list, default="3,6,9", help="comma-separated robot counts")
     b.add_argument("--n", type=int, default=30, help="scenarios per (family, robot count)")
     b.add_argument("--variants", type=int, default=6, help="map variants per family")
     b.add_argument("--grid", type=int, default=128, help="map cells per side")
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fields", help="solve score fields for one label and dump them")
     f.add_argument("--map", required=True)
     f.add_argument("--label", required=True)
-    f.add_argument("--t", help="diffusion step, or 'all'", default="all")
+    f.add_argument("--t", type=step_or_all, default="all", help="diffusion step, or 'all'")
     f.add_argument("--format", choices=("bin", "json"), default="bin")
     f.add_argument("--out", required=True, help="output file (single t) or directory (all)")
     _add_planner_flags(f)
@@ -148,7 +157,7 @@ def _cmd_plan(args) -> int:
 def _cmd_bench(args) -> int:
     spec = bench_mod.SuiteSpec(
         families=tuple(s for s in args.families.split(",") if s),
-        robot_counts=tuple(int(v) for v in args.robots.split(",") if v),
+        robot_counts=args.robots,
         scenarios_per_config=args.n,
         map_variants=args.variants,
         base_seed=args.base_seed,
@@ -168,8 +177,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    import json
-
     scenario = None
     if args.scenario:
         scenario = gridmap.load_scenario(args.scenario)
@@ -201,8 +208,7 @@ def _cmd_render(args) -> int:
 
     trajectories = None
     if args.plan_path:
-        doc = json.loads(Path(args.plan_path).read_text(encoding="utf-8"))
-        trajectories = _plan_trajectories(doc)
+        trajectories = _plan_trajectories(gridmap.json_document(Path(args.plan_path).read_bytes()))
     svg = render.render_svg(
         worldmap, spec, heat=heat_state, score_field=score_field,
         trajectories=trajectories, scenario=scenario,
@@ -248,10 +254,9 @@ def _cmd_fields(args) -> int:
         for t, field in sorted(ladder.items()):
             heatfield.save_field(field, outdir / f"{args.label}.t{t:02d}.{ext}", schedule, args.format)
         return 0
-    t = int(args.t)
-    if t not in ladder:
+    if args.t not in ladder:
         raise HeatplanError(f"--t must be in 1..{schedule.T} or 'all'")
-    heatfield.save_field(ladder[t], Path(args.out), schedule, args.format)
+    heatfield.save_field(ladder[args.t], Path(args.out), schedule, args.format)
     return 0
 
 

@@ -6,7 +6,14 @@ class HeatplanError(Exception):
 
 
 class ParameterError(HeatplanError):
-    """A parameter is outside its documented range or has the wrong shape."""
+    """A parameter is outside its documented range or has the wrong shape.
+
+    ``field``, when given, names it within the object being built, e.g.
+    ``"robots[1].start"``, and starts the message."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(f"{field} {message}" if field else message)
 
 
 class DomainError(HeatplanError):

@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 from typing import Optional
 
@@ -50,7 +51,7 @@ VOCABULARY = (
     "hub",
 )
 
-_LABEL_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_LABEL_RE = re.compile(r"[a-z][a-z0-9_]*")  # matched whole, by fullmatch
 _INSTRUCTION_RE = re.compile(r"^move to the ([a-z0-9_]+)$")
 
 
@@ -59,16 +60,20 @@ class SemanticRegion:
     """A labeled set of free cells acting as a goal / heat source."""
 
     label: str
-    cells: tuple  # ((col, row), ...)
+    cells: tuple  # ((col, row), ...), a nonempty 4-connected set
 
     def __post_init__(self):
-        if not _LABEL_RE.match(self.label):
-            raise ParameterError(f"bad region label {self.label!r}")
-        if len(self.cells) == 0:
-            raise ParameterError(f"region {self.label!r} has no cells")
-        object.__setattr__(self, "cells", tuple((int(c), int(r)) for c, r in self.cells))
-        if not _cells_4connected(self.cells):
-            raise ParameterError(f"region {self.label!r} cells are not 4-connected")
+        if not isinstance(self.label, str) or not _LABEL_RE.fullmatch(self.label):
+            raise ParameterError(f"must be a lowercase token, got {self.label!r}", field="label")
+        if not isinstance(self.cells, (tuple, list)) or not self.cells:
+            raise ParameterError(f"must be a nonempty list of (col, row) pairs, got {self.cells!r}", field="cells")
+        pairs = tuple(map(_int_pair, self.cells))
+        if None in pairs:
+            j = pairs.index(None)
+            raise ParameterError(f"must be a (col, row) pair of integers, got {self.cells[j]!r}", field=f"cells[{j}]")
+        object.__setattr__(self, "cells", pairs)
+        if not _cells_4connected(pairs):
+            raise ParameterError(f"of region {self.label!r} are not 4-connected", field="cells")
 
     def centroid(self) -> tuple:
         cols = [c for c, _ in self.cells]
@@ -76,18 +81,30 @@ class SemanticRegion:
         return (sum(cols) / len(cols), sum(rows) / len(rows))
 
 
+def _int_pair(cell):
+    """``cell`` as a pair of ints, or None unless it is a list or tuple of
+    two integers; bools, floats and strings are not integers here."""
+    try:
+        if isinstance(cell, (tuple, list)) and len(cell) == 2 and bool not in map(type, cell):
+            return (index(cell[0]), index(cell[1]))
+    except TypeError:
+        pass
+    return None
+
+
 def _cells_4connected(cells) -> bool:
-    pts = np.asarray(cells, dtype=np.int64)
-    lo = pts.min(axis=0)
-    width, height = pts.max(axis=0) - lo + 1
+    cols = [c for c, _ in cells]
+    rows = [r for _, r in cells]
+    c0, r0 = min(cols), min(rows)
+    width, height = max(cols) - c0 + 1, max(rows) - r0 + 1
     # k 4-connected cells have width + height <= k + 1; the check also keeps
     # the local grid below small when the cells are scattered
     if width + height - 1 > len(set(cells)):
         return False
-    local = pts - lo
+    # offsets are taken in Python ints, so cells beyond int64 cannot overflow
     inside = np.zeros((height, width), dtype=bool)
-    inside[local[:, 1], local[:, 0]] = True
-    return bool((hop_distances(inside, local[:1])[inside] >= 0).all())
+    inside[[r - r0 for r in rows], [c - c0 for c in cols]] = True
+    return bool((hop_distances(inside, [(cols[0] - c0, rows[0] - r0)])[inside] >= 0).all())
 
 
 class WorldMap:
@@ -102,33 +119,37 @@ class WorldMap:
     """
 
     def __init__(self, name, occupancy, world_size=WORLD_SIZE, regions=()):
+        if not isinstance(name, str):
+            raise ParameterError(f"must be a string, got {name!r}", field="name")
         occupancy = np.asarray(occupancy, dtype=bool)
         if occupancy.ndim != 2 or occupancy.shape[0] < 1 or occupancy.shape[1] < 1:
-            raise ParameterError("occupancy must be a non-empty 2D grid")
-        self.name = str(name)
+            raise ParameterError("must be a non-empty 2D grid", field="occupancy")
+        if occupancy.all():
+            raise ParameterError("has no free cell", field="occupancy")
+        self.name = name
         self.height_cells, self.width_cells = occupancy.shape
+        # each cell must have a positive float size
+        if not (_is_point(world_size) and all(float(v) / n > 0 for v, n in zip(world_size, occupancy.shape[::-1]))):
+            raise ParameterError(f"must be (width, height) of positive numbers, got {world_size!r}", field="world_size")
         self.world_size = (float(world_size[0]), float(world_size[1]))
-        if self.world_size[0] <= 0 or self.world_size[1] <= 0:
-            raise ParameterError("world_size must be positive")
         self._occ = occupancy
         self._occ.setflags(write=False)
+        if not isinstance(regions, (tuple, list)):
+            raise ParameterError(f"must be a list of SemanticRegion, got {regions!r}", field="regions")
         self.regions = tuple(regions)
         self.cell_size = (
             self.world_size[0] / self.width_cells,
             self.world_size[1] / self.height_cells,
         )
-        if not (~self._occ).any():
-            raise ParameterError("map has no free cell")
-        for reg in self.regions:
-            for col, row in reg.cells:
-                if not (0 <= col < self.width_cells and 0 <= row < self.height_cells):
-                    raise ParameterError(
-                        f"region {reg.label!r} cell ({col},{row}) out of bounds"
-                    )
-                if self._occ[row, col]:
-                    raise ParameterError(
-                        f"region {reg.label!r} cell ({col},{row}) lies on an obstacle"
-                    )
+        for i, reg in enumerate(self.regions):
+            if not isinstance(reg, SemanticRegion):
+                raise ParameterError(f"must be a SemanticRegion, got {reg!r}", field=f"regions[{i}]")
+            for j, (col, row) in enumerate(reg.cells):
+                inside = 0 <= col < self.width_cells and 0 <= row < self.height_cells
+                if not inside or self._occ[row, col]:
+                    problem = "lies on an obstacle" if inside else "is out of bounds"
+                    raise ParameterError(f"({col}, {row}) of region {reg.label!r} {problem}",
+                                         field=f"regions[{i}].cells[{j}]")
         self._hash = None
 
     @property
@@ -167,6 +188,24 @@ def empty_map(name="empty", cells=128, regions=()) -> WorldMap:
     """Fully free square map on a WORLD_SIZE world; handy for analytic checks."""
     occ = np.zeros((cells, cells), dtype=bool)
     return WorldMap(name, occ, regions=regions)
+
+
+def _is_real(v) -> bool:
+    """True for a non-bool number that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def _is_point(p) -> bool:
+    """True for a length-2 sequence (not a string) of ``_is_real`` numbers."""
+    try:
+        return not isinstance(p, (str, bytes)) and len(p) == 2 and all(_is_real(v) for v in p)
+    except TypeError:  # no length
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -214,53 +253,65 @@ class RobotSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A map, its robots and a seed; each start is kept as a (float, float)
+    pair.  A ParameterError names the offending field, e.g. ``"seed"`` or
+    ``"robots[1].start"``."""
+
     map: WorldMap
     robots: tuple
     seed: int = 0
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.robots or not all(isinstance(r, RobotSpec) for r in self.robots):
-            raise ParameterError(f"robots must be a nonempty sequence of RobotSpec, got {self.robots!r}")
-        for i, robot in enumerate(self.robots):
-            _check_robot(robot, f"robots[{i}]")
-        ids = [r.id for r in self.robots]
-        if len(set(ids)) != len(ids):
-            raise ParameterError("robot ids must be unique")
+        if not isinstance(self.map, WorldMap):
+            raise ParameterError(f"must be a WorldMap, got {self.map!r}", field="map")
+        if not isinstance(self.robots, (tuple, list)) or not self.robots:
+            raise ParameterError(f"must be a nonempty sequence of RobotSpec, got {self.robots!r}", field="robots")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ParameterError(f"seed must be an unsigned integer, got {self.seed!r}")
-        start_owner = {}
-        for robot in self.robots:
+            raise ParameterError(f"must be an unsigned integer, got {self.seed!r}", field="seed")
+        robots, ids, starts = [], {}, {}  # id -> index, start -> id
+        for i, robot in enumerate(self.robots):
+            robot = _checked_robot(robot, f"robots[{i}]", self.map)
+            if robot.id in ids:
+                raise ParameterError(f"repeats the id {robot.id!r} of robots[{ids[robot.id]}]", field=f"robots[{i}].id")
+            # pairwise guidance is undefined for robots on the same point
+            if robot.start in starts:
+                raise ParameterError(f"is shared by robots {starts[robot.start]!r} and {robot.id!r}: {robot.start}",
+                                     field=f"robots[{i}].start")
+            ids[robot.id] = i
             if robot.start is not None:
-                if not is_free(robot.start, self.map):
-                    raise ParameterError(
-                        f"robot {robot.id!r} start {robot.start} is not in free space"
-                    )
-                # pairwise guidance is undefined for robots on the same point
-                start = (float(robot.start[0]), float(robot.start[1]))
-                if start in start_owner:
-                    raise ParameterError(
-                        f"robots {start_owner[start]!r} and {robot.id!r} share start {start}"
-                    )
-                start_owner[start] = robot.id
-            resolve_goal_regions(robot.instruction, self.map)  # raises if unknown
+                starts[robot.start] = robot.id
+            robots.append(robot)
+        object.__setattr__(self, "robots", tuple(robots))
+        if not isinstance(self.config, dict) or not all(isinstance(key, str) for key in self.config):
+            raise ParameterError(f"must be a dict of planner parameters by name, got {self.config!r}", field="config")
+        for key, val in self.config.items():
+            if not _is_real(val):
+                raise ParameterError(f"must be a finite number, got {val!r}", field=f"config.{key}")
 
 
-def _check_robot(robot: RobotSpec, where: str) -> None:
-    """Raise a ParameterError naming the first malformed field of ``robot``."""
+def _checked_robot(robot, where: str, worldmap: WorldMap) -> RobotSpec:
+    """``robot`` with its start as a (float, float) pair; raises a
+    ParameterError naming its first malformed field under ``where``."""
+    if not isinstance(robot, RobotSpec):
+        raise ParameterError(f"must be a RobotSpec, got {robot!r}", field=where)
     if not isinstance(robot.id, str) or not robot.id:
-        raise ParameterError(f"{where}.id must be a nonempty string, got {robot.id!r}")
-    if not isinstance(robot.instruction, str):
-        raise ParameterError(f"{where}.instruction must be a string, got {robot.instruction!r}")
+        raise ParameterError(f"must be a nonempty string, got {robot.id!r}", field=f"{where}.id")
+    if not isinstance(robot.instruction, str) or not robot.instruction.strip():
+        raise ParameterError(f"must be a nonempty string, got {robot.instruction!r}", field=f"{where}.instruction")
+    try:
+        resolve_goal_regions(robot.instruction, worldmap)
+    except UnknownLabelError as exc:
+        raise ParameterError(f"names an unknown label: {exc}", field=f"{where}.instruction") from exc
     start = robot.start
     if start is None:
-        return
-    try:
-        point = not isinstance(start, (str, bytes)) and len(start) == 2 and all(_is_real(v) for v in start)
-    except TypeError:  # no length
-        point = False
-    if not point:
-        raise ParameterError(f"{where}.start must be None or a point (x, y) of finite numbers, got {start!r}")
+        return robot
+    if not _is_point(start):
+        raise ParameterError(f"must be None or a point (x, y) of finite numbers, got {start!r}", field=f"{where}.start")
+    start = (float(start[0]), float(start[1]))
+    if not is_free(start, worldmap):
+        raise ParameterError(f"{start} is not in free space", field=f"{where}.start")
+    return RobotSpec(robot.id, robot.instruction, start)
 
 
 def resolve_goal_regions(instruction: str, worldmap: WorldMap):
@@ -642,7 +693,9 @@ def encode_map(worldmap: WorldMap) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _require_keys(obj, allowed, required, where):
+def _require_keys(obj, allowed, required, where=""):
+    if not isinstance(obj, dict):
+        raise MapFormatError(where or "(document)", "expected a JSON object")
     for key in obj:
         if key not in allowed:
             raise MapFormatError(f"{where}.{key}" if where else key, "unknown field")
@@ -651,31 +704,36 @@ def _require_keys(obj, allowed, required, where):
             raise MapFormatError(f"{where}.{key}" if where else key, "missing field")
 
 
-def _is_real(v) -> bool:
-    """True for a non-bool number that converts to a finite float."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
+def json_document(doc):
+    """``doc`` parsed if it is JSON text (``str`` or ``bytes``), else as
+    given; text that does not parse raises a MapFormatError."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            return json.loads(doc)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise MapFormatError("(document)", f"invalid JSON: {exc}") from exc
+    return doc
+
+
+def _build(make, *args, where=""):
+    """``make(*args)``, with a ParameterError turned into a MapFormatError
+    naming the same field under the document path ``where``."""
     try:
-        return math.isfinite(float(v))
-    except OverflowError:
-        return False
+        return make(*args)
+    except ParameterError as exc:  # the constructors name a field in each one
+        raise MapFormatError(where + exc.field, str(exc).removeprefix(f"{exc.field} ")) from exc
 
 
 def decode_map(doc) -> WorldMap:
-    """Parse a map document (JSON text or dict); errors name the bad field."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError("(document)", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MapFormatError("(document)", "expected a JSON object")
+    """Parse a map document (JSON text or dict); errors name the bad field.
+
+    The document's shape is checked here; every value rule is
+    ``SemanticRegion``'s or ``WorldMap``'s."""
+    doc = json_document(doc)
     allowed = {"version", "name", "width_cells", "height_cells", "world_size", "occupancy", "regions"}
-    _require_keys(doc, allowed, allowed, "")
+    _require_keys(doc, allowed, allowed)
     if doc["version"] != MAP_FORMAT_VERSION:
         raise MapFormatError("version", f"unsupported version {doc['version']!r}")
-    if not isinstance(doc["name"], str):
-        raise MapFormatError("name", "expected a string")
     width, height = doc["width_cells"], doc["height_cells"]
     for key, val in (("width_cells", width), ("height_cells", height)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
@@ -691,50 +749,14 @@ def decode_map(doc) -> WorldMap:
         if set(rowstr) - {"0", "1"}:
             raise MapFormatError(f"occupancy[{r}]", "expected only '0'/'1'")
     occ = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(height, width) == ord("1")
-    ws = doc["world_size"]
-    # the rows bound width and height; each cell must have a positive float size
-    if (
-        not isinstance(ws, list)
-        or len(ws) != 2
-        or not all(_is_real(v) and float(v) / n > 0 for v, n in zip(ws, (width, height)))
-    ):
-        raise MapFormatError("world_size", "expected [width, height] of positive numbers")
     if not isinstance(doc["regions"], list):
         raise MapFormatError("regions", "expected a list")
     regions = []
     for i, rdoc in enumerate(doc["regions"]):
         where = f"regions[{i}]"
-        if not isinstance(rdoc, dict):
-            raise MapFormatError(where, "expected an object")
         _require_keys(rdoc, {"label", "cells"}, {"label", "cells"}, where)
-        label = rdoc["label"]
-        if not isinstance(label, str) or not _LABEL_RE.match(label):
-            raise MapFormatError(f"{where}.label", "expected a lowercase token")
-        cells = rdoc["cells"]
-        if not isinstance(cells, list) or not cells:
-            raise MapFormatError(f"{where}.cells", "expected a nonempty list")
-        parsed = []
-        for j, cell in enumerate(cells):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
-            ):
-                raise MapFormatError(f"{where}.cells[{j}]", "expected [col, row] integers")
-            col, row = cell
-            if not (0 <= col < width and 0 <= row < height):
-                raise MapFormatError(f"{where}.cells[{j}]", "cell out of bounds")
-            if occ[row, col]:
-                raise MapFormatError(f"{where}.cells[{j}]", "cell lies on an obstacle")
-            parsed.append((col, row))
-        try:
-            regions.append(SemanticRegion(label, tuple(parsed)))
-        except ParameterError as exc:
-            raise MapFormatError(where, str(exc)) from exc
-    try:
-        return WorldMap(doc["name"], occ, (ws[0], ws[1]), regions)
-    except ParameterError as exc:
-        raise MapFormatError("(document)", str(exc)) from exc
+        regions.append(_build(SemanticRegion, rdoc["label"], rdoc["cells"], where=f"{where}."))
+    return _build(WorldMap, doc["name"], occ, doc["world_size"], regions)
 
 
 def save_map(worldmap: WorldMap, path) -> None:
@@ -754,7 +776,7 @@ def encode_scenario(scenario: Scenario, map_path: str | None = None) -> str:
         "robots": [
             {
                 "id": r.id,
-                "start": None if r.start is None else [r.start[0], r.start[1]],
+                "start": None if r.start is None else list(r.start),
                 "instruction": r.instruction,
             }
             for r in scenario.robots
@@ -766,16 +788,11 @@ def encode_scenario(scenario: Scenario, map_path: str | None = None) -> str:
 
 def decode_scenario(doc, base_dir=None) -> Scenario:
     """Parse a scenario document; a string ``map`` field is a file path
-    resolved against ``base_dir``."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError("(document)", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MapFormatError("(document)", "expected a JSON object")
+    resolved against ``base_dir``.  The document's shape is checked here;
+    every value rule is ``Scenario``'s."""
+    doc = json_document(doc)
     allowed = {"version", "map", "seed", "robots", "config"}
-    _require_keys(doc, allowed, {"version", "map", "seed", "robots"}, "")
+    _require_keys(doc, allowed, {"version", "map", "seed", "robots"})
     if doc["version"] != SCENARIO_FORMAT_VERSION:
         raise MapFormatError("version", f"unsupported version {doc['version']!r}")
     mapdoc = doc["map"]
@@ -788,49 +805,14 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
         worldmap = load_map(path)
     else:
         worldmap = decode_map(mapdoc)
-    seed = doc["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise MapFormatError("seed", "expected an unsigned integer")
-    if not isinstance(doc["robots"], list) or not doc["robots"]:
-        raise MapFormatError("robots", "expected a nonempty list")
+    if not isinstance(doc["robots"], list):
+        raise MapFormatError("robots", "expected a list")
     robots = []
     for i, rdoc in enumerate(doc["robots"]):
         where = f"robots[{i}]"
-        if not isinstance(rdoc, dict):
-            raise MapFormatError(where, "expected an object")
         _require_keys(rdoc, {"id", "start", "instruction"}, {"id", "instruction"}, where)
-        rid = rdoc["id"]
-        if not isinstance(rid, str) or not rid:
-            raise MapFormatError(f"{where}.id", "expected a nonempty string")
-        start = rdoc.get("start")
-        if start is not None:
-            if (
-                not isinstance(start, list)
-                or len(start) != 2
-                or not all(_is_real(v) for v in start)
-            ):
-                raise MapFormatError(f"{where}.start", "expected [x, y] or null")
-            start = (float(start[0]), float(start[1]))
-            if not is_free(start, worldmap):
-                raise MapFormatError(f"{where}.start", "start is not in free space")
-        instr = rdoc["instruction"]
-        if not isinstance(instr, str) or not instr.strip():
-            raise MapFormatError(f"{where}.instruction", "expected a nonempty string")
-        try:
-            resolve_goal_regions(instr, worldmap)
-        except UnknownLabelError as exc:
-            raise MapFormatError(f"{where}.instruction", str(exc)) from exc
-        robots.append(RobotSpec(rid, instr, start))
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise MapFormatError("config", "expected an object")
-    for key, val in config.items():
-        if not _is_real(val):
-            raise MapFormatError(f"config.{key}", "expected a finite number")
-    try:
-        return Scenario(worldmap, tuple(robots), seed, dict(config))
-    except ParameterError as exc:
-        raise MapFormatError("(document)", str(exc)) from exc
+        robots.append(RobotSpec(rdoc["id"], rdoc["instruction"], rdoc.get("start")))
+    return _build(Scenario, worldmap, robots, doc["seed"], doc.get("config", {}))
 
 
 def save_scenario(scenario: Scenario, path, map_path=None) -> None:

@@ -589,7 +589,7 @@ def result_to_dict(result: PlanResult, include_timing: bool = True, include_micr
                 {
                     "id": r.id,
                     "instruction": r.instruction,
-                    "start": None if r.start is None else [float(r.start[0]), float(r.start[1])],
+                    "start": None if r.start is None else list(r.start),
                 }
                 for r in scenario.robots
             ],

@@ -203,6 +203,24 @@ def test_suite_spec_validation():
         hp.SuiteSpec(scenarios_per_config=0)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"families": "room"}, "families"),
+    ({"families": ("room", "castle")}, "families[1]"),
+    ({"robot_counts": ("a",)}, "robot_counts[0]"),
+    ({"robot_counts": 3}, "robot_counts"),
+    ({"robot_counts": (3, 2.5)}, "robot_counts[1]"),
+    ({"map_variants": 1.5}, "map_variants"),
+    ({"base_seed": 1.5}, "base_seed"),
+    ({"base_seed": -1}, "base_seed"),
+    ({"map_params": None}, "map_params"),
+    ({"scenarios_per_config": 0}, "scenarios_per_config"),
+])
+def test_suite_spec_names_the_field(kwargs, field):
+    with pytest.raises(ParameterError) as ei:
+        hp.SuiteSpec(**kwargs)
+    assert ei.value.field == field and str(ei.value).startswith(f"{field} ")
+
+
 def test_suite_spec_unknown_map_param_rejected_when_built():
     with pytest.raises(ParameterError, match="'min_aisle'"):
         hp.SuiteSpec(map_params={"min_aisle": 4})

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,9 +173,10 @@ def test_render_from_files(tmp_path):
 
 
 def test_console_entrypoint_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "heatplan.cli", "gen-map", "--family", "room", "--seed", "1", "--grid", "32"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -266,6 +269,25 @@ def test_render_malformed_plan_exits_2_naming_the_field(tmp_path, capsys, doc, f
     assert run_cli(["render", "--map", str(tmp_path / "m.json"), "--plan", str(tmp_path / "p.json"),
                     "--layers", "occupancy,trajectories"]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["fields", "--map", "m.json", "--label", "apple", "--t", "abc", "--out", "f.hpsf"], "--t"),
+    (["bench", "--robots", "3,a"], "--robots"),
+    (["bench", "--robots", "2.5"], "--robots"),
+])
+def test_malformed_flag_exits_2_naming_the_flag(capsys, args, flag):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "invalid literal" not in err
+
+
+def test_render_plan_that_is_not_json_exits_2_naming_the_document(tmp_path, capsys):
+    hp.save_map(hp.empty_map(cells=16), tmp_path / "m.json")
+    (tmp_path / "p.json").write_text("not json")
+    assert run_cli(["render", "--map", str(tmp_path / "m.json"), "--plan", str(tmp_path / "p.json"),
+                    "--layers", "occupancy,trajectories"]) == 2
+    assert "error: (document): invalid JSON" in capsys.readouterr().err
 
 
 def test_render_field_dump_with_bad_magic_exits_2_naming_it(tmp_path, capsys):

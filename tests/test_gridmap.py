@@ -458,3 +458,72 @@ def test_worldmap_invariants():
         gridmap.SemanticRegion("apple", ())  # empty region
     with pytest.raises(ParameterError):
         gridmap.SemanticRegion("apple", ((0, 0), (2, 2)))  # not 4-connected
+
+
+# ---------------------------------------------------------------------------
+# constructors own the value rules; the decoders name the same fields
+
+
+def _region(cells, label="apple"):
+    return gridmap.SemanticRegion(label, cells)
+
+
+def _scenario(**kwargs):
+    kwargs = {"map": _map_with_labels(), "robots": (gridmap.RobotSpec("r0", "apple", None),), **kwargs}
+    return hp.Scenario(**kwargs)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: _region(((1.5, 2),)), "cells[0]", id="float-cell"),
+    pytest.param(lambda: _region(((True, 2),)), "cells[0]", id="bool-cell"),
+    pytest.param(lambda: _region((("1", 2),)), "cells[0]", id="str-cell"),
+    pytest.param(lambda: _region(((1, 2, 3),)), "cells[0]", id="3-cell"),
+    pytest.param(lambda: _region(None), "cells", id="no-cells"),
+    pytest.param(lambda: _region(((1, 1),), label=5), "label", id="int-label"),
+    pytest.param(lambda: _region(((1, 1),), label="apple\n"), "label", id="newline-label"),
+    pytest.param(lambda: hp.empty_map(cells=8, regions=[_region(((2**70, 0),))]), "regions[0].cells[0]",
+                 id="huge-cell"),
+    pytest.param(lambda: hp.WorldMap("m", np.zeros((4, 4)), (float("nan"), 2)), "world_size", id="nan-world"),
+    pytest.param(lambda: hp.WorldMap("m", np.zeros((4, 4)), (float("inf"), 2)), "world_size", id="inf-world"),
+    pytest.param(lambda: hp.WorldMap("m", np.zeros((4, 4)), ("a", 2)), "world_size", id="str-world"),
+    pytest.param(lambda: hp.WorldMap("m", np.zeros((4, 4)), regions=[5]), "regions[0]", id="int-region"),
+    pytest.param(lambda: _scenario(map=None), "map", id="no-map"),
+    pytest.param(lambda: _scenario(config=[1]), "config", id="list-config"),
+    pytest.param(lambda: _scenario(config={1: 2}), "config", id="int-key-config"),
+    pytest.param(lambda: _scenario(config={"beta": float("nan")}), "config.beta", id="nan-config"),
+])
+def test_constructors_name_the_field(build, field):
+    with pytest.raises(ParameterError) as ei:
+        build()
+    assert ei.value.field == field
+    assert str(ei.value).startswith(f"{field} ")
+
+
+def test_scenario_keeps_starts_as_float_pairs_and_names_unknown_labels():
+    sc = _scenario(robots=[gridmap.RobotSpec("r0", "apple", np.array([1, 0.5]))])
+    assert sc.robots == (gridmap.RobotSpec("r0", "apple", (1.0, 0.5)),)
+    assert all(type(v) is float for v in sc.robots[0].start)
+    with pytest.raises(ParameterError) as ei:
+        _scenario(robots=(gridmap.RobotSpec("r0", "move to the pear", None),))
+    assert ei.value.field == "robots[0].instruction" and "'pear'" in str(ei.value)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("map", "regions", 0, "cells", 0), [1.5, 2], "regions[0].cells[0]"),
+    (("map", "regions", 0, "label"), "Apple", "regions[0].label"),
+    (("map", "name"), 5, "name"),
+    (("robots", 1, "id"), "r0", "robots[1].id"),
+    (("robots", 1, "start"), [0.5, 0.5], "robots[1].start"),
+    (("seed",), -1, "seed"),
+    (("robots",), [], "robots"),
+    (("config",), [], "config"),
+])
+def test_decoders_name_the_constructor_field(path, value, field):
+    doc = _fuzz_scenario_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(MapFormatError) as ei:
+        hp.decode_scenario(json.dumps(doc))
+    assert ei.value.field == field

@@ -1,8 +1,10 @@
 import base64
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,7 +332,8 @@ def test_ladder_solve_does_not_import_numpy_polynomial():
         "hp.score_fields(m, m.regions_with_label(m.labels()[0]), hp.build_schedule(20))\n"
         "print(sorted(n for n in sys.modules if n.startswith('numpy.polynomial')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -354,6 +354,51 @@ def test_langevin_batched_lookup_matches_per_robot_reference():
     assert escalations > 0
 
 
+@st.composite
+def _team_step(draw):
+    """A random grid up to 16x16 on a 2x2 world, 2 to 6 robots on free
+    points more than d_safe apart, and one random ladder (vectors and
+    ``supported`` masks, drawn from a seeded stream) per robot over
+    T = 2..4 levels."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = np.argwhere(~occ)
+    assume(len(free) > 0)
+    m = hp.WorldMap("g", occ)
+    d_safe = draw(st.floats(0.02, 0.4))
+    cfg = PlannerConfig(beta=draw(st.floats(0.0, 2.0)), d_safe=d_safe, d_margin=d_safe * draw(st.floats(1.05, 2.0)))
+    n = draw(st.integers(2, 6))
+    cells = free[draw(st.lists(st.integers(0, len(free) - 1), min_size=n, max_size=n))]
+    offsets = draw(hnp.arrays(float, (n, 2), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    pos = (cells[:, ::-1] + offsets) * m.cell_size
+    if draw(st.booleans()):  # a tight cluster: a lattice just wider than d_safe around the first start
+        spacing = d_safe * draw(st.floats(1.001, 1.5))
+        pos = pos[0] + spacing * np.array([(k % 3, k // 3) for k in range(n)], dtype=float)
+    gaps = np.linalg.norm(pos[:, None] - pos[None], axis=-1)[np.triu_indices(n, 1)]
+    assume(all(hp.is_free(p, m) for p in pos) and (gaps > d_safe).all())
+    T = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, coverage = draw(st.sampled_from([1.0, 10.0, 60.0])), draw(st.sampled_from([None, 0.3, 0.8]))
+    ladders = [
+        {t: hf.ScoreField(t, rng.uniform(-scale, scale, (h, w, 2)), m,
+                          None if coverage is None else rng.random((h, w)) < coverage)
+         for t in range(1, T + 1)}
+        for _ in range(n)
+    ]
+    rngs = [np.random.default_rng(rng.integers(2**32)) for _ in range(n)]
+    return m, pos, draw(st.integers(1, T)), ladders, hp.build_schedule(T), cfg, rngs, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=100)
+@given(_team_step())
+def test_langevin_step_keeps_hard_separation_and_free_space(case):
+    m, pos, t, ladders, sched, cfg, rngs, noiseless = case
+    out = hp.langevin_step(pos, t, ladders, sched, cfg, rngs, noiseless)
+    gaps = np.linalg.norm(out[:, None] - out[None], axis=-1)[np.triu_indices(len(out), 1)]
+    assert (gaps > cfg.d_safe).all()
+    assert _points_free(m, out).all()
+
+
 # ---------------------------------------------------------------------------
 # full plan
 
