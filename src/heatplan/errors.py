@@ -4,6 +4,17 @@
 class HeatplanError(Exception):
     """Base class for all errors raised by heatplan."""
 
+    def __reduce__(self):
+        # unpickle without __init__, whose arguments ``args`` does not hold,
+        # so a worker's error reaches the caller as itself
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(state)
+    return err
+
 
 class ParameterError(HeatplanError):
     """A parameter is outside its documented range or has the wrong shape.

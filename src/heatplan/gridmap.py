@@ -121,7 +121,7 @@ class WorldMap:
     def __init__(self, name, occupancy, world_size=WORLD_SIZE, regions=()):
         if not isinstance(name, str):
             raise ParameterError(f"must be a string, got {name!r}", field="name")
-        occupancy = np.asarray(occupancy, dtype=bool)
+        occupancy = np.array(occupancy, dtype=bool)  # a copy: frozen below, not the caller's
         if occupancy.ndim != 2 or occupancy.shape[0] < 1 or occupancy.shape[1] < 1:
             raise ParameterError("must be a non-empty 2D grid", field="occupancy")
         if occupancy.all():

@@ -16,23 +16,25 @@ corners (c = 1/6, active only when the whole 2x2 corner block is free, so
 nothing leaks across corner-pinched walls); this isotropic form cancels its
 leading spatial error against the forward-Euler time error at the
 integrator's step dt = h^2/6, leaving the far Gaussian tail accurate to a
-fraction of a percent.  Every step the ladder takes, its fixed step (h^2/6
-on square cells) or a shorter landing step, has nonnegative update weights,
-so u stays nonnegative.  Non-square cells fall back to the plain face
-stencil, with a fixed step of 0.8 times its stability bound.  The stencil
-runs on each grid as one flat row of cells, with zero conductivity on the
-pairs that wrap across a row end, and gives the same bits as on the 2-D
-grid.
+fraction of a percent.  Its steps, the fixed step (h^2/6 on square cells)
+and the shorter landing steps, have nonnegative update weights.  Non-square
+cells fall back to the plain face stencil, with a fixed step of 0.8 times
+its stability bound.  The stencil runs on each grid as one flat row of
+cells, with zero conductivity on the pairs that wrap across a row end, and
+gives the same bits as on the 2-D grid.
 
-A ladder takes these explicit h^2/6 steps only up to the smooth switch
-(heat time 0.05 on the 2x2 world), where cell-scale transients have decayed.
-The stencil is a fixed symmetric operator A (du/dt = A u), so each later
-level is exp(s A) applied to the switch state, s being the level's heat
-time past that state.  All of them come from one Chebyshev recurrence: its
-vectors T_k(B) u, B = I + (2 / lam_max) A, do not depend on s, only the
-coefficients do, so the longest span's about sqrt(s * lam_max) stencil
-applications give every level, lam_max being the Gershgorin bound on A's
-spectrum.  Each such level is projected onto u >= 0 and renormalised to
+A ladder holds that explicit scheme's own levels, computed without
+stepping.  The stencil is a fixed symmetric operator A (du/dt = A u), so
+whole steps and one landing step per level make level j the polynomial
+P_j(A) u0 = prod (I + dt_i A)^{n_i} u0, u0 being the sources' heat at time
+0.  All levels come from one Chebyshev recurrence (Tal-Ezer & Kosloff
+1984): its vectors T_k(B) u0, B = I + (2 / lam_max) A, are the same for
+every level and only the coefficients differ, so about sqrt(15 t lam_max)
+stencil applications give every level up to heat time t: 502 on a 128x128
+map, where the explicit scheme takes 12,288 steps.  lam_max, the maximum of
+the stencil's lattice symbol, bounds A's spectrum.  The expansion's error
+is absolute, near CHEB_TOL times the peak, so each level's cells below
+CHEB_TOL times its peak are set to zero and the level is renormalised to
 unit mass; the expansion never couples cells the stencil does not, so
 obstacles and sealed components stay exactly zero.
 """
@@ -70,11 +72,11 @@ DEFAULT_LOG_FLOOR = 1e-300
 # scale, preserving direction.
 SCORE_CAP_CELLS = 3.0
 
-# Chebyshev coefficients below this are dropped from a late level's sum.
-# The error that leaves in thin tails is far below CHEB_TOL * peak: on the
-# acceptance room maps, cells down to u/peak = 8e-14 move by under 0.02%
-# against the untruncated expansion, and a smaller tolerance only keeps
-# coefficients near their own rounding floor (about 10% more stencil
+# A level's Chebyshev sum ends at its last coefficient above this, and its
+# cells below this times its peak, which that sum does not resolve, are set
+# to zero.  Every level is then within 2e-10 of its peak of the all-explicit
+# ladder on the benchmark and acceptance maps; a smaller tolerance only
+# keeps coefficients near their own rounding floor (about 10% more stencil
 # applications at 1e-14).
 CHEB_TOL = 1e-12
 
@@ -129,9 +131,10 @@ class ScoreField:
     """Grid of grad log u_t vectors at cell centers; zero on obstacle cells.
 
     ``supported`` marks cells the heat actually reached (u above the log
-    floor): outside it the log is flat and the vectors are zero.  Explicit
-    integration spreads mass one cell per step, so small-t fields have small
-    supports; samplers can fall back to a coarser level outside.
+    floor): outside it the log is flat and the vectors are zero.  Heat
+    spreads one cell per explicit step, and a ladder level keeps only cells
+    above CHEB_TOL times its peak, so small-t fields have small supports;
+    samplers can fall back to a coarser level outside.
     """
 
     t: int
@@ -141,7 +144,11 @@ class ScoreField:
 
 
 class _Solver:
-    """Precomputed pair conductivities for one map.
+    """The stencil of one map, its explicit step and its spectral bound.
+
+    ``ladder`` gives every level of a ladder from one Chebyshev recurrence
+    on the stencil; ``run_steps`` reaches the same levels by explicit steps,
+    the reference that the recurrence reproduces.
 
     The stencil reads each C-contiguous (H, W) grid as one flat row of H*W
     cells, so each flux family pairs cell p with cell p + d: d = 1 (east),
@@ -177,13 +184,12 @@ class _Solver:
                 flat = np.zeros((H, W))
                 flat[cells] = k
                 self._families.append((d, flat.ravel()[:H * W - d]))
-        # Gershgorin: each row of A has diagonal -s and off-diagonals summing
-        # to s, s at most a fully free cell's summed conductivity, so the
-        # spectrum lies in [-2 s_max, 0]; 20/(3h^2) on square cells
-        s_max = 2.0 * c_face * (self.inv_hx2 + self.inv_hy2)
-        if self.isotropic:
-            s_max += 4.0 * self.inv_hx2 / 6.0
-        self.lam_max = 2.0 * s_max
+        # -x.Ax is a sum of k (x_p - x_q)^2 over the stencil's pairs, and
+        # taking x as zero off the grid on the unbounded lattice only adds
+        # pairs, so A's spectrum lies in [-lam_max, 0], lam_max being the
+        # lattice symbol's maximum, at frequency (pi, pi): 16/(3h^2) on
+        # square cells, where the corner pairs add nothing
+        self.lam_max = 4.0 * c_face * (self.inv_hx2 + self.inv_hy2)
 
     @property
     def internal_dt(self) -> float:
@@ -226,75 +232,69 @@ class _Solver:
         for _ in range(n_steps):
             step(u, u)
 
-    def propagate(self, u: np.ndarray, spans) -> list:
-        """[exp(s A) u for s in spans] from one Chebyshev recurrence
-        (Tal-Ezer & Kosloff 1984).
+    def ladder_coefficients(self, heat_times) -> list:
+        """Per heat time, the Chebyshev coefficients of the explicit
+        ladder's polynomial, up to the last one above CHEB_TOL.
 
-        B = I + (2 / lam_max) A has its spectrum in [-1, 1], and exp(s A)
-        = f(B) with f(x) = exp(c (x - 1)), c = s * lam_max / 2.  The vectors
-        T_k(B) u do not depend on s, so the three-term recurrence runs once,
-        to the degree of the longest span, and each output adds its own
-        coefficients (``_exp_chebyshev_coefficients``) until they drop below
-        CHEB_TOL: about sqrt(s * lam_max) stencil applications for the
-        longest span.  The error is absolute, at most about CHEB_TOL times
-        the peak, and the outputs are not projected, so cells far below that
-        could come out slightly negative.
+        Whole steps of ``internal_dt`` and one landing step per heat time
+        make level j P_j(A) = prod (I + dt_i A)^{n_i}, which is f_j(B) for
+        f_j(x) = prod (1 + dt_i a)^{n_i}, a = (lam_max / 2) (x - 1).  One
+        DCT-I (an FFT of the even extension) of f_j on the Chebyshev-Lobatto
+        nodes cos(pi k / n) gives its coefficients.  They fall like those of
+        exp(c (x - 1)), c = lam_max t / 2, below rounding by degree
+        8 + 2 sqrt(30 c), and n is at least twice that degree for the last
+        heat time, so what aliases onto them from f_j's far higher degree
+        is below rounding too.
         """
-        coefs = []
-        for span in spans:
-            a = _exp_chebyshev_coefficients(0.5 * span * self.lam_max)
-            coefs.append(a[:np.flatnonzero(np.abs(a) > CHEB_TOL)[-1] + 1])
-        # rows longest first, so the outputs still adding at degree k are a prefix
-        order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
-        lengths = np.array([len(coefs[i]) for i in order], dtype=int)
-        table = np.zeros((len(coefs), max(lengths, default=1)))
-        for row, i in enumerate(order):
-            table[row, :lengths[row]] = coefs[i]
-        out = table[:, 0, None, None] * u
-        scratch = np.empty_like(out)
+        dt = self.internal_dt
+        degree = int(8 + 2 * math.sqrt(15.0 * self.lam_max * np.max(heat_times, initial=0.0)))
+        n = 1 << (2 * degree - 1).bit_length()
+        a = 0.5 * self.lam_max * (np.cos(np.arange(n + 1) * (math.pi / n)) - 1.0)
+        f = np.ones(n + 1)
+        values = np.empty((len(heat_times), n + 1))
+        now = 0.0
+        for j, target in enumerate(map(float, heat_times)):
+            if target < now - 1e-15:
+                raise ParameterError("schedule heat times must be nondecreasing")
+            whole = int((target * (1 - 1e-12) - now) / dt)
+            if whole > 0:
+                f = f * (1.0 + dt * a) ** whole
+                now += whole * dt
+            if target - now > 1e-18:
+                f = f * (1.0 + (target - now) * a)
+            now = target
+            values[j] = f
+        coefs = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1), axis=1).real / n
+        coefs[:, [0, -1]] *= 0.5
+        return [c[:np.flatnonzero(np.abs(c) > CHEB_TOL)[-1] + 1] for c in coefs]
+
+    def ladder(self, u: np.ndarray, heat_times) -> list:
+        """[P_j(A) u for each heat time] from one Chebyshev recurrence
+        (Tal-Ezer & Kosloff 1984), run to the longest level's degree: the
+        vectors T_k(B) u are the same for every level, which adds its own
+        ``ladder_coefficients``.  Each level is a grid of its own, as one
+        block of all of them spills the cache.  The error is absolute, near
+        CHEB_TOL times the peak, so cells far below that can come out
+        slightly negative.
+        """
+        coefs = self.ladder_coefficients(heat_times)
+        out = [c[0] * u for c in coefs]
+        scratch = np.empty_like(u)
         # T_{k+1} = 2 B T_k - T_{k-1} = 2 T_k - T_{k-1} + (4 / lam_max) A T_k
         recur = self._flux_adder(4.0 / self.lam_max)
         prev = u.copy()                                  # T_0 u
         cur = u + (2.0 / self.lam_max) * self.apply(u)   # T_1 u
-        for k in range(1, table.shape[1]):
+        for k in range(1, max(map(len, coefs), default=1)):
             if k > 1:
                 np.subtract(cur, prev, out=prev)
                 prev += cur
                 recur(cur, prev)
                 prev, cur = cur, prev
-            m = np.count_nonzero(lengths > k)
-            np.multiply(table[:m, k, None, None], cur, out=scratch[:m])
-            out[:m] += scratch[:m]
-        return [out[order.index(i)] for i in range(len(coefs))]
-
-
-def _exp_chebyshev_coefficients(c: float) -> np.ndarray:
-    """Chebyshev coefficients of exp(c (x - 1)) on [-1, 1], c >= 0:
-    a_0 = e^-c I_0(c) and a_k = 2 e^-c I_k(c), to a degree that resolves
-    them to rounding.
-
-    Miller's backward recurrence I_{k-1} = I_{k+1} + (2k / c) I_k, run on
-    the ratios r_k = I_k / I_{k-1} = c / (2k + c r_{k+1}) so nothing
-    overflows, from r = 0 past the last degree; the products of the ratios
-    are then normalised by f(1) = a_0 + sum a_k = 1.
-    """
-    degree = int(8 + 2 * math.sqrt(30.0 * c))
-    ratios = np.empty(degree)
-    r = 0.0
-    for k in range(degree, 0, -1):
-        r = c / (2 * k + c * r)
-        ratios[k - 1] = r
-    a = np.empty(degree + 1)
-    a[0] = 1.0
-    a[1:] = 2.0 * np.cumprod(ratios)
-    return a / a.sum()
-
-
-def _smooth_switch_time(worldmap: WorldMap) -> float:
-    """Heat time after which cell-scale transients have decayed and the
-    ladder leaves explicit steps for Chebyshev spans; 0.05 on the default
-    2x2 world."""
-    return 0.0125 * worldmap.world_size[0] * worldmap.world_size[1]
+            for c, v in zip(coefs, out):
+                if k < len(c):
+                    np.multiply(cur, c[k], out=scratch)
+                    v += scratch
+        return out
 
 
 def init_heat(regions, worldmap: WorldMap) -> HeatState:
@@ -317,42 +317,20 @@ def init_heat(regions, worldmap: WorldMap) -> HeatState:
 
 
 def solve_to_times(regions, worldmap: WorldMap, schedule: NoiseSchedule):
-    """Integrate from the source regions' heat at time 0, snapshotting
-    exactly at each schedule heat time.
+    """The explicit ladder's levels from the source regions' heat at time 0,
+    one per schedule heat time (``_Solver.ladder``).
 
-    Up to the smooth switch, runs explicit steps of h^2/6 plus one shorter
-    landing step per snapshot.  The snapshots after the switch all come from
-    one Chebyshev recurrence (``_Solver.propagate``) started at the switch
-    state, one span per snapshot measured from that state; each is projected
-    onto u >= 0 and renormalised to unit mass.  Snapshot times equal
-    schedule.heat_time to float precision.
+    Each level's cells below CHEB_TOL times its peak, which the expansion
+    does not resolve, are set to zero, and the level is renormalised to
+    unit mass.  Snapshot times equal schedule.heat_time to float precision.
     """
     ops = _Solver(worldmap)
-    switch = _smooth_switch_time(worldmap)
-    u = init_heat(regions, worldmap).u
-    now = 0.0
+    levels = ops.ladder(init_heat(regions, worldmap).u, schedule.heat_time)
     snapshots = []
-    late = []
-    for target in schedule.heat_time:
-        target = float(target)
-        if target < (late[-1] if late else now) - 1e-15:
-            raise ParameterError("schedule heat times must be nondecreasing")
-        if not late:
-            whole = int((min(target, switch) * (1 - 1e-12) - now) / ops.internal_dt)
-            if whole > 0:
-                ops.run_steps(u, whole, ops.internal_dt)
-                now += whole * ops.internal_dt
-        if late or target > switch:
-            late.append(target)
-            continue
-        if target - now > 1e-18:
-            ops.run_steps(u, 1, target - now)
-        now = target
-        snapshots.append(HeatState(u=u.copy(), time=target, map=worldmap))
-    for target, v in zip(late, ops.propagate(u, [t - now for t in late])):
-        np.maximum(v, 0.0, out=v)
+    for target, v in zip(schedule.heat_time, levels):
+        v[v < CHEB_TOL * v.max()] = 0.0
         v /= v.sum()
-        snapshots.append(HeatState(u=v, time=target, map=worldmap))
+        snapshots.append(HeatState(u=v, time=float(target), map=worldmap))
     return snapshots
 
 

@@ -61,32 +61,34 @@ class PlannerConfig:
         for f in dataclass_fields(self):
             val = getattr(self, f.name)
             if isinstance(val, bool):
-                raise ParameterError(f"{f.name} must be a number, got {val!r}")
+                raise ParameterError(f"must be a number, got {val!r}", field=f.name)
             if f.name in ("T", "K", "seed"):
                 if not (isinstance(val, numbers.Integral) or (f.name == "seed" and val is None)):
-                    raise ParameterError(f"{f.name} must be an integer, got {val!r}")
+                    raise ParameterError(f"must be an integer, got {val!r}", field=f.name)
             elif not (isinstance(val, numbers.Real) and math.isfinite(val)):
-                raise ParameterError(f"{f.name} must be a finite number, got {val!r}")
+                raise ParameterError(f"must be a finite number, got {val!r}", field=f.name)
         if self.T < 2:
-            raise ParameterError("T must be >= 2")
+            raise ParameterError("must be >= 2", field="T")
         if self.K < 1:
-            raise ParameterError("K must be >= 1")
+            raise ParameterError("must be >= 1", field="K")
         if self.beta < 0:
-            raise ParameterError("beta must be >= 0")
+            raise ParameterError("must be >= 0", field="beta")
         if not (0 < self.d_safe < self.d_margin):
-            raise ParameterError("need 0 < d_safe < d_margin")
+            raise ParameterError(f"must satisfy 0 < d_safe < d_margin, got {self.d_safe!r} and {self.d_margin!r}",
+                                 field="d_safe" if self.d_safe <= 0 else "d_margin")
         if not (0 < self.sigma_min < self.sigma_max):
-            raise ParameterError("need 0 < sigma_min < sigma_max")
+            raise ParameterError(f"must satisfy 0 < sigma_min < sigma_max, got {self.sigma_min!r} and {self.sigma_max!r}",
+                                 field="sigma_min" if self.sigma_min <= 0 else "sigma_max")
         if self.step_ratio <= 0:
-            raise ParameterError("step_ratio must be positive")
+            raise ParameterError("must be positive", field="step_ratio")
         if self.time_limit <= 0:
-            raise ParameterError("time_limit must be positive")
+            raise ParameterError("must be positive", field="time_limit")
         if self.goal_tol < 0:
-            raise ParameterError("goal_tol must be >= 0")
+            raise ParameterError("must be >= 0", field="goal_tol")
         if not (0 < self.log_floor < 1):
-            raise ParameterError("log_floor must be in (0, 1)")
+            raise ParameterError("must be in (0, 1)", field="log_floor")
         if self.seed is not None and int(self.seed) < 0:
-            raise ParameterError("seed must be unsigned")
+            raise ParameterError("must be unsigned", field="seed")
 
     def schedule(self) -> NoiseSchedule:
         return build_schedule(self.T, self.sigma_min, self.sigma_max, self.step_ratio)

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per shipped criterion, each printing a verdict.
+"""Acceptance gate: one test per shipped criterion, each printing a verdict,
+and criteria 1 and 2 again on 256x256 maps.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The suite-level checks
 share session fixtures, so the whole gate costs a handful of minutes
@@ -77,27 +78,35 @@ def ood_trials():
 # criteria
 
 
-def test_criterion_1_heat_kernel_fidelity():
+def _kernel_fidelity(cells):
+    """Criterion 1's measure on an empty map ``cells`` wide: the largest
+    relative error against the exact free-space kernel at t = 0.02, over
+    interior cells above 1e-6 of the peak, the solve time and that cell
+    count."""
     from scipy.special import erf
 
-    m = hp.empty_map(cells=128)
-    src = [hp.SemanticRegion("apple", ((64, 64),))]
+    m = hp.empty_map(cells=cells)
+    goal = (cells // 2, cells // 2)
     t_heat = 0.02
     t0 = time.perf_counter()
-    states = hf.solve_to_times(src, m, hp.build_schedule(2, 0.01, math.sqrt(2 * t_heat)))
+    states = hf.solve_to_times([hp.SemanticRegion("apple", (goal,))], m, hp.build_schedule(2, 0.01, math.sqrt(2 * t_heat)))
     elapsed = time.perf_counter() - t0
     u = states[-1].u
     hx, hy = m.cell_size
-    gx, gy = hp.cell_center((64, 64), m)
-    ex = np.arange(129) * hx
+    gx, gy = hp.cell_center(goal, m)
+    ex = np.arange(cells + 1) * hx
     cx = (erf((ex[1:] - gx) / math.sqrt(4 * t_heat)) - erf((ex[:-1] - gx) / math.sqrt(4 * t_heat))) / 2
     analytic = cx[:, None] * cx[None, :]
     interior = np.zeros_like(u, dtype=bool)
     interior[10:-10, 10:-10] = True
     mask = interior & (u >= 1e-6 * u.max())
-    max_rel = float((np.abs(u - analytic)[mask] / analytic[mask]).max())
+    return float((np.abs(u - analytic)[mask] / analytic[mask]).max()), elapsed, int(mask.sum())
+
+
+def test_criterion_1_heat_kernel_fidelity():
+    max_rel, elapsed, cells = _kernel_fidelity(128)
     announce(1, max_rel <= 0.02 and elapsed < 5.0,
-             f"max rel err {max_rel:.4%} (<=2%), solve {elapsed:.2f}s (<5s), {int(mask.sum())} cells")
+             f"max rel err {max_rel:.4%} (<=2%), solve {elapsed:.2f}s (<5s), {cells} cells")
 
 
 def test_criterion_2_conservation_and_exclusion():
@@ -116,6 +125,17 @@ def test_criterion_2_conservation_and_exclusion():
                 exclusion_ok = False
     announce(2, worst_drift <= 1e-9 and exclusion_ok,
              f"max |mass-1| {worst_drift:.2e} (<=1e-9), obstacle u exactly zero: {exclusion_ok}")
+
+
+def test_criteria_1_and_2_at_256_cells():
+    max_rel, elapsed, cells = _kernel_fidelity(256)
+    m = hp.generate_map("room", 1, cells=256)
+    states = hf.solve_to_times(m.regions_with_label(m.labels()[0]), m, hp.build_schedule(20))
+    drift = max(abs(float(s.u.sum()) - 1.0) for s in states)
+    exclusion_ok = not any(s.u[m.occupancy].any() for s in states)
+    announce("1 and 2 at 256x256", max_rel <= 0.02 and elapsed < 5.0 and drift <= 1e-9 and exclusion_ok,
+             f"max rel err {max_rel:.4%} (<=2%), solve {elapsed:.2f}s (<5s), {cells} cells; "
+             f"max |mass-1| {drift:.2e} (<=1e-9), obstacle u exactly zero: {exclusion_ok}")
 
 
 def test_criterion_3_guidance_gradient_check():

@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import bench
+from heatplan import errors
 from heatplan import heatfield as hf
 from heatplan.errors import GenerationError, ParameterError
 from heatplan.gridmap import hop_distances
@@ -377,3 +379,42 @@ def test_already_solved_fixture_rate_one():
 def test_run_suite_empty_rejected():
     with pytest.raises(ParameterError):
         hp.run_suite([], small_config())
+
+
+_ERROR_EXAMPLES = {
+    errors.HeatplanError: ("plain",),
+    errors.ParameterError: ("must be positive, got -1", "beta"),
+    errors.DomainError: ("outside the world",),
+    errors.GenerationError: ("no layout",),
+    errors.MapFormatError: ("occupancy[3]", "row too short"),
+    errors.UnknownLabelError: ("kiwi", ["apple", "cone"]),
+    errors.PlacementError: ("on an obstacle",),
+    errors.DegenerateFieldError: ("no mass",),
+    errors.SingularConfigurationError: ("coincident",),
+    errors.RenderError: ("heat", "no field"),
+}
+
+
+def test_every_error_survives_pickling():
+    # run_suite sends a worker's error back to the caller by pickle
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert set(_ERROR_EXAMPLES) == subclasses(errors.HeatplanError)
+    for cls, args in _ERROR_EXAMPLES.items():
+        err = cls(*args)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls and str(back) == str(err)
+        for name in ("field", "layer", "token", "available"):
+            assert getattr(back, name, None) == getattr(err, name, None)
+
+
+def test_worker_error_reaches_the_caller_as_itself():
+    # two maps, so the suite runs on a pool; the second has two given
+    # starts 0.05 apart, which plan rejects
+    first = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    second = hp.WorldMap("other", first.occupancy, regions=first.regions)
+    r0, r1 = hp.RobotSpec("r0", "apple", (0.5, 0.5)), hp.RobotSpec("r1", "apple", (0.55, 0.5))
+    scenarios = [hp.Scenario(first, (r0,), seed=1), hp.Scenario(second, (r0, r1), seed=1)]
+    with pytest.raises(ParameterError, match="'r0' and 'r1' start within d_safe"):
+        hp.run_suite(scenarios, PlannerConfig(T=2, K=1), workers=2)

@@ -460,6 +460,14 @@ def test_worldmap_invariants():
         gridmap.SemanticRegion("apple", ((0, 0), (2, 2)))  # not 4-connected
 
 
+def test_worldmap_leaves_the_callers_array_writable():
+    occ = np.zeros((4, 4), dtype=bool)
+    m = hp.WorldMap("x", occ)
+    occ[0, 0] = True  # read-only if the map froze the caller's array
+    assert not m.occupancy[0, 0] and not m.occupancy.flags.writeable
+    assert m.content_hash() == hp.WorldMap("x", np.zeros((4, 4), dtype=bool)).content_hash()
+
+
 # ---------------------------------------------------------------------------
 # constructors own the value rules; the decoders name the same fields
 

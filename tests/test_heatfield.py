@@ -315,16 +315,6 @@ def test_stencil_refuses_a_grid_it_cannot_flatten_without_a_copy():
         ops.apply(np.zeros((8, 8)).T)
 
 
-@pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 3e3, 1e4])
-def test_exp_chebyshev_coefficients_match_interpolation(c):
-    from numpy.polynomial.chebyshev import chebinterpolate
-
-    a = hf._exp_chebyshev_coefficients(c)
-    ref = chebinterpolate(lambda x: np.exp(c * (x - 1.0)), len(a) - 1)
-    assert np.abs(a - ref).max() <= 1e-13
-    assert abs(a[-1]) <= 1e-15  # the degree resolves exp(c (x - 1)) to rounding
-
-
 def test_ladder_solve_does_not_import_numpy_polynomial():
     code = (
         "import sys, heatplan as hp\n"
@@ -338,23 +328,38 @@ def test_ladder_solve_does_not_import_numpy_polynomial():
     assert proc.stdout.strip() == "[]"
 
 
-def test_chebyshev_span_matches_many_small_explicit_steps():
-    m = hp.generate_map("room", 1, cells=32)
-    ops = hf._Solver(m)
-    u = hf.init_heat(m.regions_with_label(m.labels()[0]), m).u
-    ops.run_steps(u, int(hf._smooth_switch_time(m) / ops.internal_dt), ops.internal_dt)
-    spans = [0.05, 0.01, 0.03]  # out of order: outputs come back in the order asked
-    outputs = ops.propagate(u, spans)
-    assert len(outputs) == len(spans)
-    for span, cheb in zip(spans, outputs):
-        ref = u.copy()
-        ops.run_steps(ref, 20_000, span / 20_000)  # forward Euler, error ~ dt
-        assert np.abs(cheb - ref).max() <= 1e-5 * ref.max()
+def _explicit_steps(dt, heat_times):
+    """Per heat time, the steps the explicit ladder takes from the level
+    before as (step, count) pairs: whole steps of ``dt`` while they stay
+    short of it, then one landing step onto it."""
+    now, levels = 0.0, []
+    for target in heat_times:
+        target = float(target)
+        level = []
+        whole = int((target * (1 - 1e-12) - now) / dt)
+        if whole > 0:
+            level.append((dt, whole))
+            now += whole * dt
+        if target - now > 1e-18:
+            level.append((target - now, 1))
+        now = target
+        levels.append(level)
+    return levels
+
+
+def _explicit_ladder(ops, u, heat_times):
+    """The all-explicit ladder from ``u``: every level by ``run_steps``."""
+    u, levels = u.copy(), []
+    for level in _explicit_steps(ops.internal_dt, heat_times):
+        for step, count in level:
+            ops.run_steps(u, count, step)
+        levels.append(u.copy())
+    return levels
 
 
 def test_chebyshev_outputs_are_their_truncated_sums():
-    # every output adds exactly its own coefficients above CHEB_TOL, checked
-    # against the same sums on a dense B = I + (2 / lam_max) A
+    # every level adds exactly its own coefficients, the last of them above
+    # CHEB_TOL, checked against the same sums on a dense B = I + (2 / lam_max) A
     occ = np.zeros((10, 12), dtype=bool)
     occ[3:7, 5] = True
     m = hp.WorldMap("wall", occ)
@@ -363,21 +368,46 @@ def test_chebyshev_outputs_are_their_truncated_sums():
     eye = np.eye(u.size)
     A = np.stack([ops.apply(e.reshape(u.shape)).ravel() for e in eye], axis=1)
     B = eye + (2.0 / ops.lam_max) * A
-    spans = [0.02, 0.002, 0.02, 0.01]
-    for span, out in zip(spans, ops.propagate(u, spans)):
-        a = hf._exp_chebyshev_coefficients(0.5 * span * ops.lam_max)
-        a = a[np.abs(a) > hf.CHEB_TOL]
+    heat_times = [0.0, 0.002, 0.002, 0.01, 0.02, 0.1]
+    coefs = ops.ladder_coefficients(heat_times)
+    for a, out in zip(coefs, ops.ladder(u, heat_times)):
+        assert abs(a[-1]) > hf.CHEB_TOL
         prev, cur = u.ravel(), B @ u.ravel()
-        ref = a[0] * prev + a[1] * cur
-        for coef in a[2:]:
-            prev, cur = cur, 2.0 * (B @ cur) - prev
-            ref += coef * cur
+        ref = a[0] * prev
+        for k, coef in enumerate(a[1:], 1):
+            if k > 1:
+                prev, cur = cur, 2.0 * (B @ cur) - prev
+            ref = ref + coef * cur
         assert np.abs(out.ravel() - ref).max() <= 1e-14 * u.max()
 
 
+def test_ladder_coefficients_resolve_the_step_polynomials_at_256_cells(monkeypatch):
+    # f_j(x) = prod (1 + dt_i (lam_max / 2) (x - 1))^{n_i} has far more
+    # degree than the DCT has nodes, so too few nodes alias its tail onto
+    # the kept coefficients: 1,024 nodes leave 3.9e-12 here.  Truncation at
+    # CHEB_TOL leaves about 1e-11 with any node count, so the sums are
+    # checked untruncated, and the truncated rows as their prefixes.
+    ops = hf._Solver(hp.empty_map(cells=256))
+    heat_times = hp.build_schedule(20).heat_time
+    tol, coefs = hf.CHEB_TOL, ops.ladder_coefficients(heat_times)
+    monkeypatch.setattr(hf, "CHEB_TOL", 0.0)
+    full = ops.ladder_coefficients(heat_times)
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, 200)
+    a = 0.5 * ops.lam_max * (x - 1.0)
+    f = np.ones_like(x)
+    for level, c, whole in zip(_explicit_steps(ops.internal_dt, heat_times), coefs, full):
+        for step, count in level:
+            f = f * (1.0 + step * a) ** count
+        got = np.cos(np.outer(np.arccos(x), np.arange(len(whole)))) @ whole
+        assert np.abs(got - f).max() <= 1e-12
+        assert np.array_equal(c, whole[:len(c)])
+        assert abs(c[-1]) > tol and np.abs(whole[len(c):]).max() <= tol
+    assert len(coefs[-1]) > 900  # the longest level takes about 1,000 applications
+
+
 @pytest.mark.parametrize("heat_time", [
-    [0.001, 0.01, 0.005, 0.02, 0.1, 0.2],   # before the smooth switch
-    [0.001, 0.01, 0.02, 0.1, 0.2, 0.15],    # among the Chebyshev levels
+    [0.001, 0.01, 0.005, 0.02, 0.1, 0.2],   # an early level
+    [0.001, 0.01, 0.02, 0.1, 0.2, 0.15],    # the last level
 ])
 def test_decreasing_heat_times_rejected(heat_time):
     m = hp.generate_map("room", 1, cells=32)
@@ -395,14 +425,16 @@ def test_sealed_component_stays_exactly_cold():
     pocket = np.zeros_like(occ)
     pocket[13:18, 13:18] = True
     sched = hp.build_schedule(20)
-    assert sched.heat_time[-2] > hf._smooth_switch_time(m)  # several Chebyshev spans
+    # the last levels' recurrences run for more applications than the
+    # grid is wide, so heat the stencil let through would reach the pocket
+    assert all(len(c) > 32 for c in hf._Solver(m).ladder_coefficients(sched.heat_time)[-4:])
     states = hf.solve_to_times([hp.SemanticRegion("apple", ((3, 3),))], m, sched)
     for s in states:
         assert (s.u[pocket] == 0.0).all()
         assert (s.u[occ] == 0.0).all()
 
 
-def _late_ladder_cases():
+def _ladder_cases():
     """(suite spec, family, map variant, label) for the room and sealed OOD
     maps of the benchmark (seed 1, 64x64, every map and label) and of the
     acceptance suites (128x128: the room ladders and OOD ladders with the
@@ -421,48 +453,29 @@ def _late_ladder_cases():
     return [pytest.param(*c, id=f"{c[1]}-{c[0].base_seed}-v{c[2]}-{c[3] or 'all'}") for c in cases]
 
 
-@pytest.mark.parametrize("spec, family, variant, only_label", _late_ladder_cases())
-def test_late_levels_keep_the_explicit_support(spec, family, variant, only_label, monkeypatch):
+@pytest.mark.parametrize("spec, family, variant, only_label", _ladder_cases())
+def test_levels_are_the_explicit_ladder(spec, family, variant, only_label):
     from heatplan.bench import _suite_maps
     from heatplan.gridmap import hop_distances
 
     m = _suite_maps(spec, family)[variant]
     sched = hp.build_schedule(20)
-    late = [t for t in range(1, 21) if sched.heat_time[t - 1] > hf._smooth_switch_time(m)]
-    assert late == [16, 17, 18, 19, 20]
     ops = hf._Solver(m)
-    propagate = hf._Solver.propagate
-    lowest = []
-
-    def spy(self, u, spans):
-        outputs = propagate(self, u, spans)
-        lowest.extend(v.min() for v in outputs)
-        return outputs
-
     for label in [only_label] if only_label else m.labels():
         regions = m.regions_with_label(label)
-        lowest.clear()
-        monkeypatch.setattr(hf._Solver, "propagate", spy)
+        u0 = hf.init_heat(regions, m).u
         states = hf.solve_to_times(regions, m, sched)
-        monkeypatch.undo()
-        assert len(lowest) == 5 and min(lowest) >= 0.0  # no negative cell before the projection
-        # the explicit scheme's support grows with t inside the sources'
-        # component, so matching that component at level 16 fixes it for 16-20
-        u = hf.init_heat(regions, m).u
-        ops.run_steps(u, math.ceil(sched.heat_time[15] / ops.internal_dt), ops.internal_dt)
-        explicit = hf.build_score_field(hf.HeatState(u, 0.0, m)).supported
-        assert np.array_equal(explicit, hop_distances(m.free, [c for r in regions for c in r.cells]) >= 0)
-        # the same spans without truncating the expansion: dropping the
-        # coefficients below CHEB_TOL must not move even the thinnest
-        # supported tail by 1%
-        monkeypatch.setattr(hf, "CHEB_TOL", 0.0)
-        untruncated = hf.solve_to_times(regions, m, sched)
-        monkeypatch.undo()
-        for t in late:
-            u, ref = states[t - 1].u, untruncated[t - 1].u
-            supported = hf.build_score_field(states[t - 1], t=t).supported
-            assert np.array_equal(supported, explicit)
-            assert (np.abs(u - ref)[supported] <= 1e-2 * ref[supported]).all()
+        explicit = _explicit_ladder(ops, u0, sched.heat_time)
+        for t, (raw, state, ref) in enumerate(zip(ops.ladder(u0, sched.heat_time), states, explicit), 1):
+            # the recurrence's error is absolute, near CHEB_TOL times the
+            # peak: no cell below that before the tail cut
+            assert raw.min() >= -hf.CHEB_TOL * raw.max()
+            assert np.abs(state.u - ref).max() <= 1e-9 * ref.max()
+            supported = hf.build_score_field(state, t=t).supported
+            assert not (supported & ~hf.build_score_field(hf.HeatState(ref, 0.0, m)).supported).any()
+        # by the last level the heat fills the sources' whole component
+        component = hop_distances(m.free, [c for r in regions for c in r.cells]) >= 0
+        assert np.array_equal(supported, component)
 
 
 # ---------------------------------------------------------------------------

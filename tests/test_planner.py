@@ -38,6 +38,18 @@ def test_config_rejects_bad_margins():
         PlannerConfig(beta=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", 1), ("T", 2.0), ("K", 0), ("K", True), ("beta", float("nan")), ("beta", -1.0),
+    ("d_safe", 0.0), ("d_margin", 0.05), ("step_ratio", 0.0), ("sigma_min", 0.0), ("sigma_max", 0.005),
+    ("seed", -1), ("seed", 1.5), ("time_limit", 0.0), ("goal_tol", -0.1), ("log_floor", 1.0),
+])
+def test_config_errors_name_the_field(field, value):
+    with pytest.raises(ParameterError) as ei:
+        PlannerConfig(**{field: value})
+    assert ei.value.field == field
+    assert str(ei.value).startswith(f"{field} ")
+
+
 def test_config_overrides_and_unknown_keys():
     cfg = PlannerConfig().with_overrides({"beta": 5.0, "T": 10})
     assert cfg.beta == 5.0 and cfg.T == 10
