@@ -151,10 +151,23 @@ class WorldMap:
                     raise ParameterError(f"({col}, {row}) of region {reg.label!r} {problem}",
                                          field=f"regions[{i}].cells[{j}]")
         self._hash = None
+        self._table = None
 
     @property
     def occupancy(self) -> np.ndarray:
         return self._occ
+
+    def obstacles_in(self, col_lo: int, row_lo: int, col_hi: int, row_hi: int) -> int:
+        """Number of obstacle cells in columns [col_lo, col_hi) and rows
+        [row_lo, row_hi), bounds inside the grid: four reads of a summed-area
+        table of the occupancy, built on first use."""
+        if self._table is None:
+            dtype = np.min_scalar_type(self._occ.size)  # the table lives as long as the map: keep it small
+            table = np.zeros((self.height_cells + 1, self.width_cells + 1), dtype=dtype)
+            np.cumsum(np.cumsum(self._occ, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
+            self._table = table
+        read = self._table.item
+        return read(row_hi, col_hi) - read(row_lo, col_hi) - read(row_hi, col_lo) + read(row_lo, col_lo)
 
     @property
     def free(self) -> np.ndarray:
@@ -789,7 +802,8 @@ def encode_scenario(scenario: Scenario, map_path: str | None = None) -> str:
 def decode_scenario(doc, base_dir=None) -> Scenario:
     """Parse a scenario document; a string ``map`` field is a file path
     resolved against ``base_dir``.  The document's shape is checked here;
-    every value rule is ``Scenario``'s."""
+    every value rule is ``Scenario``'s.  An error inside an inline map names
+    its field under ``map.``, e.g. ``map.world_size``."""
     doc = json_document(doc)
     allowed = {"version", "map", "seed", "robots", "config"}
     _require_keys(doc, allowed, {"version", "map", "seed", "robots"})
@@ -804,7 +818,11 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
             raise MapFormatError("map", f"no map file at {str(path)!r}")
         worldmap = load_map(path)
     else:
-        worldmap = decode_map(mapdoc)
+        try:
+            worldmap = decode_map(mapdoc)
+        except MapFormatError as exc:  # name the field within the scenario document
+            field = "map" if exc.field == "(document)" else f"map.{exc.field}"
+            raise MapFormatError(field, str(exc).removeprefix(f"{exc.field}: ")) from exc
     if not isinstance(doc["robots"], list):
         raise MapFormatError("robots", "expected a list")
     robots = []

@@ -59,7 +59,7 @@ from .errors import (
     ParameterError,
     PlacementError,
 )
-from .gridmap import SemanticRegion, WorldMap, hop_distances, resolve_goal_regions
+from .gridmap import WorldMap, hop_distances, resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
@@ -409,24 +409,29 @@ def interpolate(field, p) -> np.ndarray:
     W, H = worldmap.width_cells, worldmap.height_cells
     # lattice coordinates clamped to the cell-center hull; the lower corner
     # (column, row) stops one cell short of the far edge
-    g = np.minimum(np.maximum(pts / worldmap.cell_size - 0.5, 0.0), (W - 1.0, H - 1.0))
+    g = pts / worldmap.cell_size
+    g -= 0.5
+    np.maximum(g, 0.0, out=g)
+    np.minimum(g, (W - 1.0, H - 1.0), out=g)
     lower = np.minimum(g.astype(np.int64), (max(W - 2, 0), max(H - 2, 0)))
     frac = g - lower
-    fx, fy = frac[:, :1], frac[:, 1:]
     # each point's 2x2 block of corner vectors, [row j0/j1, column i0/i1]; on
     # a map one cell wide or high the block's slice is one wide and
     # broadcasts, so the missing neighbour repeats the first
     corners = np.empty((len(pts), 2, 2, 2))
     for k, (f, (i, j)) in enumerate(zip(fields, lower.tolist())):
         corners[k] = f.vectors[j:j + 2, i:i + 2]
-    v00, v01 = corners[:, 0, 0], corners[:, 0, 1]
-    v10, v11 = corners[:, 1, 0], corners[:, 1, 1]
-    out = (
-        v00 * (1 - fx) * (1 - fy)
-        + v01 * fx * (1 - fy)
-        + v10 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    # v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy, each
+    # product and sum in that order, in a few whole-array operations:
+    # weights[:, axis] is ((1 - f), f) along x (axis 0) and y (axis 1)
+    weights = np.empty((len(pts), 2, 2))
+    np.subtract(1, frac, out=weights[:, :, 0])
+    weights[:, :, 1] = frac
+    terms = corners * weights[:, None, 0, :, None]
+    terms *= weights[:, 1, :, None, None]
+    out = terms[:, 0, 0] + terms[:, 0, 1]
+    out += terms[:, 1, 0]
+    out += terms[:, 1, 1]
     return out[0] if one_point else out
 
 
@@ -504,51 +509,6 @@ class FieldCache:
         with self._lock:
             self._hops.setdefault(key, hops)
         return self._hops[key]
-
-
-# ---------------------------------------------------------------------------
-# discrete reachability by annealed score ascent
-
-
-def _score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
-    """Follow score vectors cell-to-cell from coarse t to fine t.
-
-    At each level, repeatedly step to the 8-neighbor best aligned with the
-    local vector until the field goes flat (floored region / local peak).
-    Reaching any region cell at any point counts as success; a start in a
-    component the heat never enters stalls on the floor plateau and fails.
-    """
-    target = set(region.cells)
-    occ = worldmap.occupancy
-    H, W = occ.shape
-    hx, hy = worldmap.cell_size
-    moves = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1) if (dc, dr) != (0, 0)]
-    norms = {m: float(np.hypot(m[0] * hx, m[1] * hy)) for m in moves}
-    col, row = int(start_cell[0]), int(start_cell[1])
-    if occ[row, col]:
-        raise ParameterError("ascent start cell is an obstacle")
-    for t in sorted(fields.keys(), reverse=True):
-        vecs = fields[t].vectors
-        visited = set()
-        for _ in range(H * W):  # a walk that never revisits a cell ends within H*W steps
-            if (col, row) in target:
-                return True
-            visited.add((col, row))
-            vx, vy = vecs[row, col]
-            if vx * vx + vy * vy < 1e-24:
-                break
-            best, best_dot = None, 0.0
-            for dc, dr in moves:
-                nc, nr = col + dc, row + dr
-                if not (0 <= nc < W and 0 <= nr < H) or occ[nr, nc]:
-                    continue
-                dot = (vx * dc * hx + vy * dr * hy) / norms[(dc, dr)]
-                if dot > best_dot:
-                    best, best_dot = (nc, nr), dot
-            if best is None or best in visited:
-                break
-            col, row = best
-    return (col, row) in target
 
 
 # ---------------------------------------------------------------------------

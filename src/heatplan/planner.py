@@ -6,11 +6,13 @@ position and runs K annealing updates
     x <- x + 0.5 * alpha_t^2 * (s + beta * g) + alpha_t * eps
 
 where g is the repulsive direction of the pairwise proximity cost (active
-below d_margin) and eps is a per-robot seeded Gaussian.  The sampled
-distribution is zero inside obstacles and on configurations closer than
-d_safe, so proposals that leave free space or breach the hard separation are
-rejected (the mover keeps its previous position); a separate validator, not
-the sampler, is the arbiter of success.
+below d_margin) and eps is a per-robot seeded Gaussian, drawn for all T*K
+updates at once when the plan starts.  The sampled distribution is zero
+inside obstacles and on configurations closer than d_safe: a proposal is cut
+short at the first obstacle cell on its way (an exact cell walk, skipped when
+no obstacle lies within one cell of the move's cell box), and moves that
+breach the hard separation are rejected (the mover keeps its previous
+position).  A separate validator, not the sampler, is the arbiter of success.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def _pairwise(positions):
         raise ParameterError("positions must be an (N, 2) array with N >= 1")
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    off = ~np.eye(len(pos), dtype=bool)
-    if len(pos) > 1 and np.any(dist[off] == 0.0):
+    np.fill_diagonal(dist, np.inf)  # a robot is no neighbour of itself
+    if not dist.all():
         raise SingularConfigurationError("two robots occupy the same point")
     return pos, diff, dist
 
@@ -178,10 +180,8 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i.
     """
     pos, diff, dist = _pairwise(positions)
-    n = len(pos)
-    if n < 2:
+    if len(pos) < 2:
         return np.zeros_like(pos)
-    np.fill_diagonal(dist, np.inf)
     w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
     return (w[:, :, None] * diff).sum(axis=1)
 
@@ -291,8 +291,7 @@ def langevin_step(
     ladders,
     schedule: NoiseSchedule,
     config: PlannerConfig,
-    rngs,
-    noiseless: bool = False,
+    noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One synchronous annealing update of all robots' (N, 2) positions at
     level t, from a common snapshot; returns the new positions.
@@ -300,18 +299,22 @@ def langevin_step(
     ``ladders`` holds each robot's {t: ScoreField}.  A robot outside its
     level's field support escalates to the smallest covering level and uses
     that level's alpha.  One ``interpolate`` call reads every robot's score,
-    each from its own effective-level field.
+    each from its own effective-level field.  ``noise`` holds this update's
+    (N, 2) standard normals, one row per robot, or None for a noiseless
+    update.  A move is walked cell by cell (``_clamp_to_free``) only when an
+    obstacle lies in its cell box widened by one cell; otherwise the walk
+    would return the proposal unchanged.
     """
     worldmap = ladders[0][t].map
     pos = positions
     n = len(pos)
-    hx, hy = worldmap.cell_size
+    W, H = worldmap.width_cells, worldmap.height_cells
+    last_cell = (W - 1, H - 1)
 
-    cols = np.minimum((pos[:, 0] / hx).astype(np.int64), worldmap.width_cells - 1)
-    rows = np.minimum((pos[:, 1] / hy).astype(np.int64), worldmap.height_cells - 1)
+    cells = np.minimum((pos / worldmap.cell_size).astype(np.int64), last_cell).tolist()
     levels, fields = zip(*(
         _effective_level(ladder, t, cell, schedule.T)
-        for ladder, cell in zip(ladders, zip(cols.tolist(), rows.tolist()))
+        for ladder, cell in zip(ladders, cells)
     ))
     s = interpolate(fields, pos)
     alpha = schedule.alpha[np.array(levels) - 1][:, None]
@@ -321,21 +324,26 @@ def langevin_step(
     else:
         drift = s
     prop = pos + 0.5 * alpha * alpha * drift
-    if not noiseless:
-        eps = np.empty_like(pos)
-        for i in range(n):
-            eps[i] = rngs[i].standard_normal(2)
-        prop = prop + alpha * eps
+    if noise is not None:
+        prop = prop + alpha * noise
     w, h = worldmap.world_size
-    np.clip(prop[:, 0], 0.0, w * (1 - 1e-12), out=prop[:, 0])
-    np.clip(prop[:, 1], 0.0, h * (1 - 1e-12), out=prop[:, 1])
+    # 0.0 first: a -0.0 coordinate stays -0.0, as np.clip leaves it
+    new = np.minimum(np.maximum(0.0, prop), (w * (1 - 1e-12), h * (1 - 1e-12)))
 
     # zero-density regions are never entered: advance each robot along its
-    # proposal until the exact cell walk meets an obstacle
-    new = prop.copy()
-    for i in range(n):
-        if new[i, 0] != pos[i, 0] or new[i, 1] != pos[i, 1]:
-            new[i] = _clamp_to_free(worldmap, pos[i], prop[i])
+    # proposal until the exact cell walk meets an obstacle.  The walk can end
+    # one cell beyond either end's cell when an end lies on a cell face, so
+    # the box is widened by one cell; with no obstacle in it the walk would
+    # return the proposal as it is (and a robot that did not move stays put
+    # either way).
+    new_cells = np.minimum((new / worldmap.cell_size).astype(np.int64), last_cell).tolist()
+    for i, ((c0, r0), (c1, r1)) in enumerate(zip(cells, new_cells)):
+        if c0 > c1:
+            c0, c1 = c1, c0
+        if r0 > r1:
+            r0, r1 = r1, r0
+        if worldmap.obstacles_in(max(c0 - 1, 0), max(r0 - 1, 0), min(c1 + 2, W), min(r1 + 2, H)):
+            new[i] = _clamp_to_free(worldmap, pos[i], new[i])
     # reject moves that breach the hard pairwise separation; symmetric in the
     # pair, so the update stays permutation-equivariant
     for _round in range(n + 1):
@@ -377,13 +385,15 @@ def _sample_free_start(worldmap: WorldMap, rng: np.random.Generator) -> np.ndarr
     return np.array([(cols[idx] + jx) * hx, (rows[idx] + jy) * hy])
 
 
-def _separated_starts(robots, worldmap: WorldMap, rngs, d_safe: float) -> np.ndarray:
+def _separated_starts(robots, index, worldmap: WorldMap, rngs, d_safe: float) -> np.ndarray:
     """(N, 2) start positions, every pair more than ``d_safe`` apart.
 
     Given starts are kept, and two of them at or within ``d_safe`` raise a
     ParameterError naming both robots.  A missing start is drawn from its
     robot's own stream, in list order, and redrawn until it clears every
-    start placed before it.
+    start placed before it.  ``index[i]`` is the scenario's index of
+    ``robots[i]``: an error's ``field`` is ``robots[j].start`` with j the
+    index of the pair's later robot, or of the robot that found no start.
     """
     start = np.empty((len(robots), 2), dtype=np.float64)
     given = [i for i, r in enumerate(robots) if r.start is not None]
@@ -393,7 +403,8 @@ def _separated_starts(robots, worldmap: WorldMap, rngs, d_safe: float) -> np.nda
         for j in given[a + 1:]:
             if np.hypot(*(start[i] - start[j])) <= d_safe:
                 raise ParameterError(
-                    f"robots {robots[i].id!r} and {robots[j].id!r} start within d_safe={d_safe:g}"
+                    f"robots {robots[i].id!r} and {robots[j].id!r} start within d_safe={d_safe:g}",
+                    field=f"robots[{max(index[i], index[j])}].start",
                 )
     placed = list(given)
     for i, robot in enumerate(robots):
@@ -406,7 +417,8 @@ def _separated_starts(robots, worldmap: WorldMap, rngs, d_safe: float) -> np.nda
         else:
             raise ParameterError(
                 f"robot {robot.id!r}: no start more than d_safe={d_safe:g} from the others "
-                f"in {START_ATTEMPTS} draws"
+                f"in {START_ATTEMPTS} draws",
+                field=f"robots[{index[i]}].start",
             )
         placed.append(i)
     return start
@@ -419,8 +431,9 @@ def plan(
 ) -> PlanResult:
     """Run the full annealed inference loop for every robot in the scenario.
 
-    The scenario's ``config`` overrides ``config``.  The last micro-step
-    drops the noise term.  Starts must be more than ``d_safe`` apart: given
+    The scenario's ``config`` overrides ``config``.  Each robot's noise for
+    all T*K micro-steps is drawn from its own stream once its start is
+    placed; the last micro-step drops the noise term.  Starts must be more than ``d_safe`` apart: given
     ones that are not raise a ParameterError, and missing ones are redrawn
     until they are (see ``_separated_starts``).
     """
@@ -445,7 +458,9 @@ def plan(
     ]
     rngs = [_robot_rng(seed, r.id) for r in robots]
 
-    start = _separated_starts(robots, worldmap, rngs, cfg.d_safe)
+    start = _separated_starts(robots, order, worldmap, rngs, cfg.d_safe)
+    # (T*K, N, 2); the same numbers as T*K successive standard_normal(2) draws
+    noise = np.stack([rng.standard_normal((cfg.T * cfg.K, 2)) for rng in rngs], axis=1)
     positions = start
     micro = []
     timed_out = False
@@ -454,8 +469,8 @@ def plan(
             timed_out = True
             break
         for k in range(1, cfg.K + 1):
-            noiseless = t == 1 and k == cfg.K
-            positions = langevin_step(positions, t, ladders, schedule, cfg, rngs, noiseless=noiseless)
+            last = t == 1 and k == cfg.K
+            positions = langevin_step(positions, t, ladders, schedule, cfg, None if last else noise[len(micro)])
             micro.append(positions)
 
     ms = np.asarray(micro) if micro else np.empty((0, n, 2))  # (steps*K, N, 2)

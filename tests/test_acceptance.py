@@ -17,6 +17,7 @@ from heatplan import bench, heatfield as hf
 from heatplan.bench import flood_fill
 from heatplan.gridmap import resolve_goal_regions
 from heatplan.planner import PlannerConfig, _interrobot_cost, _point_to_region_distance
+from oracles import score_ascent_reaches
 
 BASE_SEED = 42
 D_SAFE = 0.10
@@ -187,7 +188,7 @@ def test_criterion_4_reachability_equivalence():
             mask = flood_fill(m, start)
             reachable = bool(all(mask[r, c] for c, r in goal.cells))
             fields = hf.score_fields(m, [goal], sched)
-            ascended = hf._score_ascent_reaches(fields, m, start, goal)
+            ascended = score_ascent_reaches(fields, m, start, goal)
             total += 1
             agree += ascended == reachable
             reachable_cases += reachable

@@ -361,12 +361,13 @@ def test_scenario_codec_unknown_label_named():
 
 
 @pytest.mark.parametrize("world_width, start, config, field", [
-    (5e-324, [0, 0.5], {}, "world_size"),          # cells of zero width
-    (10**400, [0.5, 0.5], {}, "world_size"),       # too large for a float
+    (5e-324, [0, 0.5], {}, "map.world_size"),      # cells of zero width
+    (10**400, [0.5, 0.5], {}, "map.world_size"),   # too large for a float
     (2.0, [10**400, 0.5], {}, "robots[0].start"),
     (2.0, [0.5, 0.5], {"beta": float("nan")}, "config.beta"),
     (2.0, [0.5, 0.5], {"K": True, "T": 3}, "config.K"),        # a boolean is not a number
     (2.0, [0.5, 0.5], {"beta": False}, "config.beta"),
+    ("2", [0.5, 0.5], {}, "map.world_size"),       # not a number
 ])
 def test_scenario_codec_degenerate_numbers_named(world_width, start, config, field):
     m = _map_with_labels()
@@ -527,11 +528,19 @@ def test_scenario_keeps_starts_as_float_pairs_and_names_unknown_labels():
     (("config",), [], "config"),
 ])
 def test_decoders_name_the_constructor_field(path, value, field):
+    """``field`` is the path within the document that ``path`` starts in: an
+    inline map's fields are named by ``decode_map`` as they are, and by
+    ``decode_scenario`` under ``map.``."""
     doc = _fuzz_scenario_doc()
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    if path[0] == "map":
+        with pytest.raises(MapFormatError) as ei:
+            hp.decode_map(json.dumps(doc["map"]))
+        assert ei.value.field == field
+        field = f"map.{field}"
     with pytest.raises(MapFormatError) as ei:
         hp.decode_scenario(json.dumps(doc))
     assert ei.value.field == field

@@ -21,6 +21,7 @@ from heatplan.errors import (
     ParameterError,
     PlacementError,
 )
+from oracles import score_ascent_reaches
 
 
 def point_source_map(cells=128):
@@ -814,7 +815,7 @@ def test_ascent_reaches_goal_on_open_map():
     mask = flood_fill(m, regions[0].cells[0])
     rows, cols = np.nonzero(mask)
     start = (int(cols[0]), int(rows[0]))
-    assert hf._score_ascent_reaches(fields, m, start, regions[0])
+    assert score_ascent_reaches(fields, m, start, regions[0])
 
 
 def test_ascent_fails_from_sealed_pocket():
@@ -824,5 +825,5 @@ def test_ascent_fails_from_sealed_pocket():
     m = hp.WorldMap("pocket", occ)
     goal = hp.SemanticRegion("apple", ((5, 5),))
     fields = hf.score_fields(m, [goal], hp.build_schedule(20))
-    assert not hf._score_ascent_reaches(fields, m, (25, 25), goal)
-    assert hf._score_ascent_reaches(fields, m, (50, 50), goal)
+    assert not score_ascent_reaches(fields, m, (25, 25), goal)
+    assert score_ascent_reaches(fields, m, (50, 50), goal)

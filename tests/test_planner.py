@@ -188,7 +188,7 @@ def test_langevin_pure_score_displacement():
     field = _constant_field(m, (1.0, 0.0))
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig(beta=0.0)
-    out = hp.langevin_step(np.array([[1.0, 1.0]]), 1, [{1: field}], sched, cfg, rngs=[None], noiseless=True)
+    out = hp.langevin_step(np.array([[1.0, 1.0]]), 1, [{1: field}], sched, cfg)
     assert out[0] == pytest.approx([1.005, 1.0], abs=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_langevin_fixed_point_without_forces():
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
     pos = np.array([[0.7, 0.3], [1.3, 1.7]])
-    out = hp.langevin_step(pos, 1, [{1: field}] * 2, sched, cfg, rngs=[None, None], noiseless=True)
+    out = hp.langevin_step(pos, 1, [{1: field}] * 2, sched, cfg)
     assert np.array_equal(out, pos)
 
 
@@ -208,7 +208,7 @@ def test_langevin_guidance_separates_close_pair():
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
     pos = np.array([[1.0, 1.0], [1.11, 1.0]])
-    out = hp.langevin_step(pos.copy(), 1, [{1: field}] * 2, sched, cfg, rngs=[None, None], noiseless=True)
+    out = hp.langevin_step(pos.copy(), 1, [{1: field}] * 2, sched, cfg)
     d0 = np.linalg.norm(pos[1] - pos[0])
     d1 = np.linalg.norm(out[1] - out[0])
     assert d1 > d0
@@ -222,7 +222,7 @@ def test_langevin_never_crosses_wall():
     field = hf.ScoreField(t=1, vectors=vecs, map=m)
     sched = _schedule_with_alpha(0.2)
     cfg = PlannerConfig(beta=0.0)
-    out = hp.langevin_step(np.array([[0.98, 1.0]]), 1, [{1: field}], sched, cfg, rngs=[None], noiseless=True)
+    out = hp.langevin_step(np.array([[0.98, 1.0]]), 1, [{1: field}], sched, cfg)
     # the proposal points across the wall; the robot slides up to it instead
     x = out[0, 0]
     assert 0.98 <= x < 1.0
@@ -294,6 +294,74 @@ def test_clamp_to_free_stays_on_segment_and_out_of_walls(case):
         assert _points_free(m, np.array([exact]))[0], (k, exact)
 
 
+def _widened_box(m, a, b):
+    """The cell box between the cells of ``a`` and ``b``, widened by one cell
+    on every side and clipped to the grid: (col_lo, row_lo, col_hi, row_hi),
+    upper bounds exclusive, as ``langevin_step`` gates the wall walk."""
+    (c0, r0), (c1, r1) = _cell_of(a, m), _cell_of(b, m)
+    return (max(min(c0, c1) - 1, 0), max(min(r0, r1) - 1, 0),
+            min(max(c0, c1) + 2, m.width_cells), min(max(r0, r1) + 2, m.height_cells))
+
+
+@st.composite
+def _free_box_move(draw):
+    """A random grid up to 16x16 on a world of 2x2, 2x1 or 1.5x2 units (so
+    cells are often not square), a start ``a`` and a proposal ``b`` clipped
+    as the sampler clips it, each often on a cell face or corner, and random
+    obstacles that, in most draws, are cleared from the widened box."""
+    side = st.sampled_from([2, 4, 8, 16]) | st.integers(1, 16)
+    h, w = draw(side), draw(side)
+    wx, wy = draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0), (1.5, 2.0)]))
+    hx, hy = wx / w, wy / h
+
+    def coord(extent, size, last):
+        face = st.integers(0, last).map(lambda k: k * size)
+        half = st.integers(0, 2 * last).map(lambda k: k * size / 2)
+        return draw(face | half | st.floats(0.0, extent, exclude_max=True))
+
+    a = np.array([coord(wx, hx, w - 1), coord(wy, hy, h - 1)])
+    b = np.array([coord(wx, hx, w), coord(wy, hy, h)])
+    b = np.minimum(np.maximum(0.0, b), (wx * (1 - 1e-12), wy * (1 - 1e-12)))
+    occ = draw(hnp.arrays(bool, (h, w)))
+    m = hp.WorldMap("g", np.zeros((h, w), dtype=bool), world_size=(wx, wy))
+    c_lo, r_lo, c_hi, r_hi = _widened_box(m, a, b)
+    if draw(st.integers(0, 3)):
+        occ[r_lo:r_hi, c_lo:c_hi] = False
+    assume(not occ.all())
+    return hp.WorldMap("g", occ, world_size=(wx, wy)), a, b
+
+
+def _face_case():
+    """A move whose walk ends one cell beyond the proposal's cell (see
+    ``test_wall_walk_can_leave_the_unwidened_box``)."""
+    occ = np.array([[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 1]], dtype=bool)
+    return hp.WorldMap("face", occ), np.array([1.2000000000000002, 4 / 3]), np.array([0.8, 4 / 3])
+
+
+@settings(deadline=None, max_examples=500)
+@given(_free_box_move())
+@example(_face_case())
+def test_free_widened_box_means_the_walk_keeps_the_proposal(case):
+    m, a, b = case
+    box = _widened_box(m, a, b)
+    c_lo, r_lo, c_hi, r_hi = box
+    assert m.obstacles_in(*box) == m.occupancy[r_lo:r_hi, c_lo:c_hi].sum()
+    if m.obstacles_in(*box) == 0:
+        assert np.array_equal(_clamp_to_free(m, a, b), b)
+
+
+def test_wall_walk_can_leave_the_unwidened_box():
+    """Why the gate widens the box: b = 0.8 lies on the face between
+    columns 1 and 2 and rounds into column 2, yet the walk from column 3
+    crosses that face before t = 1 and stops short of column 1's obstacle."""
+    m, a, b = _face_case()
+    occ = m.occupancy
+    (c0, r0), (c1, r1) = _cell_of(a, m), _cell_of(b, m)
+    assert (c0, c1, r0, r1) == (3, 2, 2, 2) and not occ[2, 2:4].any()
+    assert m.obstacles_in(*_widened_box(m, a, b)) > 0
+    assert not np.array_equal(_clamp_to_free(m, a, b), b)
+
+
 def _cell_of(p, m):
     return (min(int(p[0] / m.cell_size[0]), m.width_cells - 1),
             min(int(p[1] / m.cell_size[1]), m.height_cells - 1))
@@ -301,7 +369,9 @@ def _cell_of(p, m):
 
 def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=False):
     """The sampler step with one level lookup and one single-point
-    ``interpolate`` call per robot: the reference for the batched lookup."""
+    ``interpolate`` call per robot, per-step draws from each robot's stream,
+    and a wall walk for every robot that moved: the reference for the
+    batched lookup, the per-plan noise and the free-box gate."""
     worldmap = ladders[0][t].map
     n = len(pos)
     s = np.empty_like(pos)
@@ -350,18 +420,24 @@ def test_langevin_batched_lookup_matches_per_robot_reference():
     # start 0.11 apart, inside d_margin, so guidance and reverts take part
     starts = np.array([[0.1, 0.1], [1.9, 0.1], [0.1, 1.9], [1.0, 1.0], [1.11, 1.0]])
     assert all(hp.is_free(p, m) for p in starts)
-    rngs = [[np.random.default_rng([9, i]) for i in range(len(labels))] for _ in range(2)]
+    # the sampler gets each stream's draws for the whole plan at once, as
+    # ``plan`` makes them; the reference draws from its own copies of the
+    # streams one micro-step at a time
+    noise = np.stack([np.random.default_rng([9, i]).standard_normal((cfg.T * cfg.K, 2))
+                      for i in range(len(labels))], axis=1)
+    rngs = [np.random.default_rng([9, i]) for i in range(len(labels))]
     batched = reference = starts
     escalations = 0
     for t in range(cfg.T, 0, -1):
         for k in range(1, cfg.K + 1):
+            step = (cfg.T - t) * cfg.K + k - 1
             noiseless = t == 1 and k == cfg.K
             escalations += sum(
                 _effective_level(ladder, t, _cell_of(p, m), sched.T)[0] > t
                 for ladder, p in zip(ladders, batched)
             )
-            batched = hp.langevin_step(batched, t, ladders, sched, cfg, rngs[0], noiseless)
-            reference = _langevin_step_per_robot(reference, t, ladders, sched, cfg, rngs[1], noiseless)
+            batched = hp.langevin_step(batched, t, ladders, sched, cfg, None if noiseless else noise[step])
+            reference = _langevin_step_per_robot(reference, t, ladders, sched, cfg, rngs, noiseless)
             assert np.array_equal(batched, reference)
     assert escalations > 0
 
@@ -397,18 +473,53 @@ def _team_step(draw):
          for t in range(1, T + 1)}
         for _ in range(n)
     ]
-    rngs = [np.random.default_rng(rng.integers(2**32)) for _ in range(n)]
-    return m, pos, draw(st.integers(1, T)), ladders, hp.build_schedule(T), cfg, rngs, draw(st.booleans())
+    noise = rng.standard_normal((n, 2)) if draw(st.booleans()) else None
+    return m, pos, draw(st.integers(1, T)), ladders, hp.build_schedule(T), cfg, noise
 
 
 @settings(deadline=None, max_examples=100)
 @given(_team_step())
 def test_langevin_step_keeps_hard_separation_and_free_space(case):
-    m, pos, t, ladders, sched, cfg, rngs, noiseless = case
-    out = hp.langevin_step(pos, t, ladders, sched, cfg, rngs, noiseless)
+    m, pos, t, ladders, sched, cfg, noise = case
+    out = hp.langevin_step(pos, t, ladders, sched, cfg, noise)
     gaps = np.linalg.norm(out[:, None] - out[None], axis=-1)[np.triu_indices(len(out), 1)]
     assert (gaps > cfg.d_safe).all()
     assert _points_free(m, out).all()
+
+
+def _guidance_terms(pos, d_margin):
+    """Per robot, how many other robots lie within ``d_margin``: the number
+    of nonzero terms in its row of the guidance sum."""
+    dist = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return (dist < d_margin).sum(axis=1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_team_step(), st.integers(1, 3), st.data())
+def test_plan_permutation_equivariance(case, K, data):
+    """A short plan, T = 2..4 levels of K = 1..3 micro-steps, run on the
+    robots in two orders: permuting the positions, ladders and noise rows
+    permutes every step's output exactly.
+
+    The guidance adds each robot's neighbour terms in index order, and a sum
+    of three or more terms may round differently in another order, so a plan
+    stops being compared once some robot has three neighbours within
+    ``d_margin`` (``plan`` itself runs robots in id order)."""
+    _m, pos, _t, ladders, sched, cfg, _noise = case
+    n = len(pos)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((sched.T * K, n, 2))
+    permuted_ladders = [ladders[i] for i in perm]
+    a, b = pos, pos[perm]
+    for t in range(sched.T, 0, -1):
+        for k in range(1, K + 1):
+            if cfg.beta > 0 and (_guidance_terms(a, cfg.d_margin) > 2).any():
+                return
+            eps = None if t == 1 and k == K else noise[(sched.T - t) * K + k - 1]
+            a = hp.langevin_step(a, t, ladders, sched, cfg, eps)
+            b = hp.langevin_step(b, t, permuted_ladders, sched, cfg, None if eps is None else eps[perm])
+            assert np.array_equal(b, a[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +561,7 @@ def test_plan_deterministic_and_seed_echo():
     assert not np.array_equal(a.trajectories[0].micro_steps, c.trajectories[0].micro_steps)
 
 
-def test_plan_permutation_equivariance():
+def test_plan_is_independent_of_scenario_robot_order():
     regs = [
         hp.SemanticRegion("apple", ((50, 50), (51, 50))),
         hp.SemanticRegion("box", ((10, 50), (11, 50))),
@@ -471,14 +582,30 @@ def test_plan_permutation_equivariance():
 
 
 def test_plan_rejects_given_starts_within_d_safe():
+    """The error's field is ``robots[j].start`` for the pair's later robot,
+    j in the scenario's own order, although ``plan`` places starts in id
+    order."""
     m, _ = centered_goal_map()
     robots = (
         hp.RobotSpec("r0", "apple", (0.30, 0.30)),
         hp.RobotSpec("r1", "apple", (1.50, 1.50)),
         hp.RobotSpec("r2", "apple", (0.35, 0.30)),  # 0.05 from r0, d_safe is 0.10
     )
-    with pytest.raises(ParameterError, match="'r0' and 'r2'"):
-        hp.plan(hp.Scenario(m, robots, seed=1), PlannerConfig(T=3, K=2))
+    for listed, j in ((robots, 2), (robots[::-1], 2), (robots[2:] + robots[:1], 1)):
+        with pytest.raises(ParameterError, match="'r0' and 'r2'") as ei:
+            hp.plan(hp.Scenario(m, listed, seed=1), PlannerConfig(T=3, K=2))
+        assert ei.value.field == f"robots[{j}].start"
+
+
+def test_plan_names_the_sampled_start_that_finds_no_room():
+    # one free cell a quarter unit wide: no sampled start clears d_safe = 0.5
+    occ = np.ones((8, 8), dtype=bool)
+    occ[4, 4] = False
+    m = hp.WorldMap("tiny", occ, regions=[hp.SemanticRegion("apple", ((4, 4),))])
+    robots = (hp.RobotSpec("b", "apple", None), hp.RobotSpec("a", "apple", (1.125, 1.125)))
+    with pytest.raises(ParameterError, match="no start") as ei:
+        hp.plan(hp.Scenario(m, robots, seed=1), PlannerConfig(T=3, K=2, d_safe=0.5, d_margin=0.6))
+    assert ei.value.field == "robots[0].start"
 
 
 def test_plan_redraws_a_sampled_start_until_separated():
