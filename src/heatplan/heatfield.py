@@ -359,16 +359,13 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     lpad[1:-1, 1:-1] = lu
 
     def axis_grad(shift_plus, shift_minus, h):
+        # whole-grid differences, selected per cell (every padded value is
+        # finite, so the unselected ones are harmless)
         plus_free, minus_free = shift_plus[0], shift_minus[0]
         plus_val, minus_val = shift_plus[1], shift_minus[1]
-        g = np.zeros((H, W), dtype=np.float64)
-        both = plus_free & minus_free
-        only_p = plus_free & ~minus_free
-        only_m = minus_free & ~plus_free
-        g[both] = (plus_val[both] - minus_val[both]) / (2 * h)
-        g[only_p] = (plus_val[only_p] - lu[only_p]) / h
-        g[only_m] = (lu[only_m] - minus_val[only_m]) / h
-        return g
+        one_sided = np.where(plus_free, (plus_val - lu) / h, np.where(minus_free, (lu - minus_val) / h, 0.0))
+        g = np.where(plus_free & minus_free, (plus_val - minus_val) / (2 * h), one_sided)
+        return np.where(free, g, 0.0)
 
     east = (fpad[1:-1, 2:], lpad[1:-1, 2:])
     west = (fpad[1:-1, :-2], lpad[1:-1, :-2])
@@ -376,14 +373,14 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     south = (fpad[:-2, 1:-1], lpad[:-2, 1:-1])
     gx = axis_grad(east, west, hx)
     gy = axis_grad(north, south, hy)
-    vectors = np.zeros((H, W, 2), dtype=np.float64)
-    vectors[..., 0] = np.where(free, gx, 0.0)
-    vectors[..., 1] = np.where(free, gy, 0.0)
+    # vectors longer than the cap are scaled onto it; the others by 1.0
     cap = SCORE_CAP_CELLS / min(hx, hy)
-    norm = np.sqrt((vectors**2).sum(axis=-1))
-    over = norm > cap
-    if over.any():
-        vectors[over] *= (cap / norm[over])[:, None]
+    norm = np.sqrt(gx * gx + gy * gy)
+    scale = np.ones((H, W))
+    np.divide(cap, norm, out=scale, where=norm > cap)
+    vectors = np.empty((H, W, 2))
+    np.multiply(gx, scale, out=vectors[..., 0])
+    np.multiply(gy, scale, out=vectors[..., 1])
     supported = free & (u > floor)
     return ScoreField(t=t, vectors=vectors, map=worldmap, supported=supported)
 
@@ -395,44 +392,55 @@ def interpolate(field, p) -> np.ndarray:
     one field per row of ``p``.  ``p`` is one point, shape (2,), or many,
     shape (N, 2); the result has the shape of ``p``.  Queries outside the
     cell-center lattice hull (but inside the map) clamp to the hull; queries
-    outside the map raise DomainError.
+    outside the map (or NaN) raise DomainError.
+
+    Each point is a loop over Python floats, which costs less than numpy
+    calls on arrays this small.  Per component the result is
+    v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy, each
+    product and sum taken left to right; on a map one cell wide or high the
+    missing neighbour repeats the first.
     """
     pts = np.asarray(p, dtype=np.float64)
-    one_point = pts.ndim == 1
+    shape = pts.shape
     pts = pts.reshape(-1, 2)
     fields = [field] * len(pts) if isinstance(field, ScoreField) else field
     if len(fields) != len(pts):
         raise ParameterError(f"{len(fields)} fields for {len(pts)} points")
     worldmap = fields[0].map
-    if not ((pts >= 0.0).all() and (pts < worldmap.world_size).all()):
-        raise DomainError("interpolation point outside the world rectangle")
+    w, h = worldmap.world_size
+    hx, hy = worldmap.cell_size
     W, H = worldmap.width_cells, worldmap.height_cells
-    # lattice coordinates clamped to the cell-center hull; the lower corner
-    # (column, row) stops one cell short of the far edge
-    g = pts / worldmap.cell_size
-    g -= 0.5
-    np.maximum(g, 0.0, out=g)
-    np.minimum(g, (W - 1.0, H - 1.0), out=g)
-    lower = np.minimum(g.astype(np.int64), (max(W - 2, 0), max(H - 2, 0)))
-    frac = g - lower
-    # each point's 2x2 block of corner vectors, [row j0/j1, column i0/i1]; on
-    # a map one cell wide or high the block's slice is one wide and
-    # broadcasts, so the missing neighbour repeats the first
-    corners = np.empty((len(pts), 2, 2, 2))
-    for k, (f, (i, j)) in enumerate(zip(fields, lower.tolist())):
-        corners[k] = f.vectors[j:j + 2, i:i + 2]
-    # v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy, each
-    # product and sum in that order, in a few whole-array operations:
-    # weights[:, axis] is ((1 - f), f) along x (axis 0) and y (axis 1)
-    weights = np.empty((len(pts), 2, 2))
-    np.subtract(1, frac, out=weights[:, :, 0])
-    weights[:, :, 1] = frac
-    terms = corners * weights[:, None, 0, :, None]
-    terms *= weights[:, 1, :, None, None]
-    out = terms[:, 0, 0] + terms[:, 0, 1]
-    out += terms[:, 1, 0]
-    out += terms[:, 1, 1]
-    return out[0] if one_point else out
+    # lattice coordinates are clamped to the cell-center hull; the lower
+    # corner (column, row) stops one cell short of the far edge, and
+    # conditional expressions stand in for min and max, which cost more here
+    last_x, last_y = W - 1.0, H - 1.0
+    top_i, top_j = max(W - 2, 0), max(H - 2, 0)
+    out = []
+    for f, (x, y) in zip(fields, pts.tolist()):
+        if not (0.0 <= x < w and 0.0 <= y < h):
+            raise DomainError("interpolation point outside the world rectangle")
+        gx = x / hx - 0.5
+        gx = 0.0 if gx < 0.0 else last_x if gx > last_x else gx
+        gy = y / hy - 0.5
+        gy = 0.0 if gy < 0.0 else last_y if gy > last_y else gy
+        i, j = int(gx), int(gy)
+        i, j = (i if i < top_i else top_i), (j if j < top_j else top_j)
+        fx = gx - i
+        fy = gy - j
+        # the 2x2 block [row j0/j1][column i0/i1]; on a map one cell wide or
+        # high its slice is one wide, and [-1] repeats the first
+        block = f.vectors[j:j + 2, i:i + 2].tolist()
+        r0, r1 = block[0], block[-1]
+        v00, v01, v10, v11 = r0[0], r0[-1], r1[0], r1[-1]
+        ex, ey = 1 - fx, 1 - fy
+        sx = v00[0] * ex * ey + v01[0] * fx * ey
+        sx += v10[0] * ex * fy
+        sx += v11[0] * fx * fy
+        sy = v00[1] * ex * ey + v01[1] * fx * ey
+        sy += v10[1] * ex * fy
+        sy += v11[1] * fx * fy
+        out.append((sx, sy))
+    return np.array(out, dtype=np.float64).reshape(shape)
 
 
 def sample_heat(state: HeatState, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -13,6 +13,14 @@ short at the first obstacle cell on its way (an exact cell walk, skipped when
 no obstacle lies within one cell of the move's cell box), and moves that
 breach the hard separation are rejected (the mover keeps its previous
 position).  A separate validator, not the sampler, is the arbiter of success.
+
+A plan has a few robots, so an update runs on Python floats, robot by robot
+and pair by pair: numpy's fixed cost per call outweighs the arithmetic on
+(N, 2) arrays that small.  The loops keep the IEEE operations, and their
+order, of the whole-array expressions that the tests keep as references
+(tests/oracles.py), so every result byte is theirs.  The pair loops are
+O(N^2) interpreted Python, and near N = 25 an update costs what whole-array
+code costs.
 """
 
 from __future__ import annotations
@@ -148,42 +156,57 @@ class PlanResult:
 # pairwise cost and guidance
 
 
-def _pairwise(positions):
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:
-        raise ParameterError("positions must be an (N, 2) array with N >= 1")
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)  # a robot is no neighbour of itself
-    if not dist.all():
-        raise SingularConfigurationError("two robots occupy the same point")
-    return pos, diff, dist
+def _guidance(xy: list, d_margin: float) -> list:
+    """``interrobot_guidance`` on a list of N [x, y] Python floats; returns
+    N [gx, gy] lists.
 
-
-def _interrobot_cost(positions, d_margin: float) -> float:
-    """Sum over pairs of max(0, -log(d / d_margin))."""
-    _, _, dist = _pairwise(positions)
-    n = dist.shape[0]
-    if n < 2:
-        return 0.0
-    iu = np.triu_indices(n, 1)
-    d = dist[iu]
-    below = d < d_margin
-    if not below.any():
-        return 0.0
-    return float(np.sum(-np.log(d[below] / d_margin)))
+    Each unordered pair is visited once, i ascending, then j ascending: its
+    term is added to robot i and subtracted from robot j, so each robot gets
+    its terms in index order.  A pair at or beyond ``d_margin`` would add
+    only +-0.0, which leaves every such sum's bits as they are, so it is
+    skipped.
+    """
+    n = len(xy)
+    g = [[0.0, 0.0] for _ in range(n)]
+    for i in range(n):
+        xi, yi = xy[i]
+        gi = g[i]
+        for j in range(i + 1, n):
+            dx = xi - xy[j][0]
+            dy = yi - xy[j][1]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d == 0.0:
+                raise SingularConfigurationError("two robots occupy the same point")
+            if d < d_margin:
+                w = 1.0 / (d * d)
+                tx, ty = w * dx, w * dy
+                gi[0] += tx
+                gi[1] += ty
+                gj = g[j]
+                gj[0] -= tx
+                gj[1] -= ty
+    return g
 
 
 def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
-    """Repulsive direction, the negative gradient of the proximity cost.
+    """Repulsive direction, the negative gradient of the proximity cost
+    (the sum over pairs of max(0, -log(d / d_margin)), which
+    ``tests/oracles.interrobot_cost`` computes).
 
-    Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i.
+    Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i.  Each
+    robot's terms are added in robot index order, so with three or more
+    neighbours within ``d_margin`` a permutation of the robots can round its
+    sum differently: the guidance, and the Langevin step, are then not
+    exactly permutation-equivariant (``plan`` runs robots in id order).
+    Coincident robots raise SingularConfigurationError; positions must be
+    finite.
     """
-    pos, diff, dist = _pairwise(positions)
-    if len(pos) < 2:
-        return np.zeros_like(pos)
-    w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
-    return (w[:, :, None] * diff).sum(axis=1)
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:
+        raise ParameterError("positions must be an (N, 2) array with N >= 1")
+    if not np.isfinite(pos).all():
+        raise ParameterError("positions must be finite")
+    return np.array(_guidance(pos.tolist(), d_margin), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -304,63 +327,94 @@ def langevin_step(
     update.  A move is walked cell by cell (``_clamp_to_free``) only when an
     obstacle lies in its cell box widened by one cell; otherwise the walk
     would return the proposal unchanged.
+
+    The update runs on Python floats, robot by robot and pair by pair,
+    because numpy's fixed cost per call outweighs the arithmetic on a few
+    rows.  Its IEEE operations, and their order, are those of the array
+    expressions x + ((0.5*alpha)*alpha)*(s + beta*g) + alpha*eps and
+    minimum(maximum(0, x), bound).  The pair loops are O(N^2) interpreted
+    Python: near N = 25 robots this costs as much as whole-array code, and
+    past that it costs more.
     """
     worldmap = ladders[0][t].map
-    pos = positions
-    n = len(pos)
+    xy = np.asarray(positions, dtype=np.float64).tolist()
+    n = len(xy)
     W, H = worldmap.width_cells, worldmap.height_cells
-    last_cell = (W - 1, H - 1)
-
-    cells = np.minimum((pos / worldmap.cell_size).astype(np.int64), last_cell).tolist()
-    levels, fields = zip(*(
-        _effective_level(ladder, t, cell, schedule.T)
-        for ladder, cell in zip(ladders, cells)
-    ))
-    s = interpolate(fields, pos)
-    alpha = schedule.alpha[np.array(levels) - 1][:, None]
-
-    if n > 1 and config.beta > 0:
-        drift = s + config.beta * interrobot_guidance(pos, config.d_margin)
-    else:
-        drift = s
-    prop = pos + 0.5 * alpha * alpha * drift
-    if noise is not None:
-        prop = prop + alpha * noise
+    hx, hy = worldmap.cell_size
     w, h = worldmap.world_size
-    # 0.0 first: a -0.0 coordinate stays -0.0, as np.clip leaves it
-    new = np.minimum(np.maximum(0.0, prop), (w * (1 - 1e-12), h * (1 - 1e-12)))
+    bound_x, bound_y = w * (1 - 1e-12), h * (1 - 1e-12)
 
-    # zero-density regions are never entered: advance each robot along its
-    # proposal until the exact cell walk meets an obstacle.  The walk can end
-    # one cell beyond either end's cell when an end lies on a cell face, so
-    # the box is widened by one cell; with no obstacle in it the walk would
-    # return the proposal as it is (and a robot that did not move stays put
-    # either way).
-    new_cells = np.minimum((new / worldmap.cell_size).astype(np.int64), last_cell).tolist()
-    for i, ((c0, r0), (c1, r1)) in enumerate(zip(cells, new_cells)):
+    # conditional expressions in place of min and max, which cost more here
+    # than the arithmetic
+    cells, levels, fields = [], [], []
+    for (x, y), ladder in zip(xy, ladders):
+        col, row = int(x / hx), int(y / hy)
+        cell = (col if col < W else W - 1, row if row < H else H - 1)
+        level, field = _effective_level(ladder, t, cell, schedule.T)
+        cells.append(cell)
+        levels.append(level)
+        fields.append(field)
+    drift = interpolate(fields, positions).tolist()
+    if n > 1 and config.beta > 0:
+        beta = config.beta
+        for d, (gx, gy) in zip(drift, _guidance(xy, config.d_margin)):
+            d[0] += beta * gx
+            d[1] += beta * gy
+    eps = None if noise is None else np.asarray(noise, dtype=np.float64).tolist()
+
+    new = []
+    for i, ((x, y), (sx, sy)) in enumerate(zip(xy, drift)):
+        a = schedule.alpha.item(levels[i] - 1)
+        half_a2 = 0.5 * a * a
+        px = x + half_a2 * sx
+        py = y + half_a2 * sy
+        if eps is not None:
+            px += a * eps[i][0]
+            py += a * eps[i][1]
+        # maximum(0, p) then minimum(p, bound): -0.0 and NaN pass as they are
+        px = px if not px < 0.0 else 0.0
+        px = bound_x if px > bound_x else px
+        py = py if not py < 0.0 else 0.0
+        py = bound_y if py > bound_y else py
+        # zero-density regions are never entered: advance the robot along
+        # its proposal until the exact cell walk meets an obstacle.  The walk
+        # can end one cell beyond either end's cell when an end lies on a
+        # cell face, so the box is widened by one cell; with no obstacle in
+        # it the walk would return the proposal as it is (and a robot that
+        # did not move stays put either way).
+        c0, r0 = cells[i]
+        c1, r1 = int(px / hx), int(py / hy)
+        c1, r1 = (c1 if c1 < W else W - 1), (r1 if r1 < H else H - 1)
         if c0 > c1:
             c0, c1 = c1, c0
         if r0 > r1:
             r0, r1 = r1, r0
-        if worldmap.obstacles_in(max(c0 - 1, 0), max(r0 - 1, 0), min(c1 + 2, W), min(r1 + 2, H)):
-            new[i] = _clamp_to_free(worldmap, pos[i], new[i])
+        if worldmap.obstacles_in(c0 - 1 if c0 else 0, r0 - 1 if r0 else 0,
+                                 c1 + 2 if c1 + 2 < W else W, r1 + 2 if r1 + 2 < H else H):
+            px, py = _clamp_to_free(worldmap, (x, y), (px, py)).tolist()
+        new.append((px, py))
+
     # reject moves that breach the hard pairwise separation; symmetric in the
     # pair, so the update stays permutation-equivariant
+    d_safe = config.d_safe
     for _round in range(n + 1):
         if n < 2:
             break
-        diff = new[:, None, :] - new[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        bad = dist <= config.d_safe
-        if not bad.any():
+        bad = [False] * n
+        for i in range(n):
+            xi, yi = new[i]
+            for j in range(i + 1, n):
+                dx = xi - new[j][0]
+                dy = yi - new[j][1]
+                if math.sqrt(dx * dx + dy * dy) <= d_safe:
+                    bad[i] = bad[j] = True
+        # compared by component: a sequence compare would call a NaN equal to itself
+        revert = [k for k in range(n) if bad[k] and (new[k][0] != xy[k][0] or new[k][1] != xy[k][1])]
+        if not revert:
             break
-        moved = np.any(new != pos, axis=1)
-        revert = bad.any(axis=1) & moved
-        if not revert.any():
-            break
-        new[revert] = pos[revert]
-    return new
+        for k in revert:
+            new[k] = xy[k]
+    return np.array(new, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ against, kept out of the runtime package."""
 
 import numpy as np
 
-from heatplan.errors import ParameterError
+from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
 from heatplan.gridmap import SemanticRegion, WorldMap
+from heatplan.heatfield import ScoreField
 
 
 def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
@@ -46,3 +47,84 @@ def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: S
                 break
             col, row = best
     return (col, row) in target
+
+
+def interpolate(field, p) -> np.ndarray:
+    """The whole-array bilinear lookup: the oracle for
+    ``heatfield.interpolate``, which must give the same bits."""
+    pts = np.asarray(p, dtype=np.float64)
+    one_point = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    fields = [field] * len(pts) if isinstance(field, ScoreField) else field
+    if len(fields) != len(pts):
+        raise ParameterError(f"{len(fields)} fields for {len(pts)} points")
+    worldmap = fields[0].map
+    if not ((pts >= 0.0).all() and (pts < worldmap.world_size).all()):
+        raise DomainError("interpolation point outside the world rectangle")
+    W, H = worldmap.width_cells, worldmap.height_cells
+    # lattice coordinates clamped to the cell-center hull; the lower corner
+    # (column, row) stops one cell short of the far edge
+    g = pts / worldmap.cell_size
+    g -= 0.5
+    np.maximum(g, 0.0, out=g)
+    np.minimum(g, (W - 1.0, H - 1.0), out=g)
+    lower = np.minimum(g.astype(np.int64), (max(W - 2, 0), max(H - 2, 0)))
+    frac = g - lower
+    # each point's 2x2 block of corner vectors, [row j0/j1, column i0/i1]; on
+    # a map one cell wide or high the block's slice is one wide and
+    # broadcasts, so the missing neighbour repeats the first
+    corners = np.empty((len(pts), 2, 2, 2))
+    for k, (f, (i, j)) in enumerate(zip(fields, lower.tolist())):
+        corners[k] = f.vectors[j:j + 2, i:i + 2]
+    # v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy, each
+    # product and sum in that order, in a few whole-array operations:
+    # weights[:, axis] is ((1 - f), f) along x (axis 0) and y (axis 1)
+    weights = np.empty((len(pts), 2, 2))
+    np.subtract(1, frac, out=weights[:, :, 0])
+    weights[:, :, 1] = frac
+    terms = corners * weights[:, None, 0, :, None]
+    terms *= weights[:, 1, :, None, None]
+    out = terms[:, 0, 0] + terms[:, 0, 1]
+    out += terms[:, 1, 0]
+    out += terms[:, 1, 1]
+    return out[0] if one_point else out
+
+
+def pairwise(positions):
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:
+        raise ParameterError("positions must be an (N, 2) array with N >= 1")
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)  # a robot is no neighbour of itself
+    if not dist.all():
+        raise SingularConfigurationError("two robots occupy the same point")
+    return pos, diff, dist
+
+
+def interrobot_cost(positions, d_margin: float) -> float:
+    """Sum over pairs of max(0, -log(d / d_margin)): the proximity cost whose
+    negative gradient ``planner.interrobot_guidance`` is."""
+    _, _, dist = pairwise(positions)
+    n = dist.shape[0]
+    if n < 2:
+        return 0.0
+    iu = np.triu_indices(n, 1)
+    d = dist[iu]
+    below = d < d_margin
+    if not below.any():
+        return 0.0
+    return float(np.sum(-np.log(d[below] / d_margin)))
+
+
+def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
+    """The whole-array guidance: the oracle for
+    ``planner.interrobot_guidance``, which must give the same bits.
+
+    Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i.
+    """
+    pos, diff, dist = pairwise(positions)
+    if len(pos) < 2:
+        return np.zeros_like(pos)
+    w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
+    return (w[:, :, None] * diff).sum(axis=1)

@@ -16,8 +16,8 @@ import heatplan as hp
 from heatplan import bench, heatfield as hf
 from heatplan.bench import flood_fill
 from heatplan.gridmap import resolve_goal_regions
-from heatplan.planner import PlannerConfig, _interrobot_cost, _point_to_region_distance
-from oracles import score_ascent_reaches
+from heatplan.planner import PlannerConfig, _point_to_region_distance
+from oracles import interrobot_cost, score_ascent_reaches
 
 BASE_SEED = 42
 D_SAFE = 0.10
@@ -161,7 +161,7 @@ def test_criterion_3_guidance_gradient_check():
                 up_p[i, axis] += h
                 dn_p = pos.copy()
                 dn_p[i, axis] -= h
-                fd[i, axis] = -(_interrobot_cost(up_p, d_margin) - _interrobot_cost(dn_p, d_margin)) / (2 * h)
+                fd[i, axis] = -(interrobot_cost(up_p, d_margin) - interrobot_cost(dn_p, d_margin)) / (2 * h)
         scale = max(float(np.abs(g).max()), 1.0)
         worst = max(worst, float(np.abs(g - fd).max()) / scale)
         checked += 1

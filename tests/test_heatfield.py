@@ -21,6 +21,7 @@ from heatplan.errors import (
     ParameterError,
     PlacementError,
 )
+import oracles
 from oracles import score_ascent_reaches
 
 
@@ -608,23 +609,32 @@ def test_interpolate_continuity_along_segment():
 def _fields_and_points(draw):
     """1-3 random vector fields on one map of up to 6x6 cells (often one cell
     wide or high, with unequal world sides) and 1-8 points, each paired with
-    one of the fields; about half the coordinates sit on the lattice hull's
-    edges or the map's border."""
+    one of the fields.  A third of the coordinates sit on the lattice hull's
+    edges or the map's border, a third on a grid of quarter cells, and a
+    third anywhere.  The vectors come from a seeded stream, so the four
+    corner terms of a lookup differ, and about a fifth of their components
+    are a signed zero."""
     h = draw(st.integers(1, 6))
     w = draw(st.integers(1, 6))
     size = (draw(st.sampled_from([1.0, 2.0, 3.0])), draw(st.sampled_from([1.0, 2.0])))
     m = hp.WorldMap("g", np.zeros((h, w), dtype=bool), world_size=size)
-    values = st.floats(-8, 8, allow_nan=False, allow_subnormal=False)
-    fields = [
-        hf.ScoreField(t=k + 1, vectors=draw(hnp.arrays(np.float64, (h, w, 2), elements=values)), map=m)
-        for k in range(draw(st.integers(1, 3)))
-    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    fields = []
+    for k in range(draw(st.integers(1, 3))):
+        vectors = rng.uniform(-8, 8, (h, w, 2))
+        vectors[rng.random((h, w, 2)) < 0.2] = zero
+        fields.append(hf.ScoreField(t=k + 1, vectors=vectors, map=m))
     n = draw(st.integers(1, 8))
 
     def coord(extent, cells):
-        half = extent / cells / 2
-        edges = [0.0, half, extent - half, np.nextafter(extent, 0.0)]
-        return draw(st.sampled_from(edges) | st.floats(0.0, extent, exclude_max=True))
+        kind = draw(st.sampled_from(["edge", "quarter", "any"]))
+        if kind == "edge":
+            half = extent / cells / 2
+            return draw(st.sampled_from([0.0, half, extent - half, float(np.nextafter(extent, 0.0))]))
+        if kind == "quarter":
+            return draw(st.integers(0, 4 * cells - 1)) * (extent / cells / 4)
+        return float(rng.uniform(0.0, extent))
 
     pts = np.array([[coord(size[0], w), coord(size[1], h)] for _ in range(n)])
     picks = [fields[draw(st.integers(0, len(fields) - 1))] for _ in range(n)]
@@ -658,12 +668,28 @@ def test_interpolate_one_field_per_point_matches_single_queries(case):
         assert np.array_equal(got[i], _bilinear_reference(field, p))
 
 
+@settings(deadline=None, max_examples=500)
+@given(_fields_and_points())
+def test_interpolate_equals_the_array_oracle(case):
+    """The scalar lookup gives the bits of the whole-array one, signed zeros
+    included, for one field per point and for one field at every point."""
+    fields, pts = case
+    for got, want in ((hf.interpolate(fields, pts), oracles.interpolate(fields, pts)),
+                      (hf.interpolate(fields[0], pts), oracles.interpolate(fields[0], pts)),
+                      (hf.interpolate(fields[0], pts[0]), oracles.interpolate(fields[0], pts[0]))):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_interpolate_rejects_field_count_mismatch():
     field = _linear_field()
     with pytest.raises(ParameterError):
         hf.interpolate([field, field], np.array([[0.5, 0.5]]))
     with pytest.raises(DomainError):
         hf.interpolate([field], np.array([[0.5, 2.0]]))
+    with pytest.raises(DomainError):
+        hf.interpolate(field, np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

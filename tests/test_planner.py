@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 import heatplan as hp
 from heatplan import heatfield as hf, planner
 from heatplan.errors import ParameterError, SingularConfigurationError
-from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _interrobot_cost, _points_free
+from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
+import oracles
 
 
 def centered_goal_map(cells=64, label="apple"):
@@ -107,21 +109,21 @@ def test_config_rejects_non_finite_and_non_integral(path, field, value, tmp_path
 def test_cost_zero_at_margin_and_beyond():
     d = 0.12
     pos = np.array([[0.0, 0.0], [d, 0.0]])
-    assert _interrobot_cost(pos, d) == 0.0
+    assert oracles.interrobot_cost(pos, d) == 0.0
     pos3 = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
-    assert _interrobot_cost(pos3, 0.12) == 0.0
+    assert oracles.interrobot_cost(pos3, 0.12) == 0.0
 
 
 def test_cost_one_at_margin_over_e():
     d_margin = 0.12
     pos = np.array([[0.0, 0.0], [d_margin / np.e, 0.0]])
-    assert _interrobot_cost(pos, d_margin) == pytest.approx(1.0, rel=1e-12)
+    assert oracles.interrobot_cost(pos, d_margin) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cost_coincident_rejected():
     pos = np.array([[0.3, 0.3], [0.3, 0.3]])
     with pytest.raises(SingularConfigurationError):
-        _interrobot_cost(pos, 0.12)
+        oracles.interrobot_cost(pos, 0.12)
     with pytest.raises(SingularConfigurationError):
         hp.interrobot_guidance(pos, 0.12)
 
@@ -160,13 +162,53 @@ def test_guidance_matches_finite_differences():
                     p = pos.copy()
                     p[i, axis] += sign * h
                     if store == 0:
-                        up = _interrobot_cost(p, d_margin)
+                        up = oracles.interrobot_cost(p, d_margin)
                     else:
-                        dn = _interrobot_cost(p, d_margin)
+                        dn = oracles.interrobot_cost(p, d_margin)
                 fd[i, axis] = -(up - dn) / (2 * h)
         scale = max(np.abs(g).max(), 1.0)
         assert np.abs(g - fd).max() <= 1e-6 * scale
         checked += 1
+
+
+@st.composite
+def _cluster(draw):
+    """2-14 robots within 0.3 units of one another, their coordinates often
+    rounded to a grid of 1/64 (so coordinate differences tie and pairs can
+    coincide), and a d_margin that often covers three or more neighbours."""
+    n = draw(st.integers(2, 14))
+    centre = draw(hnp.arrays(float, 2, elements=st.floats(0.0, 2.0)))
+    offsets = draw(hnp.arrays(float, (n, 2), elements=st.floats(-0.15, 0.15)))
+    pos = centre + offsets
+    if draw(st.booleans()):
+        pos = np.round(pos * 64) / 64
+    return pos, draw(st.floats(0.02, 0.5))
+
+
+@settings(deadline=None, max_examples=500)
+@given(_cluster())
+def test_guidance_equals_the_array_oracle(case):
+    """The pair loop gives the bits of the whole-array guidance, signed zeros
+    included, and rejects coincident robots as it does."""
+    pos, d_margin = case
+    try:
+        want = oracles.interrobot_guidance(pos, d_margin)
+    except SingularConfigurationError:
+        with pytest.raises(SingularConfigurationError):
+            hp.interrobot_guidance(pos, d_margin)
+        return
+    got = hp.interrobot_guidance(pos, d_margin)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_guidance_rejects_bad_positions():
+    with pytest.raises(ParameterError):
+        hp.interrobot_guidance(np.zeros((3,)), 0.12)
+    with pytest.raises(ParameterError):
+        hp.interrobot_guidance(np.array([[0.0, 0.0], [np.nan, 0.5]]), 0.12)
+    assert np.array_equal(hp.interrobot_guidance([[0.5, 0.5]], 0.12), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +410,20 @@ def _cell_of(p, m):
 
 
 def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=False):
-    """The sampler step with one level lookup and one single-point
-    ``interpolate`` call per robot, per-step draws from each robot's stream,
-    and a wall walk for every robot that moved: the reference for the
-    batched lookup, the per-plan noise and the free-box gate."""
+    """The sampler step in whole-array code, with one level lookup and one
+    single-point call of the ``interpolate`` oracle per robot, the guidance
+    oracle, per-step draws from each robot's stream, and a wall walk for
+    every robot that moved: the reference for the scalar step, the batched
+    lookup, the per-plan noise and the free-box gate."""
     worldmap = ladders[0][t].map
     n = len(pos)
     s = np.empty_like(pos)
     alpha = np.empty((n, 1))
     for i in range(n):
         t_eff, field = _effective_level(ladders[i], t, _cell_of(pos[i], worldmap), schedule.T)
-        s[i] = hf.interpolate(field, pos[i])
+        s[i] = oracles.interpolate(field, pos[i])
         alpha[i, 0] = schedule.alpha[t_eff - 1]
-    drift = s + config.beta * hp.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
+    drift = s + config.beta * oracles.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
     prop = pos + 0.5 * alpha * alpha * drift
     if not noiseless:
         eps = np.empty_like(pos)
@@ -524,6 +567,35 @@ def test_plan_permutation_equivariance(case, K, data):
 
 # ---------------------------------------------------------------------------
 # full plan
+
+
+# sha256 of result_to_json(include_timing=False, include_micro=True) for one
+# generated scenario per case, planned with T=6, K=4.  The room 32x32 N=9
+# plan makes 16 separation reverts and 112 support escalations, the shelf
+# 64x64 N=9 plan 16 and 115.
+PINNED_RESULTS = [
+    ("drop_region", 32, 1, "629970f2efacbb60e27fb0eeea00c1c0d8dd368c26dd03d9a5193e0b4a3027e9"),
+    ("conveyor", 32, 3, "8a62feaf6806e998c974ff01bdef9e0425e7002bc6db3a388305b91969d0844e"),
+    ("room", 32, 9, "0b009b459fc133f9d7dfeb7f86233822309ff8118ef63fcedfc2f20788af17c8"),
+    ("shelf", 64, 3, "ce5141805d1b382d261bdc3632fe408956b57cf71c01b3b856d971c092e3dfcc"),
+    ("drop_region", 64, 9, "ac0de5b59022fa8a48d31bd9686a6c7848c355b14b9c858f11826d1c526341ea"),
+    ("conveyor", 64, 1, "bea28d0980019af74ef12e21e991ee2664563d8bd000923e1d76f34b9411dd21"),
+    ("room", 64, 3, "3429399ab6168eae78d5fa684b8ac7e80b98d9264b8bcefe4aa1a9f6f006754c"),
+    ("shelf", 64, 9, "a75a51077ae6bc31699a071ee76c6807b7437ef6ef13d5ef72dae30e5bee74db"),
+]
+
+
+@pytest.mark.parametrize("family, cells, n, digest", PINNED_RESULTS)
+def test_result_bytes_are_pinned(family, cells, n, digest):
+    """Every byte of a plan's result, micro-steps included, is pinned: a
+    change meant to keep the numerics must keep these digests, and one
+    meant to alter them must update them on purpose."""
+    spec = hp.SuiteSpec(families=(family,), robot_counts=(n,), scenarios_per_config=1, map_variants=1,
+                        map_params={"cells": cells})
+    (scenario,) = hp.generate_suite(spec)
+    result = hp.plan(scenario, PlannerConfig(T=6, K=4))
+    text = hp.result_to_json(result, include_timing=False, include_micro=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_plan_single_robot_reaches_center_goal():
