@@ -42,6 +42,7 @@ obstacles and sealed components stay exactly zero.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import struct
@@ -197,76 +198,50 @@ class _Solver:
             return (1.0 / 6.0) / self.inv_hx2  # h^2 / 6, cancels the h^2 error
         return 0.8 * self.stability
 
-    def _flux_adder(self, scale: float):
-        """A function ``add(src, dst)`` doing ``dst += scale * A @ src`` in
-        place, A being the stencil's rate operator (du/dt = A u).  Every flux
-        is read from ``src`` before any is added, so ``src`` may be ``dst``:
-        that is one explicit step of ``scale``.  Both grids must be flat
-        without a copy (C-contiguous); any other grid raises."""
-        fluxes = [(d, k * scale, np.empty(k.shape)) for d, k in self._families]
+    def _stencil(self, scale: float, src: np.ndarray, dst: np.ndarray):
+        """A function ``step()`` doing ``dst += scale * A @ src`` in place, A
+        being the stencil's rate operator (du/dt = A u).  The slice views of
+        both grids are built here, once, and every ufunc writes to a given
+        ``out``, so a step is four calls per flux family and nothing more.
+        Every flux is read from ``src`` before any is added, so ``src`` may
+        be ``dst``: that is one explicit step of ``scale``.  Both grids must
+        be flat without a copy (C-contiguous); any other grid raises."""
+        s = src.view()
+        s.shape = (-1,)
+        t = dst.view()
+        t.shape = (-1,)
+        n = s.size
+        fluxes = [(s[d:], s[:n - d], k * scale, np.empty(n - d), t[:n - d], t[d:]) for d, k in self._families]
+        subtract, multiply, add = np.subtract, np.multiply, np.add
 
-        def add(src: np.ndarray, dst: np.ndarray) -> None:
-            s = src.view()
-            s.shape = (-1,)
-            t = dst.view()
-            t.shape = (-1,)
-            n = s.size
-            for d, k, f in fluxes:
-                np.subtract(s[d:], s[:n - d], out=f)
-                np.multiply(f, k, out=f)
-            for d, _, f in fluxes:
-                t[:n - d] += f
-                t[d:] -= f
+        def step() -> None:
+            for hi, lo, k, f, _, _ in fluxes:
+                subtract(hi, lo, f)
+                multiply(f, k, f)
+            for _, _, _, f, t_lo, t_hi in fluxes:
+                add(t_lo, f, t_lo)
+                subtract(t_hi, f, t_hi)
 
-        return add
+        return step
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A @ v for the (H, W) grid ``v``: the explicit scheme's rate."""
         out = np.zeros_like(v)
-        self._flux_adder(1.0)(v, out)
+        self._stencil(1.0, v, out)()
         return out
 
     def run_steps(self, u: np.ndarray, n_steps: int, dt: float) -> None:
         """Advance the (H, W) mass grid ``u`` in place by ``n_steps`` steps of ``dt``."""
-        step = self._flux_adder(dt)
+        step = self._stencil(dt, u, u)
         for _ in range(n_steps):
-            step(u, u)
+            step()
 
-    def ladder_coefficients(self, heat_times) -> list:
+    def ladder_coefficients(self, heat_times) -> tuple:
         """Per heat time, the Chebyshev coefficients of the explicit
-        ladder's polynomial, up to the last one above CHEB_TOL.
-
-        Whole steps of ``internal_dt`` and one landing step per heat time
-        make level j P_j(A) = prod (I + dt_i A)^{n_i}, which is f_j(B) for
-        f_j(x) = prod (1 + dt_i a)^{n_i}, a = (lam_max / 2) (x - 1).  One
-        DCT-I (an FFT of the even extension) of f_j on the Chebyshev-Lobatto
-        nodes cos(pi k / n) gives its coefficients.  They fall like those of
-        exp(c (x - 1)), c = lam_max t / 2, below rounding by degree
-        8 + 2 sqrt(30 c), and n is at least twice that degree for the last
-        heat time, so what aliases onto them from f_j's far higher degree
-        is below rounding too.
-        """
-        dt = self.internal_dt
-        degree = int(8 + 2 * math.sqrt(15.0 * self.lam_max * np.max(heat_times, initial=0.0)))
-        n = 1 << (2 * degree - 1).bit_length()
-        a = 0.5 * self.lam_max * (np.cos(np.arange(n + 1) * (math.pi / n)) - 1.0)
-        f = np.ones(n + 1)
-        values = np.empty((len(heat_times), n + 1))
-        now = 0.0
-        for j, target in enumerate(map(float, heat_times)):
-            if target < now - 1e-15:
-                raise ParameterError("schedule heat times must be nondecreasing")
-            whole = int((target * (1 - 1e-12) - now) / dt)
-            if whole > 0:
-                f = f * (1.0 + dt * a) ** whole
-                now += whole * dt
-            if target - now > 1e-18:
-                f = f * (1.0 + (target - now) * a)
-            now = target
-            values[j] = f
-        coefs = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1), axis=1).real / n
-        coefs[:, [0, -1]] *= 0.5
-        return [c[:np.flatnonzero(np.abs(c) > CHEB_TOL)[-1] + 1] for c in coefs]
+        ladder's polynomial, up to the last one above CHEB_TOL, as read-only
+        arrays shared by every map with the same ``lam_max`` and
+        ``internal_dt`` (``_ladder_coefficients``)."""
+        return _ladder_coefficients(self.lam_max, self.internal_dt, tuple(map(float, heat_times)), CHEB_TOL)
 
     def ladder(self, u: np.ndarray, heat_times) -> list:
         """[P_j(A) u for each heat time] from one Chebyshev recurrence
@@ -276,25 +251,79 @@ class _Solver:
         block of all of them spills the cache.  The error is absolute, near
         CHEB_TOL times the peak, so cells far below that can come out
         slightly negative.
+
+        The recurrence runs on two flat buffers that take turns holding
+        T_{k-1} u and T_k u, each with its stencil views built once.
         """
         coefs = self.ladder_coefficients(heat_times)
         out = [c[0] * u for c in coefs]
-        scratch = np.empty_like(u)
-        # T_{k+1} = 2 B T_k - T_{k-1} = 2 T_k - T_{k-1} + (4 / lam_max) A T_k
-        recur = self._flux_adder(4.0 / self.lam_max)
-        prev = u.copy()                                  # T_0 u
-        cur = u + (2.0 / self.lam_max) * self.apply(u)   # T_1 u
-        for k in range(1, max(map(len, coefs), default=1)):
+        prev = u.ravel().copy()                                    # T_0 u
+        cur = (u + (2.0 / self.lam_max) * self.apply(u)).ravel()   # T_1 u
+        scratch = np.empty_like(cur)
+        # T_{k+1} = 2 B T_k - T_{k-1} = 2 T_k - T_{k-1} + (4 / lam_max) A T_k,
+        # written over T_{k-1}; the buffers then swap roles, and so do the steps
+        scale = 4.0 / self.lam_max
+        recur, recur_next = self._stencil(scale, cur, prev), self._stencil(scale, prev, cur)
+        # (coefficients, flat level) of the levels still taking terms, longest first
+        live = sorted(((c.tolist(), v.ravel()) for c, v in zip(coefs, out)), key=lambda cv: -len(cv[0]))
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        for k in range(1, len(live[0][0]) if live else 1):
             if k > 1:
-                np.subtract(cur, prev, out=prev)
-                prev += cur
-                recur(cur, prev)
+                subtract(cur, prev, prev)
+                add(prev, cur, prev)
+                recur()
                 prev, cur = cur, prev
-            for c, v in zip(coefs, out):
-                if k < len(c):
-                    np.multiply(cur, c[k], out=scratch)
-                    v += scratch
+                recur, recur_next = recur_next, recur
+            while len(live[-1][0]) <= k:
+                live.pop()
+            for c, v in live:
+                multiply(cur, c[k], scratch)
+                add(v, scratch, v)
         return out
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_coefficients(lam_max: float, dt: float, heat_times: tuple, tol: float) -> tuple:
+    """Per heat time, the Chebyshev coefficients of the explicit ladder's
+    polynomial, up to the last one above ``tol``.
+
+    Whole steps of ``dt`` and one landing step per heat time make level j
+    P_j(A) = prod (I + dt_i A)^{n_i}, which is f_j(B) for f_j(x) =
+    prod (1 + dt_i a)^{n_i}, a = (lam_max / 2) (x - 1).  One DCT-I (an FFT
+    of the even extension) of f_j on the Chebyshev-Lobatto nodes
+    cos(pi k / n) gives its coefficients.  They fall like those of
+    exp(c (x - 1)), c = lam_max t / 2, below rounding by degree
+    8 + 2 sqrt(30 c), and n is at least twice that degree for the last heat
+    time, so what aliases onto them from f_j's far higher degree is below
+    rounding too.
+
+    The result depends on nothing else, so it is memoised: the maps of one
+    size share it (every ladder of a 64x64 benchmark run has one key).  The
+    arrays are read-only, as every caller gets the same ones.
+    """
+    degree = int(8 + 2 * math.sqrt(15.0 * lam_max * np.max(heat_times, initial=0.0)))
+    n = 1 << (2 * degree - 1).bit_length()
+    a = 0.5 * lam_max * (np.cos(np.arange(n + 1) * (math.pi / n)) - 1.0)
+    f = np.ones(n + 1)
+    values = np.empty((len(heat_times), n + 1))
+    now = 0.0
+    for j, target in enumerate(heat_times):
+        if target < now - 1e-15:
+            raise ParameterError("schedule heat times must be nondecreasing")
+        whole = int((target * (1 - 1e-12) - now) / dt)
+        if whole > 0:
+            f = f * (1.0 + dt * a) ** whole
+            now += whole * dt
+        if target - now > 1e-18:
+            f = f * (1.0 + (target - now) * a)
+        now = target
+        values[j] = f
+    coefs = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1), axis=1).real / n
+    coefs[:, [0, -1]] *= 0.5
+    kept = tuple(c[:np.flatnonzero(np.abs(c) > tol)[-1] + 1].copy() for c in coefs)
+    for c in kept:
+        c.flags.writeable = False
+    return kept
 
 
 def init_heat(regions, worldmap: WorldMap) -> HeatState:
@@ -385,14 +414,18 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     return ScoreField(t=t, vectors=vectors, map=worldmap, supported=supported)
 
 
-def interpolate(field, p) -> np.ndarray:
+def interpolate(field, p):
     """Bilinear interpolation of score vectors at continuous points.
 
     ``field`` is one ScoreField, or a sequence of ScoreFields on one map with
-    one field per row of ``p``.  ``p`` is one point, shape (2,), or many,
-    shape (N, 2); the result has the shape of ``p``.  Queries outside the
-    cell-center lattice hull (but inside the map) clamp to the hull; queries
-    outside the map (or NaN) raise DomainError.
+    one field per point of ``p``.  ``p`` is one point, shape (2,), or many,
+    shape (N, 2), and the result is an array of the shape of ``p``; or ``p``
+    is a ``list`` of N [x, y] pairs of floats, and the result is a list of N
+    [sx, sy] lists, with no array made.  Both forms give the same bits.
+    Queries outside the cell-center lattice hull (but inside the map) clamp
+    to the hull; queries outside the map (or NaN) raise DomainError.
+    Malformed points raise a ParameterError naming ``p``, and a field count
+    other than the point count, or no field at all, one naming ``field``.
 
     Each point is a loop over Python floats, which costs less than numpy
     calls on arrays this small.  Per component the result is
@@ -400,13 +433,25 @@ def interpolate(field, p) -> np.ndarray:
     product and sum taken left to right; on a map one cell wide or high the
     missing neighbour repeats the first.
     """
-    pts = np.asarray(p, dtype=np.float64)
-    shape = pts.shape
-    pts = pts.reshape(-1, 2)
-    fields = [field] * len(pts) if isinstance(field, ScoreField) else field
-    if len(fields) != len(pts):
-        raise ParameterError(f"{len(fields)} fields for {len(pts)} points")
-    worldmap = fields[0].map
+    as_list = isinstance(p, list)
+    if as_list:
+        pts = p
+    else:
+        try:
+            arr = np.asarray(p, dtype=np.float64)
+            pts = arr.reshape(-1, 2).tolist()
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"must be a point or an (N, 2) array of points: {exc}", field="p") from exc
+    if isinstance(field, ScoreField):
+        fields = [field] * len(pts)
+        worldmap = field.map
+    else:
+        fields = field
+        if len(fields) != len(pts):
+            raise ParameterError(f"holds {len(fields)} fields for {len(pts)} points", field="field")
+        if not fields:
+            raise ParameterError("must hold at least one field", field="field")
+        worldmap = fields[0].map
     w, h = worldmap.world_size
     hx, hy = worldmap.cell_size
     W, H = worldmap.width_cells, worldmap.height_cells
@@ -416,37 +461,42 @@ def interpolate(field, p) -> np.ndarray:
     last_x, last_y = W - 1.0, H - 1.0
     top_i, top_j = max(W - 2, 0), max(H - 2, 0)
     out = []
-    for f, (x, y) in zip(fields, pts.tolist()):
-        if not (0.0 <= x < w and 0.0 <= y < h):
-            raise DomainError("interpolation point outside the world rectangle")
-        gx = x / hx - 0.5
-        gx = 0.0 if gx < 0.0 else last_x if gx > last_x else gx
-        gy = y / hy - 0.5
-        gy = 0.0 if gy < 0.0 else last_y if gy > last_y else gy
-        i, j = int(gx), int(gy)
-        i, j = (i if i < top_i else top_i), (j if j < top_j else top_j)
-        fx = gx - i
-        fy = gy - j
-        # the 2x2 block [row j0/j1][column i0/i1]; on a map one cell wide or
-        # high its slice is one wide, and [-1] repeats the first
-        block = f.vectors[j:j + 2, i:i + 2].tolist()
-        r0, r1 = block[0], block[-1]
-        v00, v01, v10, v11 = r0[0], r0[-1], r1[0], r1[-1]
-        ex, ey = 1 - fx, 1 - fy
-        sx = v00[0] * ex * ey + v01[0] * fx * ey
-        sx += v10[0] * ex * fy
-        sx += v11[0] * fx * fy
-        sy = v00[1] * ex * ey + v01[1] * fx * ey
-        sy += v10[1] * ex * fy
-        sy += v11[1] * fx * fy
-        out.append((sx, sy))
-    return np.array(out, dtype=np.float64).reshape(shape)
+    try:
+        for f, (x, y) in zip(fields, pts):
+            if not (0.0 <= x < w and 0.0 <= y < h):
+                raise DomainError("interpolation point outside the world rectangle")
+            gx = x / hx - 0.5
+            gx = 0.0 if gx < 0.0 else last_x if gx > last_x else gx
+            gy = y / hy - 0.5
+            gy = 0.0 if gy < 0.0 else last_y if gy > last_y else gy
+            i, j = int(gx), int(gy)
+            i, j = (i if i < top_i else top_i), (j if j < top_j else top_j)
+            fx = gx - i
+            fy = gy - j
+            # the 2x2 block [row j0/j1][column i0/i1]; on a map one cell wide or
+            # high its slice is one wide, and [-1] repeats the first
+            block = f.vectors[j:j + 2, i:i + 2].tolist()
+            r0, r1 = block[0], block[-1]
+            v00, v01, v10, v11 = r0[0], r0[-1], r1[0], r1[-1]
+            ex, ey = 1 - fx, 1 - fy
+            sx = v00[0] * ex * ey + v01[0] * fx * ey
+            sx += v10[0] * ex * fy
+            sx += v11[0] * fx * fy
+            sy = v00[1] * ex * ey + v01[1] * fx * ey
+            sy += v10[1] * ex * fy
+            sy += v11[1] * fx * fy
+            out.append([sx, sy])
+    except (TypeError, ValueError) as exc:  # a list row that is not a pair of numbers
+        raise ParameterError(f"must hold [x, y] pairs of numbers: {exc}", field="p") from exc
+    return out if as_list else np.array(out, dtype=np.float64).reshape(arr.shape)
 
 
 def sample_heat(state: HeatState, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw points from the heat distribution: categorical over cells by mass,
     then uniform jitter within the chosen cell.  Obstacle cells hold zero mass
     and are never drawn."""
+    if n < 0:
+        raise ParameterError(f"must be >= 0, got {n!r}", field="n")
     u = state.u
     total = float(u.sum())
     if total <= 0.0:

@@ -21,6 +21,13 @@ order, of the whole-array expressions that the tests keep as references
 (tests/oracles.py), so every result byte is theirs.  The pair loops are
 O(N^2) interpreted Python, and near N = 25 an update costs what whole-array
 code costs.
+
+For the same reason positions stay Python lists between updates.
+``langevin_step`` and ``interpolate`` take a ``list`` of N [x, y] pairs of
+floats and return a list, with the bits that an (N, 2) array gives, and
+``_clamp_to_free`` takes and returns (x, y) pairs.  ``plan`` turns the
+starts into lists once and each outer step's noise once, and makes the
+micro-step history an array once, at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, SingularConfigurationError
+from .errors import DomainError, ParameterError, SingularConfigurationError
 from .gridmap import Scenario, WorldMap, resolve_goal_regions
 from .heatfield import (
     DEFAULT_LOG_FLOOR,
@@ -226,11 +233,12 @@ def _points_free(worldmap: WorldMap, pts: np.ndarray) -> np.ndarray:
 _SEG_FRACTIONS = np.arange(1, SEGMENT_SAMPLES + 1, dtype=np.float64) / SEGMENT_SAMPLES
 
 
-def _clamp_to_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _clamp_to_free(worldmap: WorldMap, a, b) -> tuple:
     """Walk the exact grid supercover from ``a`` toward ``b``; stop just short
     of the first obstacle cell.  The realized move therefore never crosses a
     wall, however long the proposal, and a blocked robot slides up to the
-    boundary instead of freezing.
+    boundary instead of freezing.  ``a`` and ``b`` are (x, y) pairs; the
+    result is an (x, y) pair of Python floats.
     """
     hx, hy = worldmap.cell_size
     W, H = worldmap.width_cells, worldmap.height_cells
@@ -252,15 +260,15 @@ def _clamp_to_free(worldmap: WorldMap, a: np.ndarray, b: np.ndarray) -> np.ndarr
         t = max(0.0, t - 1e-9)
         px, py = ax + t * dx, ay + t * dy
         if occ[min(int(py / hy), H - 1), min(int(px / hx), W - 1)]:
-            return np.array([ax, ay])
-        return np.array([px, py])
+            return ax, ay
+        return px, py
 
     def reach_b(t):
         # the walk ends at t >= 1, yet b may lie exactly on the face of an
         # obstacle cell that the walk never entered
         if occ[min(int(by / hy), H - 1), min(int(bx / hx), W - 1)]:
             return stop_at(min(t, 1.0))
-        return np.array([bx, by])
+        return bx, by
 
     while True:
         if tx < ty - 1e-15:
@@ -309,13 +317,13 @@ def _effective_level(ladder: dict, t: int, cell, t_max: int):
 
 
 def langevin_step(
-    positions: np.ndarray,
+    positions,
     t: int,
     ladders,
     schedule: NoiseSchedule,
     config: PlannerConfig,
-    noise: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    noise=None,
+):
     """One synchronous annealing update of all robots' (N, 2) positions at
     level t, from a common snapshot; returns the new positions.
 
@@ -328,6 +336,13 @@ def langevin_step(
     obstacle lies in its cell box widened by one cell; otherwise the walk
     would return the proposal unchanged.
 
+    ``positions`` is an (N, 2) array, and the result is a new one; or it is
+    a ``list`` of N [x, y] pairs of floats, and the result is a new list of
+    N [x, y] lists (a robot whose move is reverted gets its input pair
+    back).  ``noise`` may be either form too.  Lists are the form ``plan``
+    passes from one update to the next, so no array is made per update;
+    both forms give the same bits.
+
     The update runs on Python floats, robot by robot and pair by pair,
     because numpy's fixed cost per call outweighs the arithmetic on a few
     rows.  Its IEEE operations, and their order, are those of the array
@@ -336,9 +351,19 @@ def langevin_step(
     Python: near N = 25 robots this costs as much as whole-array code, and
     past that it costs more.
     """
-    worldmap = ladders[0][t].map
-    xy = np.asarray(positions, dtype=np.float64).tolist()
+    as_list = isinstance(positions, list)
+    xy = positions if as_list else _float_rows(positions, "positions")
     n = len(xy)
+    if n == 0:
+        raise ParameterError("must hold at least one robot", field="positions")
+    if len(ladders) != n:
+        raise ParameterError(f"holds {len(ladders)} ladders for {n} robots", field="ladders")
+    if not 1 <= t <= schedule.T:
+        raise ParameterError(f"must be in 1..{schedule.T}, got {t!r}", field="t")
+    eps = noise if noise is None or isinstance(noise, list) else _float_rows(noise, "noise")
+    if eps is not None and len(eps) != n:
+        raise ParameterError(f"has {len(eps)} rows for {n} robots", field="noise")
+    worldmap = ladders[0][t].map
     W, H = worldmap.width_cells, worldmap.height_cells
     hx, hy = worldmap.cell_size
     w, h = worldmap.world_size
@@ -347,20 +372,24 @@ def langevin_step(
     # conditional expressions in place of min and max, which cost more here
     # than the arithmetic
     cells, levels, fields = [], [], []
-    for (x, y), ladder in zip(xy, ladders):
-        col, row = int(x / hx), int(y / hy)
-        cell = (col if col < W else W - 1, row if row < H else H - 1)
-        level, field = _effective_level(ladder, t, cell, schedule.T)
-        cells.append(cell)
-        levels.append(level)
-        fields.append(field)
-    drift = interpolate(fields, positions).tolist()
+    try:
+        for (x, y), ladder in zip(xy, ladders):
+            if not (0.0 <= x < w and 0.0 <= y < h):
+                raise DomainError("robot position outside the world rectangle")
+            col, row = int(x / hx), int(y / hy)
+            cell = (col if col < W else W - 1, row if row < H else H - 1)
+            level, field = _effective_level(ladder, t, cell, schedule.T)
+            cells.append(cell)
+            levels.append(level)
+            fields.append(field)
+    except (TypeError, ValueError) as exc:  # a row that is not a pair of numbers
+        raise ParameterError(f"must hold [x, y] pairs of numbers: {exc}", field="positions") from exc
+    drift = interpolate(fields, xy)
     if n > 1 and config.beta > 0:
         beta = config.beta
         for d, (gx, gy) in zip(drift, _guidance(xy, config.d_margin)):
             d[0] += beta * gx
             d[1] += beta * gy
-    eps = None if noise is None else np.asarray(noise, dtype=np.float64).tolist()
 
     new = []
     for i, ((x, y), (sx, sy)) in enumerate(zip(xy, drift)):
@@ -391,8 +420,8 @@ def langevin_step(
             r0, r1 = r1, r0
         if worldmap.obstacles_in(c0 - 1 if c0 else 0, r0 - 1 if r0 else 0,
                                  c1 + 2 if c1 + 2 < W else W, r1 + 2 if r1 + 2 < H else H):
-            px, py = _clamp_to_free(worldmap, (x, y), (px, py)).tolist()
-        new.append((px, py))
+            px, py = _clamp_to_free(worldmap, (x, y), (px, py))
+        new.append([px, py])
 
     # reject moves that breach the hard pairwise separation; symmetric in the
     # pair, so the update stays permutation-equivariant
@@ -414,7 +443,19 @@ def langevin_step(
             break
         for k in revert:
             new[k] = xy[k]
-    return np.array(new, dtype=np.float64)
+    return new if as_list else np.array(new, dtype=np.float64)
+
+
+def _float_rows(rows, name: str) -> list:
+    """An (N, 2) array-like as N [x, y] lists of Python floats; any other
+    shape raises a ParameterError naming ``name``."""
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"must be an (N, 2) array of numbers: {exc}", field=name) from exc
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ParameterError(f"must be an (N, 2) array, got shape {arr.shape}", field=name)
+    return arr.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +556,28 @@ def plan(
     start = _separated_starts(robots, order, worldmap, rngs, cfg.d_safe)
     # (T*K, N, 2); the same numbers as T*K successive standard_normal(2) draws
     noise = np.stack([rng.standard_normal((cfg.T * cfg.K, 2)) for rng in rngs], axis=1)
-    positions = start
+    # positions pass from one micro-step to the next as lists, and each outer
+    # step's noise becomes lists when the step starts; the history keeps the
+    # floats in one flat list.  Lists of lists kept for the whole plan would
+    # be traversed and promoted by the cyclic garbage collector, whose full
+    # collections then land inside plans.
+    positions = start.tolist()
     micro = []
+    steps = 0
     timed_out = False
     for t in range(cfg.T, 0, -1):
         if time.perf_counter() - t_start > cfg.time_limit:
             timed_out = True
             break
+        eps = noise[steps:steps + cfg.K].tolist()
         for k in range(1, cfg.K + 1):
             last = t == 1 and k == cfg.K
-            positions = langevin_step(positions, t, ladders, schedule, cfg, None if last else noise[len(micro)])
-            micro.append(positions)
+            positions = langevin_step(positions, t, ladders, schedule, cfg, None if last else eps[k - 1])
+            steps += 1
+            for row in positions:
+                micro += row
 
-    ms = np.asarray(micro) if micro else np.empty((0, n, 2))  # (steps*K, N, 2)
+    ms = np.array(micro, dtype=np.float64).reshape(steps, n, 2)
     wp = np.concatenate([start[None], ms[cfg.K - 1::cfg.K]])  # start plus one per outer step
     trajectories = tuple(
         Trajectory(robot_id=robots[i].id, waypoints=wp[:, i, :].copy(), micro_steps=ms[:, i, :].copy())

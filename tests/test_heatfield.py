@@ -407,6 +407,24 @@ def test_ladder_coefficients_resolve_the_step_polynomials_at_256_cells(monkeypat
     assert len(coefs[-1]) > 900  # the longest level takes about 1,000 applications
 
 
+def test_ladder_coefficients_are_computed_once_per_key():
+    """Maps with the same cell size share one set of read-only coefficients
+    for a schedule; another schedule computes its own."""
+    hf._ladder_coefficients.cache_clear()
+    sched = hp.build_schedule(20)
+    a = hf._Solver(hp.generate_map("room", 1, cells=32)).ladder_coefficients(sched.heat_time)
+    b = hf._Solver(hp.generate_map("conveyor", 2, cells=32)).ladder_coefficients(sched.heat_time)
+    assert b is a
+    info = hf._ladder_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for c in a:
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+    c = hf._Solver(hp.empty_map(cells=32)).ladder_coefficients(hp.build_schedule(10).heat_time)
+    assert c is not a and hf._ladder_coefficients.cache_info().misses == 2
+
+
 @pytest.mark.parametrize("heat_time", [
     [0.001, 0.01, 0.005, 0.02, 0.1, 0.2],   # an early level
     [0.001, 0.01, 0.02, 0.1, 0.2, 0.15],    # the last level
@@ -672,9 +690,14 @@ def test_interpolate_one_field_per_point_matches_single_queries(case):
 @given(_fields_and_points())
 def test_interpolate_equals_the_array_oracle(case):
     """The scalar lookup gives the bits of the whole-array one, signed zeros
-    included, for one field per point and for one field at every point."""
+    included, for one field per point and for one field at every point, and
+    so does a list of [x, y] points, as a list."""
     fields, pts = case
+    as_list = hf.interpolate(fields, pts.tolist())
+    assert type(as_list) is list and all(type(row) is list and len(row) == 2 for row in as_list)
     for got, want in ((hf.interpolate(fields, pts), oracles.interpolate(fields, pts)),
+                      (np.array(as_list), oracles.interpolate(fields, pts)),
+                      (np.array(hf.interpolate(fields[0], pts.tolist())), oracles.interpolate(fields[0], pts)),
                       (hf.interpolate(fields[0], pts), oracles.interpolate(fields[0], pts)),
                       (hf.interpolate(fields[0], pts[0]), oracles.interpolate(fields[0], pts[0]))):
         assert got.shape == want.shape

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import heatfield as hf, planner
-from heatplan.errors import ParameterError, SingularConfigurationError
+from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
 from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 import oracles
 
@@ -528,6 +529,152 @@ def test_langevin_step_keeps_hard_separation_and_free_space(case):
     gaps = np.linalg.norm(out[:, None] - out[None], axis=-1)[np.triu_indices(len(out), 1)]
     assert (gaps > cfg.d_safe).all()
     assert _points_free(m, out).all()
+
+
+def _walk_case():
+    """One robot pushed across a wall by its score: the wall walk stops it."""
+    occ = np.zeros((16, 16), dtype=bool)
+    occ[:, 8] = True
+    m = hp.WorldMap("wall", occ)
+    ladders = [{t: hf.ScoreField(t, np.tile([50.0, 0.0], (16, 16, 1)), m) for t in (1, 2)}]
+    return m, np.array([[0.98, 1.0]]), 2, ladders, hp.build_schedule(2), PlannerConfig(beta=0.0), None
+
+
+def _revert_case():
+    """Two robots 0.11 apart whose noise moves them 0.05 apart: both revert."""
+    m = hp.empty_map(cells=16)
+    ladders = [{t: hf.ScoreField(t, np.zeros((16, 16, 2)), m) for t in (1, 2)}] * 2
+    pos, noise = np.array([[1.0, 1.0], [1.11, 1.0]]), np.array([[0.1, 0.0], [-0.1, 0.0]])
+    return m, pos, 2, ladders, hp.build_schedule(2), PlannerConfig(beta=0.0), noise
+
+
+@settings(deadline=None, max_examples=200)
+@given(_team_step())
+@example(_walk_case())
+@example(_revert_case())
+def test_langevin_step_on_lists_equals_the_array_path(case):
+    """Positions and noise as lists of [x, y] floats give a list with the
+    bits of the array path's result, signed zeros included."""
+    _m, pos, t, ladders, sched, cfg, noise = case
+    want = hp.langevin_step(pos, t, ladders, sched, cfg, noise)
+    got = hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, None if noise is None else noise.tolist())
+    assert type(got) is list and all(len(row) == 2 for row in got)
+    assert np.array_equal(np.array(got), want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the array path takes list noise, and the list path array noise
+    if noise is not None:
+        assert np.array_equal(hp.langevin_step(pos, t, ladders, sched, cfg, noise.tolist()), want)
+        assert np.array_equal(np.array(hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, noise)), want)
+
+
+def test_list_cases_walk_and_revert():
+    """The two examples above take the paths they are named for."""
+    _m, pos, t, ladders, sched, cfg, noise = _walk_case()
+    out = hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, noise)
+    assert 0.98 < out[0][0] < 1.0
+    _m, pos, t, ladders, sched, cfg, noise = _revert_case()
+    rows = pos.tolist()
+    out = hp.langevin_step(rows, t, ladders, sched, cfg, noise.tolist())
+    assert out == rows and out[0] is rows[0] and out is not rows
+
+
+_MAP8 = hp.empty_map(cells=8)
+_LADDER8 = {t: hf.ScoreField(t, np.zeros((8, 8, 2)), _MAP8) for t in (1, 2, 3)}
+_FIELD8 = _LADDER8[1]
+
+
+def _step(positions, t=1, n_ladders=1, noise=None):
+    return lambda: hp.langevin_step(positions, t, [_LADDER8] * n_ladders, hp.build_schedule(3), PlannerConfig(), noise)
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda: hf.interpolate([], np.empty((0, 2))), "field", id="interpolate-no-fields"),
+    pytest.param(lambda: hf.interpolate([], []), "field", id="interpolate-no-fields-list"),
+    pytest.param(lambda: hf.interpolate([_FIELD8] * 2, [[0.5, 0.5]]), "field", id="interpolate-field-count-list"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, np.array([0.5, 0.5, 0.5])), "p", id="interpolate-three-coordinates"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, ["a", "b"]), "p", id="interpolate-strings-list"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, np.array(["a", "b"])), "p", id="interpolate-strings-array"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, [[0.5, 0.5, 0.5]]), "p", id="interpolate-triple-list"),
+    pytest.param(_step(np.empty((0, 2)), n_ladders=0), "positions", id="step-no-robots"),
+    pytest.param(_step([], n_ladders=0), "positions", id="step-no-robots-list"),
+    pytest.param(_step(np.array([[0.5, 0.5, 0.5]])), "positions", id="step-1x3"),
+    pytest.param(_step([[0.5, 0.5, 0.5]]), "positions", id="step-1x3-list"),
+    pytest.param(_step([[0.5, 0.5], [1.0, 1.0]], noise=np.zeros((1, 2)), n_ladders=2), "noise", id="step-noise-short"),
+    pytest.param(_step([[0.5, 0.5], [1.0, 1.0]], noise=[[0.0, 0.0]], n_ladders=2), "noise",
+                 id="step-noise-short-list"),
+    pytest.param(_step(np.array([[0.5, 0.5]]), t=0), "t", id="step-t0"),
+    pytest.param(_step(np.array([[0.5, 0.5]]), t=9), "t", id="step-t9"),
+    pytest.param(_step(np.array([[0.5, 0.5]]), n_ladders=2), "ladders", id="step-extra-ladder"),
+    pytest.param(lambda: hf.sample_heat(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, _MAP8), np.random.default_rng(0), -1),
+                 "n", id="sample-heat-negative"),
+])
+def test_sampler_inputs_raise_typed_errors(call, field):
+    with pytest.raises(ParameterError) as ei:
+        call()
+    assert ei.value.field == field
+
+
+def test_langevin_step_rejects_positions_outside_the_world():
+    for bad in ([[-5.0, 0.5]], [[0.5, float("nan")]], [[float("inf"), 0.5]]):
+        with pytest.raises(DomainError):
+            _step(bad)()
+
+
+class _CountingNumpy:
+    """numpy as a module sees it, counting ``array`` and ``asarray`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        self.calls += 1
+        return np.array(*args, **kwargs)
+
+    def asarray(self, *args, **kwargs):
+        self.calls += 1
+        return np.asarray(*args, **kwargs)
+
+
+def test_plan_keeps_no_array_or_list_per_micro_step(monkeypatch):
+    """Positions stay lists from one micro-step to the next, and the history
+    keeps floats, not lists: a plan with twice the micro-steps calls
+    np.array and np.asarray as often in the planner and the heat-field
+    modules, and the objects the garbage collector tracks grow from the
+    first micro-step to the last by as many."""
+    spec = hp.SuiteSpec(families=("room",), robot_counts=(3,), scenarios_per_config=1, map_variants=1,
+                        map_params={"cells": 32})
+    (scenario,) = hp.generate_suite(spec)
+    cache = hf.FieldCache()
+    step = planner.langevin_step
+    arrays, growth = [], []
+    for K in (2, 4):
+        hp.plan(scenario, PlannerConfig(T=6, K=K), cache)  # solve the ladders outside the count
+        spy, tracked = _CountingNumpy(), []
+
+        def counted_step(*args, **kwargs):
+            tracked.append(len(gc.get_objects()))
+            return step(*args, **kwargs)
+
+        # with the collector off, only reference counting frees objects, so
+        # the tracked count does not depend on when a collection falls
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(planner, "np", spy)
+                patch.setattr(hf, "np", spy)
+                patch.setattr(planner, "langevin_step", counted_step)
+                hp.plan(scenario, PlannerConfig(T=6, K=K), cache)
+        finally:
+            if enabled:
+                gc.enable()
+        arrays.append(spy.calls)
+        growth.append(tracked[-1] - tracked[0])
+    assert arrays[0] == arrays[1]
+    assert growth[0] == growth[1]
 
 
 def _guidance_terms(pos, d_margin):
