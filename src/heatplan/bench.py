@@ -25,7 +25,8 @@ from .gridmap import (
     Scenario,
     WorldMap,
     generate_map,
-    hop_distances,
+    hop_distances,  # re-exported: the oracle's hop counts, beside flood_fill's mask
+    reachable,
     resolve_goal_regions,
     world_to_cell,
 )
@@ -58,7 +59,7 @@ def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
         raise ParameterError(f"seed cell ({col},{row}) out of bounds")
     if worldmap.occupancy[row, col]:
         raise ParameterError(f"seed cell ({col},{row}) is an obstacle")
-    return hop_distances(worldmap.free, [(col, row)]) >= 0
+    return reachable(worldmap.free, [(col, row)])
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,16 @@ def _cells_4connected(cells) -> bool:
     c0, r0 = min(cols), min(rows)
     width, height = max(cols) - c0 + 1, max(rows) - r0 + 1
     # k 4-connected cells have width + height <= k + 1; the check also keeps
-    # the local grid below small when the cells are scattered
+    # the bitboard below small when the cells are scattered
     if width + height - 1 > len(set(cells)):
         return False
-    # offsets are taken in Python ints, so cells beyond int64 cannot overflow
-    inside = np.zeros((height, width), dtype=bool)
-    inside[[r - r0 for r in rows], [c - c0 for c in cols]] = True
-    return bool((hop_distances(inside, [(cols[0] - c0, rows[0] - r0)])[inside] >= 0).all())
+    # the cells as a bitboard of their bounding box; offsets are Python ints,
+    # so cells beyond int64 cannot overflow
+    stride = width + 1
+    inside = 0
+    for c, r in cells:
+        inside |= 1 << ((r - r0) * stride + c - c0)
+    return _flood(inside, inside & -inside, stride) == inside
 
 
 class WorldMap:
@@ -347,48 +350,112 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
 
 # ---------------------------------------------------------------------------
 # grid connectivity: the one BFS, shared by the generators, the benchmark's
-# reachability oracle and the goal distances of its records
+# reachability oracle and the goal distances of its records.  It runs on
+# bitboards: a Python int holding one bit per cell, row-major, each row
+# padded by one column that is never free (stride W + 1), so that << 1,
+# >> 1, << stride and >> stride reach the four neighbours and a shift out
+# of one row lands on a padding bit, never on the next row.
+
+
+def _board(mask: np.ndarray) -> int:
+    """The bitboard of an (H, W) bool grid."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, :w] = mask
+    return int.from_bytes(np.packbits(padded, axis=None, bitorder="little").tobytes(), "little")
+
+
+def _unpack(boards, shape) -> np.ndarray:
+    """The bitboards of an (H, W) grid as a (len(boards), H, W) stack of
+    uint8 0s and 1s, in one unpacking; padding bits are dropped."""
+    h, w = shape
+    n = h * (w + 1)
+    size = (n + 7) // 8
+    raw = b"".join([bits.to_bytes(size, "little") for bits in boards])
+    stack = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, size), axis=1, count=n, bitorder="little")
+    return stack.reshape(-1, h, w + 1)[:, :, :w]
+
+
+def _flood(free: int, seeds: int, stride: int, planes=None) -> int:
+    """The BFS kernel: the bitboard of the ``free`` cells 4-connected to the
+    bits of ``seeds``, seeds included.  With a list ``planes``, bit j of each
+    reached cell's hop count is ORed into ``planes[j]``."""
+    start = unseen = free & ~seeds
+    frontier = seeds
+    d = 0
+    while frontier:
+        d += 1
+        frontier = ((frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)) & unseen
+        unseen ^= frontier
+        if planes is not None and frontier:
+            bits = d
+            while bits:
+                low = bits & -bits
+                j = low.bit_length() - 1
+                if j == len(planes):
+                    planes.append(frontier)
+                else:
+                    planes[j] |= frontier
+                bits ^= low
+    return seeds | (start ^ unseen)
+
+
+def _seed_board(free: np.ndarray, seed_cells) -> int:
+    """The bitboard of ``seed_cells``, (col, row) cells inside ``free``'s grid."""
+    h, w = free.shape
+    try:
+        pairs = np.asarray(seed_cells, dtype=np.int64).reshape(-1, 2).tolist()
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"must be a sequence of (col, row) cells: {exc}", field="seed_cells") from exc
+    seeds = 0
+    for col, row in pairs:
+        if not (0 <= col < w and 0 <= row < h):
+            raise ParameterError(f"({col}, {row}) lies outside the {w}x{h} grid", field="seed_cells")
+        seeds |= 1 << (row * (w + 1) + col)
+    return seeds
 
 
 def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
     """4-connected hop count from the nearest seed cell through ``free``.
 
-    ``seed_cells`` is a sequence of free ``(col, row)`` cells; the result is
-    an (H, W) int64 grid holding -1 on obstacles and unreachable cells.
+    ``seed_cells`` is a sequence of free ``(col, row)`` cells, and a cell
+    outside the grid raises a ParameterError naming ``seed_cells``; the
+    result is an (H, W) int64 grid holding -1 on obstacles and unreachable
+    cells.  The hop counts come out of the kernel as bit-planes, unpacked
+    once here.
     """
-    cols, rows = np.asarray(seed_cells, dtype=np.int64).reshape(-1, 2).T
-    frontier = np.zeros(free.shape, dtype=bool)
-    frontier[rows, cols] = True
-    dist = np.where(frontier, 0, -1)
-    unseen = free & ~frontier
-    d = 0
-    while frontier.any():
-        d += 1
-        grown = np.zeros_like(frontier)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        frontier = grown & unseen
-        unseen &= ~frontier
-        np.putmask(dist, frontier, d)
+    planes = []
+    reached = _flood(_board(free), _seed_board(free, seed_cells), free.shape[1] + 1, planes)
+    # reached + sum of plane j << j, less 1: -1 off the reached cells
+    weights = np.array([1] + [1 << j for j in range(len(planes))], dtype=np.int64)
+    dist = np.tensordot(weights, _unpack([reached, *planes], free.shape), axes=1)
+    dist -= 1
     return dist
+
+
+def reachable(free: np.ndarray, seed_cells) -> np.ndarray:
+    """Mask of the ``free`` cells 4-connected to any of ``seed_cells``: where
+    ``hop_distances`` is >= 0, without the hop counts."""
+    reached = _flood(_board(free), _seed_board(free, seed_cells), free.shape[1] + 1)
+    return _unpack([reached], free.shape)[0].astype(bool)
 
 
 def _largest_component(occ):
     """Mask of the largest free component; ties go to the one holding the
-    lowest row-major free cell."""
-    free = ~occ
-    remaining = free.copy()
-    best, best_size = None, 0
-    while remaining.any():
-        row, col = divmod(int(remaining.argmax()), occ.shape[1])
-        mask = hop_distances(free, [(col, row)]) >= 0
-        remaining &= ~mask
-        size = int(mask.sum())
+    lowest row-major free cell.  Each seed is the lowest bit of the cells
+    not yet reached, so components are met in that order, and the search
+    stops once no component left can be strictly larger."""
+    stride = occ.shape[1] + 1
+    free = _board(~occ)
+    remaining = free
+    best, best_size = 0, 0
+    while remaining.bit_count() > best_size:
+        component = _flood(free, remaining & -remaining, stride)
+        remaining ^= component
+        size = component.bit_count()
         if size > best_size:
-            best, best_size = mask, size
-    return best
+            best, best_size = component, size
+    return _unpack([best], occ.shape)[0].astype(bool)
 
 
 # ---------------------------------------------------------------------------

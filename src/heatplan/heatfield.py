@@ -439,9 +439,11 @@ def interpolate(field, p):
     else:
         try:
             arr = np.asarray(p, dtype=np.float64)
-            pts = arr.reshape(-1, 2).tolist()
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"must be a point or an (N, 2) array of points: {exc}", field="p") from exc
+        if arr.ndim not in (1, 2) or arr.shape[-1] != 2:
+            raise ParameterError(f"must be a point or an (N, 2) array of points, got shape {arr.shape}", field="p")
+        pts = arr.reshape(-1, 2).tolist()
     if isinstance(field, ScoreField):
         fields = [field] * len(pts)
         worldmap = field.map

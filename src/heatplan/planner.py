@@ -210,9 +210,9 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:
-        raise ParameterError("positions must be an (N, 2) array with N >= 1")
+        raise ParameterError("must be an (N, 2) array with N >= 1", field="positions")
     if not np.isfinite(pos).all():
-        raise ParameterError("positions must be finite")
+        raise ParameterError("must be finite", field="positions")
     return np.array(_guidance(pos.tolist(), d_margin), dtype=np.float64)
 
 

@@ -1,11 +1,50 @@
 """Test oracles: reference computations that the tests compare heatplan
 against, kept out of the runtime package."""
 
+from collections import deque
+
 import numpy as np
 
 from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
 from heatplan.gridmap import SemanticRegion, WorldMap
 from heatplan.heatfield import ScoreField
+
+
+def hop_distances(occ, seeds) -> np.ndarray:
+    """A deque BFS, the oracle for ``gridmap.hop_distances``: hop distance
+    from the nearest of the free ``seeds`` cells, -1 where unreached."""
+    h, w = occ.shape
+    dist = np.full(occ.shape, -1, dtype=np.int64)
+    q = deque()
+    for c, r in seeds:
+        if dist[r, c] < 0:
+            dist[r, c] = 0
+            q.append((c, r))
+    while q:
+        c, r = q.popleft()
+        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nc, nr = c + dc, r + dr
+            if 0 <= nc < w and 0 <= nr < h and not occ[nr, nc] and dist[nr, nc] < 0:
+                dist[nr, nc] = dist[r, c] + 1
+                q.append((nc, nr))
+    return dist
+
+
+def largest_component(occ) -> np.ndarray:
+    """The oracle for ``gridmap._largest_component``: one BFS from every free
+    cell not yet reached, in row-major order, keeping the first component of
+    the largest size, so a tie goes to the lowest row-major free cell."""
+    seen = occ.copy()
+    best, best_size = None, 0
+    for r, c in np.argwhere(~occ):
+        if seen[r, c]:
+            continue
+        mask = hop_distances(occ, [(c, r)]) >= 0
+        seen |= mask
+        size = int(mask.sum())
+        if size > best_size:
+            best, best_size = mask, size
+    return best
 
 
 def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:

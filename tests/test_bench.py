@@ -1,10 +1,9 @@
 import json
 import pickle
-from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,8 +12,9 @@ from heatplan import bench
 from heatplan import errors
 from heatplan import heatfield as hf
 from heatplan.errors import GenerationError, ParameterError
-from heatplan.gridmap import hop_distances
+from heatplan.gridmap import hop_distances, reachable
 from heatplan.planner import PlannerConfig
+import oracles
 
 
 def small_config():
@@ -50,32 +50,12 @@ def test_flood_fill_obstacle_seed_rejected():
         bench.flood_fill(m, (2, 2))
 
 
-def _reference_bfs(occ, seeds):
-    """Independent deque BFS used as the second-implementation oracle: hop
-    distance from the nearest of the free ``seeds`` cells, -1 where unreached."""
-    h, w = occ.shape
-    dist = np.full(occ.shape, -1, dtype=np.int64)
-    q = deque()
-    for c, r in seeds:
-        if dist[r, c] < 0:
-            dist[r, c] = 0
-            q.append((c, r))
-    while q:
-        c, r = q.popleft()
-        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nc, nr = c + dc, r + dr
-            if 0 <= nc < w and 0 <= nr < h and not occ[nr, nc] and dist[nr, nc] < 0:
-                dist[nr, nc] = dist[r, c] + 1
-                q.append((nc, nr))
-    return dist
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_flood_fill_matches_reference_bfs(seed):
     fam = hp.FAMILIES[seed % 4]
     m = hp.generate_map(fam, seed, cells=48)
     cell = m.regions[0].cells[0]
-    assert np.array_equal(bench.flood_fill(m, cell), _reference_bfs(m.occupancy, [cell]) >= 0)
+    assert np.array_equal(bench.flood_fill(m, cell), oracles.hop_distances(m.occupancy, [cell]) >= 0)
 
 
 @st.composite
@@ -90,18 +70,67 @@ def _grid_and_seeds(draw):
     return occ, [(int(free[i][1]), int(free[i][0])) for i in picks]
 
 
-@settings(deadline=None)
-@given(_grid_and_seeds())
-def test_hop_distances_match_reference_bfs(case):
-    occ, seeds = case
+def _assert_hops_match(occ, seeds):
     free = ~occ
     single = hop_distances(free, seeds[:1])
-    assert np.array_equal(single, _reference_bfs(occ, seeds[:1]))
-    assert np.array_equal(hop_distances(free, seeds), _reference_bfs(occ, seeds))
+    assert np.array_equal(single, oracles.hop_distances(occ, seeds[:1]))
+    assert np.array_equal(hop_distances(free, seeds), oracles.hop_distances(occ, seeds))
+    assert np.array_equal(reachable(free, seeds), oracles.hop_distances(occ, seeds) >= 0)
     m = hp.WorldMap("g", occ)
     assert np.array_equal(bench.flood_fill(m, seeds[0]), single >= 0)
     (ac, ar), (bc, br) = seeds[0], seeds[-1]
     assert single[br, bc] == hop_distances(free, seeds[-1:])[ar, ac]
+
+
+@settings(deadline=None)
+@given(_grid_and_seeds())
+def test_hop_distances_match_reference_bfs(case):
+    _assert_hops_match(*case)
+
+
+@st.composite
+def _wide_grid_and_seeds(draw):
+    """A random grid up to 80 cells a side, so that padded rows cross 64-bit
+    boundaries, at one of a few obstacle densities, and 1-4 distinct free
+    cells on it, drawn from the last column when it has a free cell and a
+    coin says so."""
+    h = draw(st.integers(1, 80))
+    w = draw(st.integers(1, 80))
+    density = draw(st.sampled_from((0.0, 0.2, 0.4, 0.55)))
+    occ = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)) < density
+    free = np.argwhere(~occ)
+    if draw(st.booleans()) and (~occ[:, -1]).any():
+        free = free[free[:, 1] == w - 1]
+    assume(len(free) > 0)
+    picks = draw(st.lists(st.integers(0, len(free) - 1), min_size=1, max_size=4, unique=True))
+    return occ, [(int(free[i][1]), int(free[i][0])) for i in picks]
+
+
+def _walled(h, w, wall_col):
+    occ = np.zeros((h, w), dtype=bool)
+    occ[1:, wall_col] = True  # one gap, in row 0
+    return occ
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_grid_and_seeds())
+@example((np.zeros((1, 80), dtype=bool), [(79, 0)]))
+@example((np.zeros((80, 1), dtype=bool), [(0, 79), (0, 3)]))
+@example((np.zeros((1, 1), dtype=bool), [(0, 0)]))
+@example((np.zeros((3, 63), dtype=bool), [(62, 1)]))  # padded rows of exactly 64 bits
+@example((_walled(9, 64, 40), [(63, 8), (63, 0)]))
+@example((_walled(70, 79, 1), [(78, 69)]))
+def test_hop_distances_match_reference_bfs_on_wide_grids(case):
+    _assert_hops_match(*case)
+
+
+def test_hop_distances_seed_outside_the_grid_is_named():
+    free = np.ones((4, 4), dtype=bool)
+    for seed in ((-1, 0), (4, 0), (0, -1), (0, 4)):
+        for search in (hop_distances, reachable):
+            with pytest.raises(ParameterError) as ei:
+                search(free, [(1, 1), seed])
+            assert ei.value.field == "seed_cells"
 
 
 def test_bfs_length_trivial_cases():

@@ -17,6 +17,7 @@ from heatplan.errors import (
     ParameterError,
     UnknownLabelError,
 )
+import oracles
 
 
 def test_world_to_cell_origin_and_midpoint():
@@ -123,6 +124,34 @@ def test_conveyor_has_gaps_through_every_belt():
         mask = flood_fill(m, seed_cell)
         # the main component holds the overwhelming share of free space
         assert mask.sum() >= 0.95 * m.free.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.sampled_from((0.3, 0.45, 0.6)), st.integers(0, 2**32 - 1))
+def test_largest_component_matches_the_oracle(h, w, density, seed):
+    occ = np.random.default_rng(seed).random((h, w)) < density
+    if occ.all():
+        occ[h // 2, w // 2] = False
+    got = gridmap._largest_component(occ)
+    want = oracles.largest_component(occ)
+    assert got.dtype == bool and got.shape == occ.shape
+    assert np.array_equal(got, want)
+
+
+def test_largest_component_tie_goes_to_the_lowest_row_major_cell():
+    occ = np.zeros((5, 9), dtype=bool)
+    occ[:, 4] = True                  # a wall between columns 0-3 and 5-8
+    occ[0, 1] = occ[1, 0] = True      # cell (0, 0) becomes a one-cell pocket
+    occ[4, 6:] = True                 # left and right hold 17 cells each
+    left = np.zeros_like(occ)
+    left[:, :4] = ~occ[:, :4]
+    left[0, 0] = False
+    got = gridmap._largest_component(occ)
+    assert got.dtype == bool and np.array_equal(got, left)
+    occ[0, 3] = True                  # left now 16: the right side wins
+    got = gridmap._largest_component(occ)
+    assert got.sum() == 17 and got[:, 5:].sum() == 17
+    assert np.array_equal(got, oracles.largest_component(occ))
 
 
 def test_generate_unknown_family_rejected():

@@ -595,6 +595,12 @@ def _step(positions, t=1, n_ladders=1, noise=None):
     pytest.param(lambda: hf.interpolate(_FIELD8, ["a", "b"]), "p", id="interpolate-strings-list"),
     pytest.param(lambda: hf.interpolate(_FIELD8, np.array(["a", "b"])), "p", id="interpolate-strings-array"),
     pytest.param(lambda: hf.interpolate(_FIELD8, [[0.5, 0.5, 0.5]]), "p", id="interpolate-triple-list"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, np.array([0.5, 0.5, 0.5, 0.5])), "p", id="interpolate-four-coordinates"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, np.full((1, 1, 2), 0.5)), "p", id="interpolate-three-axes"),
+    pytest.param(lambda: planner.interrobot_guidance(np.zeros((0, 2)), 0.12), "positions", id="guidance-no-robots"),
+    pytest.param(lambda: planner.interrobot_guidance(np.zeros((2, 3)), 0.12), "positions", id="guidance-2x3"),
+    pytest.param(lambda: planner.interrobot_guidance(np.array([[0.5, np.nan]]), 0.12), "positions",
+                 id="guidance-nan"),
     pytest.param(_step(np.empty((0, 2)), n_ladders=0), "positions", id="step-no-robots"),
     pytest.param(_step([], n_ladders=0), "positions", id="step-no-robots-list"),
     pytest.param(_step(np.array([[0.5, 0.5, 0.5]])), "positions", id="step-1x3"),
