@@ -25,7 +25,6 @@ from .gridmap import (
     Scenario,
     WorldMap,
     generate_map,
-    hop_distances,  # re-exported: the oracle's hop counts, beside flood_fill's mask
     reachable,
     resolve_goal_regions,
     world_to_cell,

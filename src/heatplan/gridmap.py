@@ -541,10 +541,6 @@ def _position(rng, lo, hi, cells):
     return int(rng.integers(lo, hi))
 
 
-def _paint_rect(occ, r0, r1, c0, c1, value=True):
-    occ[r0:r1, c0:c1] = value
-
-
 def _drop_region_obstacles(occ, protected, rng):
     """Border + open zone rectangles + scattered blocks up to a fill target."""
     n = occ.shape[0]
@@ -564,9 +560,9 @@ def _drop_region_obstacles(occ, protected, rng):
     lo, hi = FILL_RANGE
     target = float(rng.uniform(lo + 0.01, hi - 0.01))
     total = occ.size
+    filled = int(occ.sum())
     for _attempt in range(600):
-        frac = occ.sum() / total
-        if frac >= target - 0.004:
+        if filled / total >= target - 0.004:
             break
         bw = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
         bh = int(rng.integers(BLOCK_SIDE[0], BLOCK_SIDE[1] + 1))
@@ -574,11 +570,12 @@ def _drop_region_obstacles(occ, protected, rng):
         r0 = _position(rng, 2, n - 2 - bh, n)
         if protected[max(r0 - 2, 0):r0 + bh + 2, max(c0 - 2, 0):c0 + bw + 2].any():
             continue
-        after = (occ.sum() + bw * bh) / total  # upper bound; overlap only lowers it
-        if after > target:
+        if (filled + bw * bh) / total > target:  # upper bound; overlap only lowers it
             continue
-        _paint_rect(occ, r0, r0 + bh, c0, c0 + bw)
-    frac = occ.sum() / total
+        block = occ[r0:r0 + bh, c0:c0 + bw]
+        filled += bw * bh - int(block.sum())
+        block[...] = True
+    frac = filled / total
     if not (lo <= frac <= hi):
         raise GenerationError(f"drop_region fill {frac:.3f} outside [{lo}, {hi}]")
     return zone_rects
@@ -592,7 +589,7 @@ def _conveyor_obstacles(occ, rng):
         th = int(rng.integers(BELT_THICKNESS[0], BELT_THICKNESS[1] + 1))
         yc = int(round((i + 1) * n / (n_belts + 1))) + int(rng.integers(-n // 16, n // 16 + 1))
         r0 = max(3, min(yc - th // 2, n - 3 - th))
-        _paint_rect(occ, r0, r0 + th, 1, n - 1)
+        occ[r0:r0 + th, 1:n - 1] = True
         n_gaps = int(rng.integers(1, 3))
         placed = []
         for _ in range(n_gaps):
@@ -601,7 +598,7 @@ def _conveyor_obstacles(occ, rng):
                 c0 = _position(rng, 3, n - 3 - gw, n)
                 if any(abs(c0 - p) < gw + 6 for p in placed):
                     continue
-                _paint_rect(occ, r0, r0 + th, c0, c0 + gw, value=False)
+                occ[r0:r0 + th, c0:c0 + gw] = False
                 placed.append(c0)
                 break
 
@@ -623,9 +620,9 @@ def _room_obstacles(occ, rng):
     v_walls = split_positions()
     h_walls = split_positions()
     for x in v_walls:
-        _paint_rect(occ, 1, n - 1, x, x + th)
+        occ[1:n - 1, x:x + th] = True
     for y in h_walls:
-        _paint_rect(occ, y, y + th, 1, n - 1)
+        occ[y:y + th, 1:n - 1] = True
 
     # carve one doorway per wall segment between consecutive crossings
     h_bounds = [1] + sorted(h_walls) + [n - 1]
@@ -637,7 +634,7 @@ def _room_obstacles(occ, rng):
                 continue
             dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
             r0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
-            _paint_rect(occ, r0, r0 + dw, x, x + th, value=False)
+            occ[r0:r0 + dw, x:x + th] = False
     for y in h_walls:
         for s0, s1 in zip(v_bounds[:-1], v_bounds[1:]):
             lo, hi = s0 + 2, s1 - 2 - th
@@ -645,7 +642,7 @@ def _room_obstacles(occ, rng):
                 continue
             dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
             c0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
-            _paint_rect(occ, y, y + th, c0, c0 + dw, value=False)
+            occ[y:y + th, c0:c0 + dw] = False
 
 
 def _shelf_obstacles(occ, rng):
@@ -657,7 +654,7 @@ def _shelf_obstacles(occ, rng):
         th = int(rng.integers(SHELF_THICKNESS[0], SHELF_THICKNESS[1] + 1))
         if r + th > n - 1 - margin:
             break
-        _paint_rect(occ, r, r + th, 1 + margin, n - 1 - margin)
+        occ[r:r + th, 1 + margin:n - 1 - margin] = True
         n_cross = int(rng.integers(1, 3))
         placed = []
         for _ in range(n_cross):
@@ -666,7 +663,7 @@ def _shelf_obstacles(occ, rng):
                 c0 = _position(rng, 1 + margin + 2, n - 1 - margin - 2 - gw, n)
                 if any(abs(c0 - p) < gw + 8 for p in placed):
                     continue
-                _paint_rect(occ, r, r + th, c0, c0 + gw, value=False)
+                occ[r:r + th, c0:c0 + gw] = False
                 placed.append(c0)
                 break
         r += th + int(rng.integers(MIN_AISLE, MIN_AISLE + 3))

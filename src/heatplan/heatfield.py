@@ -148,8 +148,7 @@ class _Solver:
     """The stencil of one map, its explicit step and its spectral bound.
 
     ``ladder`` gives every level of a ladder from one Chebyshev recurrence
-    on the stencil; ``run_steps`` reaches the same levels by explicit steps,
-    the reference that the recurrence reproduces.
+    on the stencil, reproducing the levels that explicit steps reach.
 
     The stencil reads each C-contiguous (H, W) grid as one flat row of H*W
     cells, so each flux family pairs cell p with cell p + d: d = 1 (east),
@@ -229,12 +228,6 @@ class _Solver:
         out = np.zeros_like(v)
         self._stencil(1.0, v, out)()
         return out
-
-    def run_steps(self, u: np.ndarray, n_steps: int, dt: float) -> None:
-        """Advance the (H, W) mass grid ``u`` in place by ``n_steps`` steps of ``dt``."""
-        step = self._stencil(dt, u, u)
-        for _ in range(n_steps):
-            step()
 
     def ladder_coefficients(self, heat_times) -> tuple:
         """Per heat time, the Chebyshev coefficients of the explicit

@@ -13,21 +13,6 @@ short at the first obstacle cell on its way (an exact cell walk, skipped when
 no obstacle lies within one cell of the move's cell box), and moves that
 breach the hard separation are rejected (the mover keeps its previous
 position).  A separate validator, not the sampler, is the arbiter of success.
-
-A plan has a few robots, so an update runs on Python floats, robot by robot
-and pair by pair: numpy's fixed cost per call outweighs the arithmetic on
-(N, 2) arrays that small.  The loops keep the IEEE operations, and their
-order, of the whole-array expressions that the tests keep as references
-(tests/oracles.py), so every result byte is theirs.  The pair loops are
-O(N^2) interpreted Python, and near N = 25 an update costs what whole-array
-code costs.
-
-For the same reason positions stay Python lists between updates.
-``langevin_step`` and ``interpolate`` take a ``list`` of N [x, y] pairs of
-floats and return a list, with the bits that an (N, 2) array gives, and
-``_clamp_to_free`` takes and returns (x, y) pairs.  ``plan`` turns the
-starts into lists once and each outer step's noise once, and makes the
-micro-step history an array once, at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError, SingularConfigurationError
-from .gridmap import Scenario, WorldMap, resolve_goal_regions
+from .gridmap import Scenario, WorldMap, _is_real, resolve_goal_regions
 from .heatfield import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_SIGMA_MAX,
@@ -82,7 +67,7 @@ class PlannerConfig:
             if f.name in ("T", "K", "seed"):
                 if not (isinstance(val, numbers.Integral) or (f.name == "seed" and val is None)):
                     raise ParameterError(f"must be an integer, got {val!r}", field=f.name)
-            elif not (isinstance(val, numbers.Real) and math.isfinite(val)):
+            elif not _is_real(val):
                 raise ParameterError(f"must be a finite number, got {val!r}", field=f.name)
         if self.T < 2:
             raise ParameterError("must be >= 2", field="T")
@@ -124,7 +109,7 @@ class PlannerConfig:
                 # a whole float (JSON's 10.0) becomes an int; anything else is
                 # left for __post_init__ to accept or reject by name
                 coerced[key] = int(val) if isinstance(val, float) and val.is_integer() else val
-            elif isinstance(val, numbers.Real) and not isinstance(val, bool):
+            elif _is_real(val):
                 coerced[key] = float(val)
             else:
                 coerced[key] = val  # for __post_init__ to reject by name
@@ -185,7 +170,10 @@ def _guidance(xy: list, d_margin: float) -> list:
             if d == 0.0:
                 raise SingularConfigurationError("two robots occupy the same point")
             if d < d_margin:
-                w = 1.0 / (d * d)
+                dd = d * d
+                w = 1.0 / dd if dd else math.inf
+                if w == math.inf:
+                    raise SingularConfigurationError("two robots are too close for a finite guidance")
                 tx, ty = w * dx, w * dy
                 gi[0] += tx
                 gi[1] += ty
@@ -205,8 +193,8 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     neighbours within ``d_margin`` a permutation of the robots can round its
     sum differently: the guidance, and the Langevin step, are then not
     exactly permutation-equivariant (``plan`` runs robots in id order).
-    Coincident robots raise SingularConfigurationError; positions must be
-    finite.
+    Coincident robots, and a pair so close that 1/d^2 overflows, raise
+    SingularConfigurationError; positions must be finite.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:

@@ -67,9 +67,6 @@ class _Canvas:
     def to_px(self, x, y):
         return x * self.sx, self.h - y * self.sy
 
-    def from_px(self, px, py):
-        return px / self.sx, (self.h - py) / self.sy
-
 
 def _row_runs(mask_row):
     """(start, stop) column runs of True values in one row."""

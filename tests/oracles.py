@@ -47,6 +47,15 @@ def largest_component(occ) -> np.ndarray:
     return best
 
 
+def run_steps(ops, u, n_steps: int, dt: float) -> None:
+    """The explicit scheme, the reference that ``_Solver.ladder`` reproduces:
+    advance the (H, W) mass grid ``u`` in place by ``n_steps`` steps of
+    ``dt`` on the stencil of the ``_Solver`` ``ops``."""
+    step = ops._stencil(dt, u, u)
+    for _ in range(n_steps):
+        step()
+
+
 def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:
     """Follow score vectors cell-to-cell from coarse t to fine t.
 
@@ -160,10 +169,15 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     """The whole-array guidance: the oracle for
     ``planner.interrobot_guidance``, which must give the same bits.
 
-    Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i.
+    Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i; a
+    pair whose weight 1/d^2 overflows to inf raises
+    SingularConfigurationError.
     """
     pos, diff, dist = pairwise(positions)
     if len(pos) < 2:
         return np.zeros_like(pos)
-    w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
+    if np.isinf(w).any():
+        raise SingularConfigurationError("two robots are too close for a finite guidance")
     return (w[:, :, None] * diff).sum(axis=1)

@@ -383,7 +383,6 @@ def test_run_suite_one_goal_bfs_per_map_and_label(monkeypatch):
         return hop_distances(free, seed_cells)
 
     # run_one's detour base reaches the BFS through the cache it plans with
-    monkeypatch.setattr(bench, "hop_distances", counted)
     monkeypatch.setattr(hf, "hop_distances", counted)
     hp.run_suite(scenarios, PlannerConfig(T=4, K=2), workers=1)
     pairs = {

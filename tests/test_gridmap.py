@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 
@@ -199,6 +200,23 @@ def test_generate_small_maps_succeed_or_raise_typed(family, seed, cells, seal):
     except HeatplanError:
         return
     assert m.occupancy.shape == (cells, cells)
+
+
+def test_generated_maps_keep_their_bytes():
+    """The sha256 of the content hashes of every family's maps at 32, 64 and
+    128 cells, seeds 0-3, with and without the sealed duplicate; a layout
+    that does not fit is pinned by its GenerationError text."""
+    digest = hashlib.sha256()
+    for family in gridmap.FAMILIES:
+        for cells in (32, 64, 128):
+            for seed in range(4):
+                for seal in (False, True):
+                    try:
+                        text = hp.generate_map(family, seed, cells=cells, seal_duplicate=seal).content_hash()
+                    except GenerationError as e:
+                        text = f"GenerationError: {e}"
+                    digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "3e382c7cefb3bbd933f320edc2aca1380abf726ed6dc2c8ddeb06354242227e1"
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "abc", None])

@@ -146,7 +146,7 @@ def test_uniform_state_is_fixed_point():
     ops = hf._Solver(m)
     u = np.full((16, 16), 1.0 / 256)
     stepped = u.copy()
-    ops.run_steps(stepped, 5, ops.internal_dt)
+    oracles.run_steps(ops, stepped, 5, ops.internal_dt)
     assert np.allclose(stepped, u, atol=1e-15)
 
 
@@ -248,7 +248,7 @@ def test_apply_is_the_explicit_step_rate(case, seed):
     ops = hf._Solver(m)
     u = np.where(m.free, np.random.default_rng(seed).random(m.free.shape), 0.0)
     stepped = u.copy()
-    ops.run_steps(stepped, 1, ops.internal_dt)
+    oracles.run_steps(ops, stepped, 1, ops.internal_dt)
     assert np.allclose(stepped - u, ops.internal_dt * ops.apply(u), rtol=0, atol=1e-15 * max(u.max(), 1e-300))
 
 
@@ -298,7 +298,7 @@ def test_flat_stencil_matches_the_2d_stencil_bit_for_bit(case, seed, frac):
     # the explicit step and the shorter landing steps: the only steps the ladder takes
     for dt in (ops.internal_dt, frac * ops.internal_dt):
         got, want = u.copy(), u.copy()
-        ops.run_steps(got, 1, dt)
+        oracles.run_steps(ops, got, 1, dt)
         _stencil_2d(m, dt)(want, want)
         assert np.array_equal(got, want)
     want = np.zeros_like(u)
@@ -312,7 +312,7 @@ def test_stencil_refuses_a_grid_it_cannot_flatten_without_a_copy():
     ops = hf._Solver(m)
     wide = np.zeros((8, 16))
     with pytest.raises(AttributeError):
-        ops.run_steps(wide[:, :8], 1, ops.internal_dt)
+        oracles.run_steps(ops, wide[:, :8], 1, ops.internal_dt)
     with pytest.raises(AttributeError):
         ops.apply(np.zeros((8, 8)).T)
 
@@ -350,11 +350,11 @@ def _explicit_steps(dt, heat_times):
 
 
 def _explicit_ladder(ops, u, heat_times):
-    """The all-explicit ladder from ``u``: every level by ``run_steps``."""
+    """The all-explicit ladder from ``u``: every level by ``oracles.run_steps``."""
     u, levels = u.copy(), []
     for level in _explicit_steps(ops.internal_dt, heat_times):
         for step, count in level:
-            ops.run_steps(u, count, step)
+            oracles.run_steps(ops, u, count, step)
         levels.append(u.copy())
     return levels
 

@@ -83,14 +83,19 @@ NAN, INF = float("nan"), float("inf")
     ("overrides", "seed", False),
     ("cli", "time_limit", "nan"),
     ("cli", "beta", "inf"),
+    # an int too large for a float
+    pytest.param("constructor", "beta", 10**400, id="constructor-beta-10**400"),
+    pytest.param("overrides", "beta", 10**400, id="overrides-beta-10**400"),
 ])
 def test_config_rejects_non_finite_and_non_integral(path, field, value, tmp_path, capsys):
     if path == "constructor":
-        with pytest.raises(ParameterError, match=field):
+        with pytest.raises(ParameterError, match=field) as ei:
             PlannerConfig(**{field: value})
+        assert ei.value.field == field
     elif path == "overrides":
-        with pytest.raises(ParameterError, match=field):
+        with pytest.raises(ParameterError, match=field) as ei:
             PlannerConfig().with_overrides({field: value})
+        assert ei.value.field == field
     else:
         from heatplan.cli import main
 
@@ -188,6 +193,9 @@ def _cluster(draw):
 
 @settings(deadline=None, max_examples=500)
 @given(_cluster())
+# robots 1 and 3 are 4.1e-155 apart, where 1/d^2 overflows: both raise
+@example(case=(np.array([[0.125, 4.13688515e-155], [0.0, 4.13688515e-155], [0.0625, 4.13688515e-155],
+                         [4.13688515e-155, 4.13688515e-155]]), 0.5))
 def test_guidance_equals_the_array_oracle(case):
     """The pair loop gives the bits of the whole-array guidance, signed zeros
     included, and rejects coincident robots as it does."""
@@ -618,6 +626,21 @@ def test_sampler_inputs_raise_typed_errors(call, field):
     with pytest.raises(ParameterError) as ei:
         call()
     assert ei.value.field == field
+
+
+def test_robots_too_close_for_a_finite_guidance_are_singular():
+    # 1/d^2 overflows to inf at d = 4.1e-155, and inf * 0.0 would be NaN
+    pos = [[0.0, 0.5], [4.1e-155, 0.5]]
+    with pytest.raises(SingularConfigurationError):
+        hp.interrobot_guidance(np.array(pos), 0.12)
+    with pytest.raises(SingularConfigurationError):
+        oracles.interrobot_guidance(np.array(pos), 0.12)
+    for positions in (pos, np.array(pos)):
+        with pytest.raises(SingularConfigurationError):
+            _step(positions, n_ladders=2)()
+    # so close that d^2 underflows to 0.0
+    with pytest.raises(SingularConfigurationError):
+        hp.interrobot_guidance(np.array([[0.0, 0.5], [1e-170, 0.5]]), 0.12)
 
 
 def test_langevin_step_rejects_positions_outside_the_world():

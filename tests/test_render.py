@@ -52,10 +52,10 @@ def test_coordinate_fidelity_roundtrip():
     svg = render_svg(m, spec, trajectories=res.trajectories)
     root = ET.fromstring(svg)
     pts = root.find(f".//{SVG_NS}polyline").attrib["points"].split()
-    from_px = _Canvas(m, spec).from_px
+    cv = _Canvas(m, spec)
     for token, wp in zip(pts, res.trajectories[0].waypoints):
         px, py = (float(v) for v in token.split(","))
-        x, y = from_px(px, py)
+        x, y = px / cv.sx, (cv.h - py) / cv.sy
         assert abs(x - wp[0]) <= 1e-6 and abs(y - wp[1]) <= 1e-6
 
 
