@@ -10,7 +10,6 @@ worker count (wall-clock timing fields aside).
 from __future__ import annotations
 
 import json
-import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,13 +23,16 @@ from .gridmap import (
     RobotSpec,
     Scenario,
     WorldMap,
+    _int_pair,
+    _is_int,
+    _uniform_point,
     generate_map,
     reachable,
     resolve_goal_regions,
     world_to_cell,
 )
 from .heatfield import FieldCache
-from .planner import PlannerConfig, pair_distances, plan
+from .planner import PlannerConfig, pair_distances, plan, result_to_json
 
 REPORT_COLUMNS = (
     "family",
@@ -52,12 +54,16 @@ MAP_PARAMS = ("cells", "n_labels", "seal_duplicate")  # generate_map's keywords
 
 
 def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
-    """Boolean mask of free cells 4-connected to ``seed_cell``."""
-    col, row = int(seed_cell[0]), int(seed_cell[1])
+    """Boolean mask of free cells 4-connected to ``seed_cell``, a free
+    (col, row) cell of the map."""
+    cell = _int_pair(seed_cell)
+    if cell is None:
+        raise ParameterError(f"must be a (col, row) pair of integers, got {seed_cell!r}", field="seed_cell")
+    col, row = cell
     if not (0 <= col < worldmap.width_cells and 0 <= row < worldmap.height_cells):
-        raise ParameterError(f"seed cell ({col},{row}) out of bounds")
+        raise ParameterError(f"({col},{row}) is out of bounds", field="seed_cell")
     if worldmap.occupancy[row, col]:
-        raise ParameterError(f"seed cell ({col},{row}) is an obstacle")
+        raise ParameterError(f"({col},{row}) is an obstacle", field="seed_cell")
     return reachable(worldmap.free, [(col, row)])
 
 
@@ -94,7 +100,7 @@ class SuiteSpec:
         counts += [("scenarios_per_config", self.scenarios_per_config, 1), ("map_variants", self.map_variants, 1),
                    ("base_seed", self.base_seed, 0)]
         for name, value, least in counts:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if not _is_int(value) or value < least:
                 raise ParameterError(f"must be an integer >= {least}, got {value!r}", field=name)
         if not isinstance(self.map_params, dict) or set(self.map_params) - set(MAP_PARAMS):
             raise ParameterError(f"must be a dict with keys among {MAP_PARAMS}, got {self.map_params!r}",
@@ -118,14 +124,11 @@ def _suite_maps(spec: SuiteSpec, family: str):
 
 
 def _sample_starts(worldmap, component, n, separation, rng):
-    rows, cols = np.nonzero(component)
-    hx, hy = worldmap.cell_size
+    cells = np.nonzero(component)
     starts = []
     for _robot in range(n):
         for _attempt in range(2000):
-            i = int(rng.integers(len(rows)))
-            jx, jy = rng.random(2)
-            p = ((cols[i] + jx) * hx, (rows[i] + jy) * hy)
+            p = _uniform_point(cells, worldmap.cell_size, rng)
             if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= separation**2 for q in starts):
                 starts.append(p)
                 break
@@ -170,12 +173,8 @@ def generate_suite(spec: SuiteSpec):
                 robots = []
                 for i in range(n_robots):
                     label = order[i]
-                    reachable = [
-                        reg
-                        for reg in worldmap.regions_with_label(label)
-                        if component[reg.cells[0][1], reg.cells[0][0]]
-                    ]
-                    if not reachable:
+                    instances = worldmap.regions_with_label(label)
+                    if not any(component[reg.cells[0][1], reg.cells[0][0]] for reg in instances):
                         raise GenerationError(
                             f"label {label!r} has no instance reachable from the start component"
                         )
@@ -240,8 +239,6 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
         "inter_robot_violations": len(result.inter_robot_violations),
     }
     if include_result_json:
-        from .planner import result_to_json
-
         record["result_json"] = result_to_json(result, include_timing=False)
     return record
 
@@ -270,7 +267,9 @@ def run_suite(scenarios, config: PlannerConfig | None = None, workers: int = 1,
     measured wall-clock fields aside, do not depend on ``workers``.
     """
     if not scenarios:
-        raise ParameterError("no scenarios to run")
+        raise ParameterError("must hold at least one scenario", field="scenarios")
+    if not _is_int(workers) or workers < 1:
+        raise ParameterError(f"must be an integer >= 1, got {workers!r}", field="workers")
     config = config if config is not None else PlannerConfig()
     groups = {}
     for i, scenario in enumerate(scenarios):
@@ -331,30 +330,20 @@ def _cell_str(value):
 
 
 def write_report(report: SuiteReport, fmt: str = "csv", include_timing: bool = True) -> str:
-    """Serialize aggregate rows; timing columns can be blanked for
-    worker-count determinism comparisons."""
+    """Serialize aggregate rows; without ``include_timing`` the timing
+    columns are blank in CSV and absent in JSON, for worker-count
+    determinism comparisons."""
+    dropped = () if include_timing else ("mean_time_s", "median_time_s")
     if fmt == "csv":
         lines = [",".join(REPORT_COLUMNS)]
         for row in report.rows:
-            values = []
-            for col in REPORT_COLUMNS:
-                val = row[col]
-                if not include_timing and col in ("mean_time_s", "median_time_s"):
-                    val = None
-                values.append(_cell_str(val))
-            lines.append(",".join(values))
+            lines.append(",".join("" if col in dropped else _cell_str(row[col]) for col in REPORT_COLUMNS))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = []
-        for row in report.rows:
-            out = {k: row[k] for k in REPORT_COLUMNS}
-            out["scenarios"] = row["scenarios"]
-            if not include_timing:
-                out.pop("mean_time_s")
-                out.pop("median_time_s")
-            rows.append(out)
+        rows = [{**{k: row[k] for k in REPORT_COLUMNS if k not in dropped}, "scenarios": row["scenarios"]}
+                for row in report.rows]
         return json.dumps({"rows": rows}, separators=(",", ":")) + "\n"
-    raise ParameterError(f"unsupported report format {fmt!r}")
+    raise ParameterError(f"must be 'csv' or 'json', got {fmt!r}", field="fmt")
 
 
 def write_records(records, include_timing: bool = True) -> str:

@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (HeatplanError, FileNotFoundError, ValueError) as exc:
+    except (HeatplanError, OSError, ValueError) as exc:
         print(f"heatplan: error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

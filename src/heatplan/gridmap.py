@@ -206,6 +206,11 @@ def empty_map(name="empty", cells=128, regions=()) -> WorldMap:
     return WorldMap(name, occ, regions=regions)
 
 
+def _is_int(v) -> bool:
+    """True for a non-bool integer, numpy's included."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _is_real(v) -> bool:
     """True for a non-bool number that converts to a finite float."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -247,6 +252,15 @@ def cell_center(cell, worldmap: WorldMap) -> tuple:
     )
 
 
+def _uniform_point(cells, cell_size, rng) -> tuple:
+    """A uniform point in one of ``cells``, an ``np.nonzero`` (rows, cols)
+    pair: one draw of the cell, then one of the offset within it."""
+    rows, cols = cells
+    i = int(rng.integers(len(rows)))
+    jx, jy = rng.random(2)
+    return ((cols[i] + jx) * cell_size[0], (rows[i] + jy) * cell_size[1])
+
+
 def is_free(p, worldmap: WorldMap) -> bool:
     """True iff ``p`` lies in the map and its cell is obstacle-free."""
     try:
@@ -283,7 +297,7 @@ class Scenario:
             raise ParameterError(f"must be a WorldMap, got {self.map!r}", field="map")
         if not isinstance(self.robots, (tuple, list)) or not self.robots:
             raise ParameterError(f"must be a nonempty sequence of RobotSpec, got {self.robots!r}", field="robots")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"must be an unsigned integer, got {self.seed!r}", field="seed")
         robots, ids, starts = [], {}, {}  # id -> index, start -> id
         for i, robot in enumerate(self.robots):
@@ -338,7 +352,7 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
     labels are multi-instance goals).
     """
     if not instruction or not instruction.strip():
-        raise ParameterError("instruction is empty")
+        raise ParameterError("is empty", field="instruction")
     text = " ".join(instruction.lower().split())
     m = _INSTRUCTION_RE.match(text)
     token = m.group(1) if m else text
@@ -492,16 +506,16 @@ def generate_map(family, seed, cells=128, n_labels=4, seal_duplicate=False) -> W
     first label sealed behind an obstacle ring.
     """
     if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise ParameterError(f"must be one of {FAMILIES}, got {family!r}", field="family")
     for name, value in (("seed", seed), ("cells", cells), ("n_labels", n_labels)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if not _is_int(value):
+            raise ParameterError(f"must be an integer, got {value!r}", field=name)
     if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed!r}")
+        raise ParameterError(f"must be >= 0, got {seed!r}", field="seed")
     if cells < 16:
-        raise ParameterError("cells must be >= 16")
+        raise ParameterError("must be >= 16", field="cells")
     if n_labels < 1 or n_labels > len(VOCABULARY):
-        raise ParameterError(f"n_labels must be in 1..{len(VOCABULARY)}")
+        raise ParameterError(f"must be in 1..{len(VOCABULARY)}", field="n_labels")
     seed = int(seed)
     rng = np.random.default_rng(np.random.SeedSequence([FAMILIES.index(family), seed]))
 
@@ -590,17 +604,25 @@ def _conveyor_obstacles(occ, rng):
         yc = int(round((i + 1) * n / (n_belts + 1))) + int(rng.integers(-n // 16, n // 16 + 1))
         r0 = max(3, min(yc - th // 2, n - 3 - th))
         occ[r0:r0 + th, 1:n - 1] = True
-        n_gaps = int(rng.integers(1, 3))
-        placed = []
-        for _ in range(n_gaps):
-            for _attempt in range(100):
-                gw = int(rng.integers(GAP_CELLS, GAP_CELLS + 4))
-                c0 = _position(rng, 3, n - 3 - gw, n)
-                if any(abs(c0 - p) < gw + 6 for p in placed):
-                    continue
-                occ[r0:r0 + th, c0:c0 + gw] = False
-                placed.append(c0)
-                break
+        _cut_gaps(occ[r0:r0 + th], rng, (GAP_CELLS, GAP_CELLS + 4), 3, n - 3, 6)
+
+
+def _cut_gaps(band, rng, widths, lo, hi, spacing):
+    """Cut one or two gaps through ``band``, a run of whole rows of a square
+    grid.  A gap's width is drawn from ``range(*widths)`` and its columns lie
+    in [lo, hi); a gap starting within its width plus ``spacing`` of an
+    earlier one is redrawn, up to 100 draws per gap."""
+    n = band.shape[1]
+    placed = []
+    for _ in range(int(rng.integers(1, 3))):
+        for _attempt in range(100):
+            gw = int(rng.integers(*widths))
+            c0 = _position(rng, lo, hi - gw, n)
+            if any(abs(c0 - p) < gw + spacing for p in placed):
+                continue
+            band[:, c0:c0 + gw] = False
+            placed.append(c0)
+            break
 
 
 def _room_obstacles(occ, rng):
@@ -617,32 +639,24 @@ def _room_obstacles(occ, rng):
             pos.append(max(4, min(p, n - 4 - th)))
         return pos
 
-    v_walls = split_positions()
-    h_walls = split_positions()
-    for x in v_walls:
-        occ[1:n - 1, x:x + th] = True
-    for y in h_walls:
-        occ[y:y + th, 1:n - 1] = True
+    # (grid, wall positions) for the vertical walls, then the horizontal
+    # ones, which are vertical in the transposed view
+    walls = ((occ, split_positions()), (occ.T, split_positions()))
+    for grid, at in walls:
+        for x in at:
+            grid[1:n - 1, x:x + th] = True
 
     # carve one doorway per wall segment between consecutive crossings
-    h_bounds = [1] + sorted(h_walls) + [n - 1]
-    v_bounds = [1] + sorted(v_walls) + [n - 1]
-    for x in v_walls:
-        for s0, s1 in zip(h_bounds[:-1], h_bounds[1:]):
-            lo, hi = s0 + 2, s1 - 2 - th
-            if hi <= lo:
-                continue
-            dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
-            r0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
-            occ[r0:r0 + dw, x:x + th] = False
-    for y in h_walls:
-        for s0, s1 in zip(v_bounds[:-1], v_bounds[1:]):
-            lo, hi = s0 + 2, s1 - 2 - th
-            if hi <= lo:
-                continue
-            dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
-            c0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
-            occ[y:y + th, c0:c0 + dw] = False
+    for (grid, at), (_, crossing) in zip(walls, walls[::-1]):
+        bounds = [1] + sorted(crossing) + [n - 1]
+        for x in at:
+            for s0, s1 in zip(bounds[:-1], bounds[1:]):
+                lo, hi = s0 + 2, s1 - 2 - th
+                if hi <= lo:
+                    continue
+                dw = int(rng.integers(DOORWAY_CELLS[0], DOORWAY_CELLS[1] + 1))
+                r0 = int(rng.integers(lo, max(hi - dw, lo) + 1))
+                grid[r0:r0 + dw, x:x + th] = False
 
 
 def _shelf_obstacles(occ, rng):
@@ -655,17 +669,7 @@ def _shelf_obstacles(occ, rng):
         if r + th > n - 1 - margin:
             break
         occ[r:r + th, 1 + margin:n - 1 - margin] = True
-        n_cross = int(rng.integers(1, 3))
-        placed = []
-        for _ in range(n_cross):
-            for _attempt in range(100):
-                gw = int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
-                c0 = _position(rng, 1 + margin + 2, n - 1 - margin - 2 - gw, n)
-                if any(abs(c0 - p) < gw + 8 for p in placed):
-                    continue
-                occ[r:r + th, c0:c0 + gw] = False
-                placed.append(c0)
-                break
+        _cut_gaps(occ[r:r + th], rng, (MIN_AISLE, MIN_AISLE + 3), margin + 3, n - margin - 3, 8)
         r += th + int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
 
 
@@ -813,7 +817,7 @@ def decode_map(doc) -> WorldMap:
         raise MapFormatError("version", f"unsupported version {doc['version']!r}")
     width, height = doc["width_cells"], doc["height_cells"]
     for key, val in (("width_cells", width), ("height_cells", height)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        if not _is_int(val) or val < 1:
             raise MapFormatError(key, "expected a positive integer")
     rows = doc["occupancy"]
     if not isinstance(rows, list) or len(rows) != height:

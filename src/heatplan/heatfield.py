@@ -60,7 +60,7 @@ from .errors import (
     ParameterError,
     PlacementError,
 )
-from .gridmap import WorldMap, hop_distances, resolve_goal_regions
+from .gridmap import WorldMap, _is_int, _is_real, hop_distances, resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
@@ -109,12 +109,18 @@ def build_schedule(
     sigma_max: float = DEFAULT_SIGMA_MAX,
     step_ratio: float = DEFAULT_STEP_RATIO,
 ) -> NoiseSchedule:
-    if T < 2:
-        raise ParameterError("T must be >= 2")
-    if not (0 < sigma_min < sigma_max):
-        raise ParameterError("need 0 < sigma_min < sigma_max")
-    if step_ratio <= 0:
-        raise ParameterError("step_ratio must be positive")
+    """The ladder of ``T`` geometric noise levels from ``sigma_min`` to
+    ``sigma_max``.  ``T`` is an integer >= 2, the sigmas are finite with
+    0 < sigma_min < sigma_max, and ``step_ratio`` is finite and positive;
+    a ParameterError names the field that breaks its rule."""
+    if not _is_int(T) or T < 2:
+        raise ParameterError(f"must be an integer >= 2, got {T!r}", field="T")
+    if not (_is_real(sigma_min) and sigma_min > 0):
+        raise ParameterError(f"must be a finite number > 0, got {sigma_min!r}", field="sigma_min")
+    if not (_is_real(sigma_max) and sigma_max > sigma_min):
+        raise ParameterError(f"must be a finite number > sigma_min={sigma_min!r}, got {sigma_max!r}", field="sigma_max")
+    if not (_is_real(step_ratio) and step_ratio > 0):
+        raise ParameterError(f"must be a finite number > 0, got {step_ratio!r}", field="step_ratio")
     t = np.arange(T, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** (t / (T - 1))
     return NoiseSchedule(T=T, sigma=sigma, alpha=step_ratio * sigma, heat_time=sigma**2 / 2.0)
@@ -302,7 +308,7 @@ def _ladder_coefficients(lam_max: float, dt: float, heat_times: tuple, tol: floa
     now = 0.0
     for j, target in enumerate(heat_times):
         if target < now - 1e-15:
-            raise ParameterError("schedule heat times must be nondecreasing")
+            raise ParameterError("heat times must be nondecreasing", field="schedule")
         whole = int((target * (1 - 1e-12) - now) / dt)
         if whole > 0:
             f = f * (1.0 + dt * a) ** whole
@@ -324,7 +330,7 @@ def init_heat(regions, worldmap: WorldMap) -> HeatState:
     instances), uniform within each."""
     regions = tuple(regions)
     if not regions:
-        raise ParameterError("init_heat needs at least one source region")
+        raise ParameterError("must hold at least one source region", field="regions")
     u = np.zeros((worldmap.height_cells, worldmap.width_cells), dtype=np.float64)
     share = 1.0 / len(regions)
     for reg in regions:
@@ -657,4 +663,4 @@ def save_field(field: ScoreField, path, schedule: NoiseSchedule | None = None, f
     elif fmt == "json":
         path.write_text(dump_field_json(field, schedule), encoding="utf-8")
     else:
-        raise ParameterError(f"unknown field dump format {fmt!r}")
+        raise ParameterError(f"must be 'bin' or 'json', got {fmt!r}", field="fmt")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional
@@ -28,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError, SingularConfigurationError
-from .gridmap import Scenario, WorldMap, _is_real, resolve_goal_regions
+from .gridmap import Scenario, WorldMap, _is_int, _is_real, _uniform_point, resolve_goal_regions
 from .heatfield import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_SIGMA_MAX,
@@ -60,17 +59,14 @@ class PlannerConfig:
     log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
+        self.schedule()  # build_schedule holds the rules of T, the sigmas and step_ratio
         for f in dataclass_fields(self):
             val = getattr(self, f.name)
-            if isinstance(val, bool):
-                raise ParameterError(f"must be a number, got {val!r}", field=f.name)
-            if f.name in ("T", "K", "seed"):
-                if not (isinstance(val, numbers.Integral) or (f.name == "seed" and val is None)):
+            if f.name in ("K", "seed"):
+                if not (_is_int(val) or (f.name == "seed" and val is None)):
                     raise ParameterError(f"must be an integer, got {val!r}", field=f.name)
-            elif not _is_real(val):
+            elif f.name not in ("T", "sigma_min", "sigma_max", "step_ratio") and not _is_real(val):
                 raise ParameterError(f"must be a finite number, got {val!r}", field=f.name)
-        if self.T < 2:
-            raise ParameterError("must be >= 2", field="T")
         if self.K < 1:
             raise ParameterError("must be >= 1", field="K")
         if self.beta < 0:
@@ -78,11 +74,6 @@ class PlannerConfig:
         if not (0 < self.d_safe < self.d_margin):
             raise ParameterError(f"must satisfy 0 < d_safe < d_margin, got {self.d_safe!r} and {self.d_margin!r}",
                                  field="d_safe" if self.d_safe <= 0 else "d_margin")
-        if not (0 < self.sigma_min < self.sigma_max):
-            raise ParameterError(f"must satisfy 0 < sigma_min < sigma_max, got {self.sigma_min!r} and {self.sigma_max!r}",
-                                 field="sigma_min" if self.sigma_min <= 0 else "sigma_max")
-        if self.step_ratio <= 0:
-            raise ParameterError("must be positive", field="step_ratio")
         if self.time_limit <= 0:
             raise ParameterError("must be positive", field="time_limit")
         if self.goal_tol < 0:
@@ -102,7 +93,7 @@ class PlannerConfig:
         known = {f.name: f.type for f in dataclass_fields(self)}
         bad = [k for k in overrides if k not in known]
         if bad:
-            raise ParameterError(f"unknown planner parameter(s): {', '.join(sorted(bad))}")
+            raise ParameterError(f"has unknown planner parameter(s): {', '.join(sorted(bad))}", field="overrides")
         coerced = {}
         for key, val in overrides.items():
             if key in ("T", "K", "seed"):
@@ -460,14 +451,6 @@ def _instruction_label(instruction: str, worldmap: WorldMap) -> str:
     return resolve_goal_regions(instruction, worldmap)[0].label
 
 
-def _sample_free_start(worldmap: WorldMap, rng: np.random.Generator) -> np.ndarray:
-    rows, cols = np.nonzero(worldmap.free)
-    idx = int(rng.integers(len(rows)))
-    jx, jy = rng.random(2)
-    hx, hy = worldmap.cell_size
-    return np.array([(cols[idx] + jx) * hx, (rows[idx] + jy) * hy])
-
-
 def _separated_starts(robots, index, worldmap: WorldMap, rngs, d_safe: float) -> np.ndarray:
     """(N, 2) start positions, every pair more than ``d_safe`` apart.
 
@@ -490,16 +473,16 @@ def _separated_starts(robots, index, worldmap: WorldMap, rngs, d_safe: float) ->
                     field=f"robots[{max(index[i], index[j])}].start",
                 )
     placed = list(given)
-    for i, robot in enumerate(robots):
-        if robot.start is not None:
-            continue
+    missing = [i for i, r in enumerate(robots) if r.start is None]
+    free_cells = np.nonzero(worldmap.free) if missing else None
+    for i in missing:
         for _attempt in range(START_ATTEMPTS):
-            start[i] = _sample_free_start(worldmap, rngs[i])
+            start[i] = _uniform_point(free_cells, worldmap.cell_size, rngs[i])
             if all(np.hypot(*(start[i] - start[j])) > d_safe for j in placed):
                 break
         else:
             raise ParameterError(
-                f"robot {robot.id!r}: no start more than d_safe={d_safe:g} from the others "
+                f"robot {robots[i].id!r}: no start more than d_safe={d_safe:g} from the others "
                 f"in {START_ATTEMPTS} draws",
                 field=f"robots[{index[i]}].start",
             )
@@ -630,10 +613,10 @@ def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
     inside a resolved region or within goal_tol of its nearest cell.
     """
     if not trajectories:
-        raise ParameterError("no trajectories to validate")
+        raise ParameterError("must hold at least one trajectory", field="trajectories")
     counts = {len(tr.micro_steps) for tr in trajectories}
     if len(counts) != 1:
-        raise ParameterError("trajectories have mismatched micro-step counts")
+        raise ParameterError("have mismatched micro-step counts", field="trajectories")
     worldmap = scenario.map
     n_micro = counts.pop()
 

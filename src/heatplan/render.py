@@ -13,8 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import RenderError
-from .gridmap import WorldMap
+from .errors import ParameterError, RenderError
+from .gridmap import WorldMap, _int_pair, _is_int, resolve_goal_regions
 
 LAYERS = ("occupancy", "regions", "heat", "field_arrows", "trajectories", "starts", "goals")
 
@@ -45,10 +45,11 @@ class RenderSpec:
     canvas: tuple = (640, 640)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise RenderError("(spec)", "stride must be >= 1")
-        if self.canvas[0] <= 0 or self.canvas[1] <= 0:
-            raise RenderError("(spec)", "canvas must be positive")
+        if not _is_int(self.stride) or self.stride < 1:
+            raise ParameterError(f"must be an integer >= 1, got {self.stride!r}", field="stride")
+        canvas = _int_pair(self.canvas)
+        if canvas is None or min(canvas) < 1:
+            raise ParameterError(f"must be a pair of positive integers, got {self.canvas!r}", field="canvas")
         for layer in self.layers:
             if layer not in LAYERS:
                 raise RenderError(layer, f"unknown layer; expected one of {LAYERS}")
@@ -199,8 +200,6 @@ def render_svg(
         elif layer == "goals":
             if scenario is None:
                 raise RenderError(layer)
-            from .gridmap import resolve_goal_regions
-
             parts.append('<g id="goals" fill="none" stroke-width="2">')
             for i, robot in enumerate(scenario.robots):
                 color = ROBOT_COLORS[i % len(ROBOT_COLORS)]

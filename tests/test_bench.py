@@ -50,6 +50,13 @@ def test_flood_fill_obstacle_seed_rejected():
         bench.flood_fill(m, (2, 2))
 
 
+@pytest.mark.parametrize("seed_cell", [("a", 0), (1.5, 0), (True, 0), (1,), 3, (8, 0), (0, -1)])
+def test_flood_fill_seed_cell_must_be_a_cell_of_the_grid(seed_cell):
+    with pytest.raises(ParameterError) as ei:
+        bench.flood_fill(hp.empty_map(cells=8), seed_cell)
+    assert ei.value.field == "seed_cell"
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_flood_fill_matches_reference_bfs(seed):
     fam = hp.FAMILIES[seed % 4]
@@ -407,6 +414,15 @@ def test_already_solved_fixture_rate_one():
 def test_run_suite_empty_rejected():
     with pytest.raises(ParameterError):
         hp.run_suite([], small_config())
+
+
+@pytest.mark.parametrize("workers", ["2", 1.5, True, 0, None])
+def test_run_suite_workers_must_be_a_positive_integer(workers):
+    m = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    scenarios = [hp.Scenario(m, (hp.RobotSpec("r0", "apple", (0.1, 0.1)),), seed=1)]
+    with pytest.raises(ParameterError) as ei:
+        hp.run_suite(scenarios, small_config(), workers=workers)
+    assert ei.value.field == "workers"
 
 
 _ERROR_EXAMPLES = {

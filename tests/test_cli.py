@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -83,6 +84,11 @@ def test_plan_exit_matches_success(tmp_path):
 
 def test_plan_missing_scenario_exits_2(capsys):
     assert run_cli(["plan", "--scenario", "/nonexistent/s.json"]) == 2
+
+
+def test_map_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert run_cli(["render", "--map", str(tmp_path), "--out", str(tmp_path / "f.svg")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
@@ -313,3 +319,14 @@ def test_public_names_are_the_ones_callers_use():
         "score_fields", "solve_to_times", "validate_plan", "world_to_cell", "write_records", "write_report",
     ]
     assert sorted(hp.__all__) == sorted(modules + names)
+
+
+def test_every_parameter_error_names_its_field():
+    src = Path(hp.__file__).parent
+    unnamed = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ParameterError"
+                    and len(node.args) < 2 and "field" not in {kw.arg for kw in node.keywords}):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert not unnamed

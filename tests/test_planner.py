@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
-from heatplan import heatfield as hf, planner
+from heatplan import gridmap, heatfield as hf, planner
 from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
 from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 import oracles
@@ -51,6 +51,31 @@ def test_config_errors_name_the_field(field, value):
         PlannerConfig(**{field: value})
     assert ei.value.field == field
     assert str(ei.value).startswith(f"{field} ")
+
+
+_SCALES = st.one_of(st.floats(-2.0, 2.0), st.integers(-1, 2),
+                    st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan")]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(T=st.one_of(st.integers(-2, 30), st.integers(-2, 30).map(float), st.floats(-2.0, 30.0), st.booleans()),
+       sigma_min=_SCALES, sigma_max=_SCALES, step_ratio=_SCALES)
+@example(T=2.5, sigma_min=0.01, sigma_max=1.0, step_ratio=0.3)
+@example(T=20, sigma_min=0.01, sigma_max=float("inf"), step_ratio=0.3)
+@example(T=20, sigma_min=0.01, sigma_max=1.0, step_ratio=float("nan"))
+def test_schedule_and_config_share_the_schedule_rules(T, sigma_min, sigma_max, step_ratio):
+    """build_schedule raises exactly when PlannerConfig does, naming the same field."""
+    kwargs = {"T": T, "sigma_min": sigma_min, "sigma_max": sigma_max, "step_ratio": step_ratio}
+    named = []
+    for build in (hp.build_schedule, PlannerConfig):
+        try:
+            build(**kwargs)
+        except ParameterError as exc:
+            assert exc.field in kwargs
+            named.append(exc.field)
+        else:
+            named.append(None)
+    assert named[0] == named[1]
 
 
 def test_config_overrides_and_unknown_keys():
@@ -860,7 +885,7 @@ def test_plan_redraws_a_sampled_start_until_separated():
     m, _ = centered_goal_map()
     cfg = PlannerConfig(T=3, K=2)
     # r1's first draw from its own stream, which r0 is then placed next to
-    first = planner._sample_free_start(m, planner._robot_rng(7, "r1"))
+    first = np.array(gridmap._uniform_point(np.nonzero(m.free), m.cell_size, planner._robot_rng(7, "r1")))
     robots = (hp.RobotSpec("r0", "apple", tuple(first + 0.03)), hp.RobotSpec("r1", "apple", None))
     res = hp.plan(hp.Scenario(m, robots, seed=7), cfg)
     start = res.trajectories[1].waypoints[0]

@@ -5,7 +5,7 @@ import pytest
 
 import heatplan as hp
 from heatplan import heatfield as hf
-from heatplan.errors import RenderError
+from heatplan.errors import ParameterError, RenderError
 from heatplan.render import RenderSpec, _Canvas, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -82,6 +82,22 @@ def test_missing_layer_data_named():
     assert "trajectories" in str(ei.value)
     with pytest.raises(RenderError):
         RenderSpec(layers=("volumetric",))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"stride": "2"}, "stride"),
+    ({"stride": 1.5}, "stride"),
+    ({"stride": 0}, "stride"),
+    ({"stride": True}, "stride"),
+    ({"canvas": (5,)}, "canvas"),
+    ({"canvas": (640, 0)}, "canvas"),
+    ({"canvas": (640.0, 640)}, "canvas"),
+    ({"canvas": 640}, "canvas"),
+])
+def test_render_spec_numbers_are_checked_by_name(kwargs, field):
+    with pytest.raises(ParameterError) as ei:
+        RenderSpec(layers=("field_arrows",), **kwargs)
+    assert ei.value.field == field and str(ei.value).startswith(f"{field} ")
 
 
 def test_arrow_stride_subsamples():
