@@ -46,7 +46,7 @@ REPORT_COLUMNS = (
 )
 
 START_SEPARATION = 0.12  # min distance between a suite's generated starts, units
-MAP_PARAMS = ("cells", "n_labels", "seal_duplicate")  # generate_map's keywords
+MAP_PARAMS = ("cells",)  # generate_map's keywords a suite may set
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +108,16 @@ class SuiteSpec:
 
 
 def _suite_maps(spec: SuiteSpec, family: str):
+    """The family's map variants, one label per robot of the largest team,
+    with a sealed duplicate of the first label when ``spec.ood``."""
     fidx = FAMILIES.index(family)
-    n_labels = max(spec.robot_counts)
-    params = dict(spec.map_params)
-    params.setdefault("n_labels", n_labels)
-    if spec.ood:
-        params["seal_duplicate"] = True
     maps = []
     for v in range(spec.map_variants):
         seed = int(
             np.random.default_rng(np.random.SeedSequence([spec.base_seed, fidx, v, 5])).integers(2**31)
         )
-        maps.append(generate_map(family, seed, **params))
+        maps.append(generate_map(family, seed, n_labels=max(spec.robot_counts), seal_duplicate=spec.ood,
+                                 **spec.map_params))
     return maps
 
 
@@ -166,10 +164,6 @@ def generate_suite(spec: SuiteSpec):
                     order = [dup] + [labels[i] for i in rng.permutation(len(labels))]
                 else:
                     order = [labels[i] for i in rng.permutation(len(labels))]
-                if len(order) < n_robots:
-                    raise GenerationError(
-                        f"map {worldmap.name} has {len(order)} labels but {n_robots} robots need distinct goals"
-                    )
                 robots = []
                 for i in range(n_robots):
                     label = order[i]
@@ -199,12 +193,6 @@ def _family_of(worldmap: WorldMap) -> str:
     return worldmap.name
 
 
-def _polyline_length(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return 0.0
-    return float(np.sqrt(((points[1:] - points[:-1]) ** 2).sum(axis=1)).sum())
-
-
 def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None = None,
             include_result_json: bool = False) -> dict:
     """Plan one scenario and derive its per-scenario record."""
@@ -212,7 +200,8 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
     result = plan(scenario, config, cache=cache)
     worldmap = scenario.map
     hx = worldmap.cell_size[0]
-    path_lengths = [_polyline_length(tr.waypoints) for tr in result.trajectories]
+    wp = np.stack([tr.waypoints for tr in result.trajectories])  # (N, T+1, 2)
+    path_lengths = np.sqrt(((wp[:, 1:] - wp[:, :-1]) ** 2).sum(axis=2)).sum(axis=1).tolist()
     detours = []
     for robot, tr, plen in zip(scenario.robots, result.trajectories, path_lengths):
         # the grid is undirected: one BFS from the goal cells, read at the start
@@ -220,9 +209,8 @@ def run_one(scenario: Scenario, config: PlannerConfig, cache: FieldCache | None 
         col, row = world_to_cell(tr.waypoints[0], worldmap)
         best = int(cache.goal_hops(worldmap, label)[row, col])
         detours.append(plen / (best * hx) if best > 0 else None)
-    min_clearance = None
-    if len(result.trajectories) > 1 and len(result.trajectories[0].micro_steps):
-        min_clearance = min(float(d.min()) for _, d in pair_distances(result.trajectories))
+    _, d = pair_distances(np.stack([tr.micro_steps for tr in result.trajectories]))
+    min_clearance = float(d.min()) if d.size else None
     record = {
         "family": _family_of(worldmap),
         "n": len(scenario.robots),

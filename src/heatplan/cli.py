@@ -195,13 +195,8 @@ def _cmd_render(args) -> int:
     elif "heat" in layers or "field_arrows" in layers:
         if not args.label:
             raise HeatplanError("heat/field layers need --label (or --field-dump)")
-        config = PlannerConfig().with_overrides(_planner_overrides(args))
-        schedule = config.schedule()
-        regions = gridmap.resolve_goal_regions(args.label, worldmap)
-        states = heatfield.solve_to_times(regions, worldmap, schedule)
-        if not (1 <= args.t <= schedule.T):
-            raise HeatplanError(f"--t must be in 1..{schedule.T}")
-        heat_state = states[args.t - 1]
+        config, schedule, regions = _ladder_inputs(args, worldmap)
+        heat_state = heatfield.solve_to_times(regions, worldmap, schedule)[args.t - 1]
         score_field = heatfield.build_score_field(heat_state, config.log_floor, t=args.t)
     if "heat" in layers and heat_state is None:
         raise HeatplanError("heat layer needs --label (dumps carry vectors only)")
@@ -241,11 +236,20 @@ def _plan_trajectories(doc) -> tuple:
     return tuple(trajectories)
 
 
-def _cmd_fields(args) -> int:
-    worldmap = gridmap.load_map(args.map)
+def _ladder_inputs(args, worldmap):
+    """The config, schedule and goal regions of the ladder that ``render``
+    and ``fields`` solve for ``--label``, with ``--t`` checked before any
+    solve."""
     config = PlannerConfig().with_overrides(_planner_overrides(args))
     schedule = config.schedule()
-    regions = gridmap.resolve_goal_regions(args.label, worldmap)
+    if args.t != "all" and not 1 <= args.t <= schedule.T:
+        raise HeatplanError(f"--t must be in 1..{schedule.T}")
+    return config, schedule, gridmap.resolve_goal_regions(args.label, worldmap)
+
+
+def _cmd_fields(args) -> int:
+    worldmap = gridmap.load_map(args.map)
+    config, schedule, regions = _ladder_inputs(args, worldmap)
     ladder = heatfield.score_fields(worldmap, regions, schedule, config.log_floor)
     if args.t == "all":
         outdir = Path(args.out)
@@ -254,8 +258,6 @@ def _cmd_fields(args) -> int:
         for t, field in sorted(ladder.items()):
             heatfield.save_field(field, outdir / f"{args.label}.t{t:02d}.{ext}", schedule, args.format)
         return 0
-    if args.t not in ladder:
-        raise HeatplanError(f"--t must be in 1..{schedule.T} or 'all'")
     heatfield.save_field(ladder[args.t], Path(args.out), schedule, args.format)
     return 0
 

@@ -351,7 +351,15 @@ def solve_to_times(regions, worldmap: WorldMap, schedule: NoiseSchedule):
     Each level's cells below CHEB_TOL times its peak, which the expansion
     does not resolve, are set to zero, and the level is renormalised to
     unit mass.  Snapshot times equal schedule.heat_time to float precision.
+    The top noise level may be at most the world's diagonal (a top heat
+    time of half its square): the expansion's degree grows with it, and
+    heat that has spread that far is flat anyway.
     """
+    w, h = worldmap.world_size
+    top, limit = float(np.max(schedule.heat_time, initial=0.0)), 0.5 * (w * w + h * h)
+    if top > limit:
+        raise ParameterError(f"must be at most the world diagonal {math.hypot(w, h):.6g} of {worldmap.name!r}: "
+                             f"the top heat time {top!r} exceeds {limit!r}", field="sigma_max")
     ops = _Solver(worldmap)
     levels = ops.ladder(init_heat(regions, worldmap).u, schedule.heat_time)
     snapshots = []
@@ -544,30 +552,27 @@ class FieldCache:
         self._hops = {}
         self._lock = threading.Lock()
 
+    def _memo(self, store: dict, key, build):
+        """``store[key]``, set to ``build()`` on a miss; the first insert wins."""
+        hit = store.get(key)
+        if hit is None:
+            value = build()
+            with self._lock:
+                hit = store.setdefault(key, value)
+        return hit
+
     def fields(self, worldmap: WorldMap, label: str, schedule: NoiseSchedule,
                log_floor: float = DEFAULT_LOG_FLOOR) -> dict:
         key = (worldmap.content_hash(), label, schedule.key(), float(log_floor))
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        regions = resolve_goal_regions(label, worldmap)
-        ladder = score_fields(worldmap, regions, schedule, log_floor)
-        with self._lock:
-            self._store.setdefault(key, ladder)
-        return self._store[key]
+        return self._memo(self._store, key, lambda: score_fields(
+            worldmap, resolve_goal_regions(label, worldmap), schedule, log_floor))
 
     def goal_hops(self, worldmap: WorldMap, label: str) -> np.ndarray:
         """4-connected hop count from every cell to the nearest cell of the
         label's regions (-1 where unreached), computed once per (map, label)."""
         key = (worldmap.content_hash(), label)
-        hit = self._hops.get(key)
-        if hit is not None:
-            return hit
-        cells = [cell for reg in resolve_goal_regions(label, worldmap) for cell in reg.cells]
-        hops = hop_distances(worldmap.free, cells)
-        with self._lock:
-            self._hops.setdefault(key, hops)
-        return self._hops[key]
+        return self._memo(self._hops, key, lambda: hop_distances(
+            worldmap.free, [cell for reg in resolve_goal_regions(label, worldmap) for cell in reg.cells]))
 
 
 # ---------------------------------------------------------------------------

@@ -591,16 +591,14 @@ def _point_to_region_distance(p, region, worldmap: WorldMap) -> float:
     return float(np.min(np.hypot(dx, dy)))
 
 
-def pair_distances(trajectories):
-    """Per-micro-step distance of every robot pair: [((i, j), (n_micro,) array)]
-    for i < j in trajectory order."""
-    stacked = np.stack([tr.micro_steps for tr in trajectories])  # (N, n_micro, 2)
-    n = len(stacked)
-    return [
-        ((i, j), np.sqrt(((stacked[i] - stacked[j]) ** 2).sum(axis=1)))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+def pair_distances(micro: np.ndarray):
+    """Distance at every step of every robot pair of an (N, M, 2) block.
+
+    Returns the pairs [(i, j)] for i < j in row-major order and their
+    (P, M) distances, row p for pair p.
+    """
+    i, j = np.triu_indices(len(micro), 1)
+    return list(zip(i.tolist(), j.tolist())), np.sqrt(((micro[i] - micro[j]) ** 2).sum(axis=2))
 
 
 def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
@@ -619,40 +617,34 @@ def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
         raise ParameterError("have mismatched micro-step counts", field="trajectories")
     worldmap = scenario.map
     n_micro = counts.pop()
+    ids = [tr.robot_id for tr in trajectories]
 
     static_violations = []
-    for tr in trajectories:
-        path = np.vstack([tr.waypoints[0:1], tr.micro_steps])  # (n_micro+1, 2)
-        if n_micro == 0:
-            continue
-        a, b = path[:-1], path[1:]
-        # (SEGMENT_SAMPLES, n_micro, 2): interior samples then the endpoint
-        pts = a[None, :, :] + _SEG_FRACTIONS[:, None, None] * (b - a)[None, :, :]
-        ok = _points_free(worldmap, pts.reshape(-1, 2)).reshape(SEGMENT_SAMPLES, n_micro)
-        bad_steps = np.nonzero(~ok.all(axis=0))[0]
-        for step in bad_steps:
-            first_bad = int(np.nonzero(~ok[:, step])[0][0])
-            where = pts[first_bad, step]
-            static_violations.append(
-                {"robot": tr.robot_id, "step": int(step), "position": [float(where[0]), float(where[1])]}
-            )
-
     inter_violations = []
-    if len(trajectories) > 1 and n_micro > 0:
-        for (i, j), d in pair_distances(trajectories):
-            a, b = trajectories[i], trajectories[j]
-            for step in np.nonzero(d <= config.d_safe)[0]:
-                inter_violations.append(
-                    {
-                        "robots": [a.robot_id, b.robot_id],
-                        "step": int(step),
-                        "positions": [
-                            [float(v) for v in a.micro_steps[step]],
-                            [float(v) for v in b.micro_steps[step]],
-                        ],
-                        "distance": float(d[step]),
-                    }
-                )
+    if n_micro:
+        micro = np.stack([tr.micro_steps for tr in trajectories], dtype=np.float64)  # (N, n_micro, 2)
+        start = np.stack([tr.waypoints[0] for tr in trajectories], dtype=np.float64)
+        path = np.concatenate([start[:, None], micro], axis=1)
+        a, b = path[:, :-1], path[:, 1:]
+        # (SEGMENT_SAMPLES, N, n_micro, 2): interior samples then the endpoint
+        pts = a[None] + _SEG_FRACTIONS[:, None, None, None] * (b - a)[None]
+        bad = ~_points_free(worldmap, pts)
+        robot, step = np.nonzero(bad.any(axis=0))  # in (robot, step) order
+        first = bad.argmax(axis=0)[robot, step]  # the first sample that is not free
+        for r, s, where in zip(robot.tolist(), step.tolist(), pts[first, robot, step].tolist()):
+            static_violations.append({"robot": ids[r], "step": s, "position": where})
+
+        pairs, d = pair_distances(micro)
+        for p, s in zip(*(idx.tolist() for idx in np.nonzero(d <= config.d_safe))):
+            i, j = pairs[p]
+            inter_violations.append(
+                {
+                    "robots": [ids[i], ids[j]],
+                    "step": s,
+                    "positions": [micro[i, s].tolist(), micro[j, s].tolist()],
+                    "distance": float(d[p, s]),
+                }
+            )
         inter_violations.sort(key=lambda v: (v["step"], v["robots"]))
 
     by_id = {r.id: r for r in scenario.robots}

@@ -6,8 +6,9 @@ from collections import deque
 import numpy as np
 
 from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
-from heatplan.gridmap import SemanticRegion, WorldMap
+from heatplan.gridmap import Scenario, SemanticRegion, WorldMap, resolve_goal_regions
 from heatplan.heatfield import ScoreField
+from heatplan.planner import SEGMENT_SAMPLES, _SEG_FRACTIONS, PlannerConfig, _point_to_region_distance, _points_free
 
 
 def hop_distances(occ, seeds) -> np.ndarray:
@@ -181,3 +182,90 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     if np.isinf(w).any():
         raise SingularConfigurationError("two robots are too close for a finite guidance")
     return (w[:, :, None] * diff).sum(axis=1)
+
+
+def pair_distances(trajectories):
+    """Per-micro-step distance of every robot pair: [((i, j), (n_micro,) array)]
+    for i < j in trajectory order.  The pair-by-pair loop, the oracle for
+    ``planner.pair_distances``."""
+    stacked = np.stack([tr.micro_steps for tr in trajectories])  # (N, n_micro, 2)
+    n = len(stacked)
+    return [
+        ((i, j), np.sqrt(((stacked[i] - stacked[j]) ** 2).sum(axis=1)))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+
+
+def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
+    """Check static freedom, pairwise separation and goal membership.
+
+    Returns (static_violations, inter_robot_violations, goal_reached).
+    Static: every micro-step position plus 8 evenly spaced points between
+    consecutive micro-steps must be free.  Inter-robot: pairwise distance at
+    every micro-step index must exceed d_safe.  Goal: the final position lies
+    inside a resolved region or within goal_tol of its nearest cell.
+
+    The robot-by-robot and pair-by-pair loops: the oracle for
+    ``planner.validate_plan``, which must return equal values.
+    """
+    if not trajectories:
+        raise ParameterError("must hold at least one trajectory", field="trajectories")
+    counts = {len(tr.micro_steps) for tr in trajectories}
+    if len(counts) != 1:
+        raise ParameterError("have mismatched micro-step counts", field="trajectories")
+    worldmap = scenario.map
+    n_micro = counts.pop()
+
+    static_violations = []
+    for tr in trajectories:
+        path = np.vstack([tr.waypoints[0:1], tr.micro_steps])  # (n_micro+1, 2)
+        if n_micro == 0:
+            continue
+        a, b = path[:-1], path[1:]
+        # (SEGMENT_SAMPLES, n_micro, 2): interior samples then the endpoint
+        pts = a[None, :, :] + _SEG_FRACTIONS[:, None, None] * (b - a)[None, :, :]
+        ok = _points_free(worldmap, pts.reshape(-1, 2)).reshape(SEGMENT_SAMPLES, n_micro)
+        bad_steps = np.nonzero(~ok.all(axis=0))[0]
+        for step in bad_steps:
+            first_bad = int(np.nonzero(~ok[:, step])[0][0])
+            where = pts[first_bad, step]
+            static_violations.append(
+                {"robot": tr.robot_id, "step": int(step), "position": [float(where[0]), float(where[1])]}
+            )
+
+    inter_violations = []
+    if len(trajectories) > 1 and n_micro > 0:
+        for (i, j), d in pair_distances(trajectories):
+            a, b = trajectories[i], trajectories[j]
+            for step in np.nonzero(d <= config.d_safe)[0]:
+                inter_violations.append(
+                    {
+                        "robots": [a.robot_id, b.robot_id],
+                        "step": int(step),
+                        "positions": [
+                            [float(v) for v in a.micro_steps[step]],
+                            [float(v) for v in b.micro_steps[step]],
+                        ],
+                        "distance": float(d[step]),
+                    }
+                )
+        inter_violations.sort(key=lambda v: (v["step"], v["robots"]))
+
+    by_id = {r.id: r for r in scenario.robots}
+    goal_reached = []
+    for tr in trajectories:
+        robot = by_id[tr.robot_id]
+        regions = resolve_goal_regions(robot.instruction, worldmap)
+        final = tr.micro_steps[-1] if n_micro else tr.waypoints[-1]
+        dist = min(_point_to_region_distance(final, reg, worldmap) for reg in regions)
+        goal_reached.append(dist <= config.goal_tol)
+    return static_violations, inter_violations, tuple(goal_reached)
+
+
+def polyline_length(points: np.ndarray) -> float:
+    """One robot's path length, the oracle for ``bench.run_one``'s
+    ``path_lengths``."""
+    if len(points) < 2:
+        return 0.0
+    return float(np.sqrt(((points[1:] - points[:-1]) ** 2).sum(axis=1)).sum())

@@ -252,6 +252,8 @@ def test_suite_spec_validation():
     ({"base_seed": -1}, "base_seed"),
     ({"map_params": None}, "map_params"),
     ({"scenarios_per_config": 0}, "scenarios_per_config"),
+    ({"map_params": {"seal_duplicate": True}}, "map_params"),  # ood=True is the only way to seal
+    ({"map_params": {"n_labels": 4}}, "map_params"),  # always max(robot_counts)
 ])
 def test_suite_spec_names_the_field(kwargs, field):
     with pytest.raises(ParameterError) as ei:

@@ -255,6 +255,26 @@ def test_fields_bad_t_exits_2(tmp_path):
                     "--t", "bogus", "--out", str(tmp_path / "f.hpsf")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["fields", "--t", "5", "--out", "f.hpsf"], id="fields"),
+    pytest.param(["render", "--layers", "occupancy,heat", "--t", "0"], id="render"),
+])
+def test_bad_t_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, args):
+    hp.save_map(hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))]), tmp_path / "m.json")
+    solves = []
+    monkeypatch.setattr(hp.heatfield, "solve_to_times", lambda *a: solves.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*args, "--map", "m.json", "--label", "apple", "--steps", "4"]) == 2
+    assert not solves and "error: --t must be in 1..4" in capsys.readouterr().err
+
+
+def test_fields_sigma_max_beyond_the_world_diagonal_exits_2(tmp_path, capsys):
+    hp.save_map(hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))]), tmp_path / "m.json")
+    assert run_cli(["fields", "--map", str(tmp_path / "m.json"), "--label", "apple", "--sigma-max", "1e4",
+                    "--out", str(tmp_path / "f")]) == 2
+    assert "error: sigma_max must be at most the world diagonal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

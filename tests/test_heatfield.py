@@ -437,6 +437,19 @@ def test_decreasing_heat_times_rejected(heat_time):
         hf.solve_to_times(m.regions_with_label(m.labels()[0]), m, sched)
 
 
+def test_sigma_max_beyond_the_world_diagonal_rejected_before_any_allocation():
+    m = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    sc = hp.Scenario(m, (hp.RobotSpec("r0", "apple", (0.1, 0.1)),), seed=0)
+    before = hf._ladder_coefficients.cache_info()
+    with pytest.raises(ParameterError) as ei:
+        hp.plan(sc, hp.PlannerConfig(sigma_max=1e4))
+    assert ei.value.field == "sigma_max" and hf._ladder_coefficients.cache_info() == before
+    # the bound is the diagonal of the 2x2 world, 2.83
+    assert len(hf.solve_to_times(m.regions, m, hp.build_schedule(4, sigma_max=2.8))) == 4
+    with pytest.raises(ParameterError, match="^sigma_max must be at most the world diagonal 2.82843 "):
+        hf.solve_to_times(m.regions, m, hp.build_schedule(4, sigma_max=2.9))
+
+
 def test_sealed_component_stays_exactly_cold():
     occ = np.zeros((32, 32), dtype=bool)
     occ[10:21, 10:21] = True

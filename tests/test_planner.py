@@ -1,6 +1,7 @@
 import gc
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
-from heatplan import gridmap, heatfield as hf, planner
+from heatplan import bench, gridmap, heatfield as hf, planner
 from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
 from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 import oracles
@@ -999,6 +1000,66 @@ def test_validate_mismatched_lengths_rejected():
     trb = hp.Trajectory("b", np.array([[1.9, 1.9], [1.5, 1.5], [1.4, 1.4]]), np.array([[1.5, 1.5], [1.4, 1.4]]))
     with pytest.raises(ParameterError):
         hp.validate_plan([tra, trb], sc, PlannerConfig())
+
+
+@st.composite
+def _finished_plan(draw):
+    """A random grid with obstacles and one or two goal labels, and 1-6
+    robots whose micro-steps start in the world and then jump, cross walls,
+    leave the world and pass within d_safe of one another.  Robot ids are
+    drawn out of order, so the pair sort has work to do.  Returns the
+    scenario (robots in trajectory order) and the trajectories."""
+    side = st.sampled_from([4, 8, 16]) | st.integers(2, 16)
+    h, w = draw(side), draw(side)
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = [(int(c), int(r)) for r, c in np.argwhere(~occ)]
+    assume(free)
+    goals = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+    labels = ("apple", "box")[:min(len(goals), draw(st.integers(1, 2)))]
+    # one-cell regions; a third goal cell is a second instance of a label
+    regions = [hp.SemanticRegion(labels[g % len(labels)], (cell,)) for g, cell in enumerate(goals)]
+    m = hp.WorldMap("g", occ, world_size=draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0)])), regions=regions)
+    wx, wy = m.world_size
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(["r0", "r1", "r10", "b", "a", "z"]))[:n]
+    n_micro = draw(st.integers(0, 12))
+    start = draw(hnp.arrays(float, (n, 2), elements=st.floats(0.0, 0.999))) * (wx, wy)
+    jump = st.sampled_from([0.0, 0.05, -0.3]) | st.floats(-0.4, 0.4)
+    micro = start[:, None] + np.cumsum(draw(hnp.arrays(float, (n, n_micro, 2), elements=jump)), axis=1)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        offset = draw(hnp.arrays(float, (n_micro, 2), elements=st.floats(-0.08, 0.08)))
+        micro[j] = micro[i] + offset  # a close pair, or a robot shadowing itself
+    k = draw(st.integers(1, 3))
+    trajectories = [
+        hp.Trajectory(ids[i], np.concatenate([start[i:i + 1], micro[i, k - 1::k]]), micro[i]) for i in range(n)
+    ]
+    robots = tuple(hp.RobotSpec(ids[i], draw(st.sampled_from(labels)), None) for i in range(n))
+    return hp.Scenario(m, robots, seed=0), trajectories
+
+
+@settings(deadline=None, max_examples=300)
+@given(_finished_plan())
+def test_validate_plan_equals_the_loop_oracle(plan_case):
+    sc, trajectories = plan_case
+    cfg = PlannerConfig()
+    got = hp.validate_plan(trajectories, sc, cfg)
+    want = oracles.validate_plan(trajectories, sc, cfg)
+    # repr as well as ==: the same floats, signed zeros and types
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_finished_plan())
+def test_run_one_lengths_and_clearance_equal_the_loop_oracle(plan_case):
+    sc, trajectories = plan_case
+    result = hp.PlanResult(sc, tuple(trajectories), tuple(False for _ in trajectories), [], [], 0.0, 0)
+    with mock.patch.object(bench, "plan", lambda *args, **kwargs: result):
+        record = bench.run_one(sc, PlannerConfig())
+    assert record["path_lengths"] == [oracles.polyline_length(tr.waypoints) for tr in trajectories]
+    want = None
+    if len(trajectories) > 1 and len(trajectories[0].micro_steps):
+        want = min(float(d.min()) for _, d in oracles.pair_distances(trajectories))
+    assert record["min_clearance"] == want
 
 
 def test_successful_plans_validate_clean():
