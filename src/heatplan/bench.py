@@ -20,6 +20,7 @@ import numpy as np
 from .errors import GenerationError, ParameterError
 from .gridmap import (
     FAMILIES,
+    VOCABULARY,
     RobotSpec,
     Scenario,
     WorldMap,
@@ -102,6 +103,10 @@ class SuiteSpec:
         for name, value, least in counts:
             if not _is_int(value) or value < least:
                 raise ParameterError(f"must be an integer >= {least}, got {value!r}", field=name)
+        for i, n in enumerate(self.robot_counts):  # each suite map labels one region per robot
+            if n > len(VOCABULARY):
+                raise ParameterError(f"must be at most {len(VOCABULARY)}, the labels a map can hold, got {n!r}",
+                                     field=f"robot_counts[{i}]")
         if not isinstance(self.map_params, dict) or set(self.map_params) - set(MAP_PARAMS):
             raise ParameterError(f"must be a dict with keys among {MAP_PARAMS}, got {self.map_params!r}",
                                  field="map_params")

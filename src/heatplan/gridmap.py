@@ -882,7 +882,11 @@ def decode_scenario(doc, base_dir=None) -> Scenario:
         path = Path(mapdoc)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        if not path.is_file():
+        try:
+            is_file = path.is_file()
+        except OSError:  # a name the file system cannot hold, e.g. one too long
+            is_file = False
+        if not is_file:
             raise MapFormatError("map", f"no map file at {str(path)!r}")
         worldmap = load_map(path)
     else:

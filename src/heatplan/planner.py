@@ -612,6 +612,15 @@ def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
     """
     if not trajectories:
         raise ParameterError("must hold at least one trajectory", field="trajectories")
+    by_id = {r.id: r for r in scenario.robots}
+    for i, tr in enumerate(trajectories):
+        for name, least in (("waypoints", 1), ("micro_steps", 0)):
+            shape = np.shape(getattr(tr, name))
+            if len(shape) != 2 or shape[1] != 2 or shape[0] < least:
+                raise ParameterError(f"must be an (M, 2) array with M >= {least}, got shape {shape}",
+                                     field=f"trajectories[{i}].{name}")
+        if tr.robot_id not in by_id:
+            raise ParameterError(f"{tr.robot_id!r} is not a robot of the scenario", field=f"trajectories[{i}].robot_id")
     counts = {len(tr.micro_steps) for tr in trajectories}
     if len(counts) != 1:
         raise ParameterError("have mismatched micro-step counts", field="trajectories")
@@ -647,7 +656,6 @@ def validate_plan(trajectories, scenario: Scenario, config: PlannerConfig):
             )
         inter_violations.sort(key=lambda v: (v["step"], v["robots"]))
 
-    by_id = {r.id: r for r in scenario.robots}
     goal_reached = []
     for tr in trajectories:
         robot = by_id[tr.robot_id]

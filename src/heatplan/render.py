@@ -50,6 +50,8 @@ class RenderSpec:
         canvas = _int_pair(self.canvas)
         if canvas is None or min(canvas) < 1:
             raise ParameterError(f"must be a pair of positive integers, got {self.canvas!r}", field="canvas")
+        if not isinstance(self.layers, (tuple, list)):
+            raise ParameterError(f"must be a tuple or list of layer names, got {self.layers!r}", field="layers")
         for layer in self.layers:
             if layer not in LAYERS:
                 raise RenderError(layer, f"unknown layer; expected one of {LAYERS}")
@@ -64,24 +66,24 @@ class _Canvas:
         self.sx = spec.canvas[0] / worldmap.world_size[0]
         self.sy = spec.canvas[1] / worldmap.world_size[1]
         self.h = spec.canvas[1]
+        self.hx, self.hy = worldmap.cell_size
 
     def to_px(self, x, y):
         return x * self.sx, self.h - y * self.sy
 
+    def cell_px(self, col, row):
+        """Pixel position of a (possibly fractional) cell's center."""
+        return self.to_px((col + 0.5) * self.hx, (row + 0.5) * self.hy)
+
+    def cells(self, row, c0, c1, fill, extra=""):
+        """The rect over columns c0..c1-1 of one cell row."""
+        return _rect(self, c0 * self.hx, row * self.hy, c1 * self.hx, (row + 1) * self.hy, fill, extra)
+
 
 def _row_runs(mask_row):
     """(start, stop) column runs of True values in one row."""
-    runs = []
-    start = None
-    for c, v in enumerate(mask_row):
-        if v and start is None:
-            start = c
-        elif not v and start is not None:
-            runs.append((start, c))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask_row)))
-    return runs
+    edges = np.flatnonzero(np.diff(mask_row, prepend=False, append=False)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _rect(cv, x0, y0, x1, y1, fill, extra=""):
@@ -91,6 +93,18 @@ def _rect(cv, x0, y0, x1, y1, fill, extra=""):
         f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(px1 - px0)}"'
         f' height="{_fmt(py1 - py0)}" fill="{fill}"{extra}/>'
     )
+
+
+def _robot_color(i: int) -> str:
+    return ROBOT_COLORS[i % len(ROBOT_COLORS)]
+
+
+# attributes each layer's group carries after its id
+_GROUP_ATTRS = {
+    "field_arrows": f' stroke="{ARROW_STROKE}" stroke-width="1"',
+    "trajectories": ' fill="none" stroke-width="2"',
+    "goals": ' fill="none" stroke-width="2"',
+}
 
 
 def render_svg(
@@ -104,7 +118,8 @@ def render_svg(
     """Compose the requested layers into an SVG 1.1 document."""
     spec = spec if spec is not None else RenderSpec()
     cv = _Canvas(worldmap, spec)
-    hx, hy = worldmap.cell_size
+    inputs = {"heat": heat, "field_arrows": score_field, "trajectories": trajectories, "starts": trajectories,
+              "goals": scenario}
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -113,103 +128,60 @@ def render_svg(
     ]
 
     for layer in spec.layers:
+        if layer in inputs and inputs[layer] is None:
+            raise RenderError(layer)
+        parts.append(f'<g id="{layer}"{_GROUP_ATTRS.get(layer, "")}>')
         if layer == "occupancy":
-            parts.append(f'<g id="occupancy">{_rect(cv, 0, 0, *worldmap.world_size, FREE_FILL)}')
-            occ = worldmap.occupancy
-            for r in range(worldmap.height_cells):
-                for c0, c1 in _row_runs(occ[r]):
-                    parts.append(_rect(cv, c0 * hx, r * hy, c1 * hx, (r + 1) * hy, OBSTACLE_FILL))
-            parts.append("</g>")
+            parts[-1] += _rect(cv, 0, 0, *worldmap.world_size, FREE_FILL)
+            for r, row in enumerate(worldmap.occupancy):
+                parts += [cv.cells(r, c0, c1, OBSTACLE_FILL) for c0, c1 in _row_runs(row)]
         elif layer == "heat":
-            if heat is None:
-                raise RenderError(layer)
-            u = heat.u
-            peak = float(u.max())
+            peak = float(heat.u.max())
             if peak <= 0:
                 raise RenderError(layer, "heat state has no mass")
-            levels = np.floor(np.clip((u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
-            parts.append('<g id="heat">')
-            for r in range(worldmap.height_cells):
-                row = levels[r]
+            levels = np.floor(np.clip((heat.u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
+            for r, row in enumerate(levels):
                 for level in range(1, 16):
-                    for c0, c1 in _row_runs(row == level):
-                        opacity = level / 15
-                        parts.append(
-                            _rect(
-                                cv, c0 * hx, r * hy, c1 * hx, (r + 1) * hy,
-                                "#d32f2f", extra=f' fill-opacity="{_fmt(opacity)}"',
-                            )
-                        )
-            parts.append("</g>")
+                    extra = f' fill-opacity="{_fmt(level / 15)}"'
+                    parts += [cv.cells(r, c0, c1, "#d32f2f", extra) for c0, c1 in _row_runs(row == level)]
         elif layer == "regions":
-            parts.append('<g id="regions">')
             for reg in worldmap.regions:
-                for col, row in reg.cells:
-                    parts.append(
-                        _rect(cv, col * hx, row * hy, (col + 1) * hx, (row + 1) * hy,
-                              REGION_FILL, extra=' fill-opacity="0.8"')
-                    )
-                ccol, crow = reg.centroid()
-                px, py = cv.to_px((ccol + 0.5) * hx, (crow + 0.5) * hy)
+                parts += [cv.cells(row, col, col + 1, REGION_FILL, ' fill-opacity="0.8"') for col, row in reg.cells]
+                px, py = cv.cell_px(*reg.centroid())
                 parts.append(
                     f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="11" '
                     f'text-anchor="middle" fill="#212121">{escape(reg.label)}</text>'
                 )
-            parts.append("</g>")
         elif layer == "field_arrows":
-            if score_field is None:
-                raise RenderError(layer)
-            parts.append(f'<g id="field_arrows" stroke="{ARROW_STROKE}" stroke-width="1">')
             vecs = score_field.vectors
             mags = np.sqrt((vecs**2).sum(axis=-1))
             vmax = float(mags.max())
-            scale = 0.45 * spec.stride * min(hx, hy) / vmax if vmax > 0 else 0.0
+            scale = 0.45 * spec.stride * min(cv.hx, cv.hy) / vmax if vmax > 0 else 0.0
             for r in range(0, worldmap.height_cells, spec.stride):
                 for c in range(0, worldmap.width_cells, spec.stride):
                     if worldmap.occupancy[r, c] or mags[r, c] == 0.0:
                         continue
-                    x0, y0 = (c + 0.5) * hx, (r + 0.5) * hy
-                    x1 = x0 + vecs[r, c, 0] * scale
-                    y1 = y0 + vecs[r, c, 1] * scale
-                    p0, p1 = cv.to_px(x0, y0), cv.to_px(x1, y1)
+                    x0, y0 = (c + 0.5) * cv.hx, (r + 0.5) * cv.hy
+                    p0 = cv.to_px(x0, y0)
+                    p1 = cv.to_px(x0 + vecs[r, c, 0] * scale, y0 + vecs[r, c, 1] * scale)
                     parts.append(
                         f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
                         f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}"/>'
                     )
-            parts.append("</g>")
         elif layer == "trajectories":
-            if trajectories is None:
-                raise RenderError(layer)
-            parts.append('<g id="trajectories" fill="none" stroke-width="2">')
             for i, tr in enumerate(trajectories):
-                color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
-                pts = " ".join(
-                    f"{_fmt(cv.to_px(x, y)[0])},{_fmt(cv.to_px(x, y)[1])}" for x, y in tr.waypoints
-                )
-                parts.append(f'<polyline stroke="{color}" points="{pts}"/>')
-            parts.append("</g>")
+                pts = " ".join(",".join(map(_fmt, cv.to_px(x, y))) for x, y in tr.waypoints)
+                parts.append(f'<polyline stroke="{_robot_color(i)}" points="{pts}"/>')
         elif layer == "starts":
-            if trajectories is None:
-                raise RenderError(layer)
-            parts.append('<g id="starts">')
             for i, tr in enumerate(trajectories):
-                color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
-                px, py = cv.to_px(tr.waypoints[0][0], tr.waypoints[0][1])
-                parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" fill="{color}"/>')
-            parts.append("</g>")
+                px, py = cv.to_px(*tr.waypoints[0])
+                parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" fill="{_robot_color(i)}"/>')
         elif layer == "goals":
-            if scenario is None:
-                raise RenderError(layer)
-            parts.append('<g id="goals" fill="none" stroke-width="2">')
             for i, robot in enumerate(scenario.robots):
-                color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
                 for reg in resolve_goal_regions(robot.instruction, scenario.map):
-                    ccol, crow = reg.centroid()
-                    px, py = cv.to_px((ccol + 0.5) * hx, (crow + 0.5) * hy)
-                    parts.append(
-                        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="8" stroke="{color}"/>'
-                    )
-            parts.append("</g>")
+                    px, py = cv.cell_px(*reg.centroid())
+                    parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="8" stroke="{_robot_color(i)}"/>')
+        parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

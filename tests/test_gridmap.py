@@ -379,7 +379,7 @@ def test_scenario_codec_map_path(tmp_path):
     assert sc2.robots[0].instruction == "apple"
 
 
-@pytest.mark.parametrize("map_path", ["", ".", "sub"])
+@pytest.mark.parametrize("map_path", ["", ".", "sub", pytest.param("m" * 300, id="300-characters")])
 def test_scenario_codec_map_path_not_a_file(tmp_path, map_path):
     (tmp_path / "sub").mkdir()
     sc = hp.Scenario(_map_with_labels(), (gridmap.RobotSpec("r0", "apple", None),), seed=1)

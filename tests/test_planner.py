@@ -621,6 +621,12 @@ def _step(positions, t=1, n_ladders=1, noise=None):
     return lambda: hp.langevin_step(positions, t, [_LADDER8] * n_ladders, hp.build_schedule(3), PlannerConfig(), noise)
 
 
+def _validate(robot_id, waypoints, micro_steps):
+    m = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    sc = hp.Scenario(m, (hp.RobotSpec("r0", "apple", None),), seed=1)
+    return lambda: hp.validate_plan([hp.Trajectory(robot_id, waypoints, micro_steps)], sc, PlannerConfig())
+
+
 @pytest.mark.parametrize("call, field", [
     pytest.param(lambda: hf.interpolate([], np.empty((0, 2))), "field", id="interpolate-no-fields"),
     pytest.param(lambda: hf.interpolate([], []), "field", id="interpolate-no-fields-list"),
@@ -647,6 +653,12 @@ def _step(positions, t=1, n_ladders=1, noise=None):
     pytest.param(_step(np.array([[0.5, 0.5]]), n_ladders=2), "ladders", id="step-extra-ladder"),
     pytest.param(lambda: hf.sample_heat(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, _MAP8), np.random.default_rng(0), -1),
                  "n", id="sample-heat-negative"),
+    pytest.param(_validate("r0", np.empty((0, 2)), np.empty((0, 2))), "trajectories[0].waypoints",
+                 id="validate-no-waypoints"),
+    pytest.param(_validate("r0", np.full((1, 2), 0.5), np.full((4, 3), 0.5)), "trajectories[0].micro_steps",
+                 id="validate-micro-3-columns"),
+    pytest.param(_validate("r9", np.full((1, 2), 0.5), np.full((4, 2), 0.5)), "trajectories[0].robot_id",
+                 id="validate-unknown-robot"),
 ])
 def test_sampler_inputs_raise_typed_errors(call, field):
     with pytest.raises(ParameterError) as ei:

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import heatplan as hp
 from heatplan import heatfield as hf
 from heatplan.errors import ParameterError, RenderError
-from heatplan.render import RenderSpec, _Canvas, render_svg
+from heatplan.render import LAYERS, RenderSpec, _Canvas, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -93,10 +94,12 @@ def test_missing_layer_data_named():
     ({"canvas": (640, 0)}, "canvas"),
     ({"canvas": (640.0, 640)}, "canvas"),
     ({"canvas": 640}, "canvas"),
+    ({"layers": 5}, "layers"),
+    ({"layers": "occupancy"}, "layers"),
 ])
 def test_render_spec_numbers_are_checked_by_name(kwargs, field):
     with pytest.raises(ParameterError) as ei:
-        RenderSpec(layers=("field_arrows",), **kwargs)
+        RenderSpec(**{"layers": ("field_arrows",), **kwargs})
     assert ei.value.field == field and str(ei.value).startswith(f"{field} ")
 
 
@@ -116,3 +119,27 @@ def test_figure_name_convention():
     from heatplan.render import figure_name
 
     assert figure_name("room-7-s3", ("occupancy", "trajectories")) == "room-7-s3.occupancy-trajectories.svg"
+
+
+def test_rendered_figures_keep_their_bytes():
+    """The sha256 of every figure of one planned 48-cell scenario per family,
+    three robots on a map with a sealed duplicate label: all seven layers
+    in two orders, and occupancy with regions alone, each at two
+    stride/canvas pairs."""
+    orders = (LAYERS, LAYERS[::-1], ("occupancy", "regions"))
+    looks = ((4, (640, 640)), (3, (500, 320)))
+    digest = hashlib.sha256()
+    for family in hp.FAMILIES:
+        suite = hp.SuiteSpec(families=(family,), robot_counts=(3,), scenarios_per_config=1, map_variants=1,
+                             ood=True, map_params={"cells": 48})
+        (sc,) = hp.generate_suite(suite)
+        res = hp.plan(sc, hp.PlannerConfig(T=6, K=4))
+        regions = hp.resolve_goal_regions(sc.robots[0].instruction, sc.map)
+        states = hf.solve_to_times(regions, sc.map, hp.build_schedule(6))
+        field = hf.build_score_field(states[2], t=2)
+        for layers in orders:
+            for stride, canvas in looks:
+                svg = render_svg(sc.map, RenderSpec(layers=layers, stride=stride, canvas=canvas), heat=states[2],
+                                 score_field=field, trajectories=res.trajectories, scenario=sc)
+                digest.update(svg.encode("utf-8"))
+    assert digest.hexdigest() == "3ff030b8778fc2756cab527233fa6249a39f5cbccf709560db6953ca697a0cb7"
