@@ -71,7 +71,8 @@ class SingularConfigurationError(HeatplanError):
 
 
 class RenderError(HeatplanError):
-    """A requested render layer is missing its input data."""
+    """A requested render layer is missing its input data, or that data is
+    not on the map's grid."""
 
     def __init__(self, layer, message=""):
         self.layer = layer

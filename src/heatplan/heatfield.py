@@ -37,6 +37,13 @@ is absolute, near CHEB_TOL times the peak, so each level's cells below
 CHEB_TOL times its peak are set to zero and the level is renormalised to
 unit mass; the expansion never couples cells the stencil does not, so
 obstacles and sealed components stay exactly zero.
+
+A score field is the gradient of log u by central differences where both
+axis neighbours are free, one-sided where one is, and zero where neither
+is.  That choice depends only on the map, so each map's stencil is kept as
+flat gather tables (a neighbour index per side and a divisor of 2h, h or 1
+per cell and axis), and a level is two gathers, a subtraction and a
+division, giving the bits of the per-cell selection (``build_score_field``).
 """
 
 from __future__ import annotations
@@ -370,53 +377,90 @@ def solve_to_times(regions, worldmap: WorldMap, schedule: NoiseSchedule):
     return snapshots
 
 
+@functools.lru_cache(maxsize=1)
+def _gradient_tables(worldmap: WorldMap) -> tuple:
+    """The gradient stencil of one map as flat gather tables, and its free
+    mask: ``(hi, lo, den, free)``.
+
+    For each cell and axis ([..., 0] = x, [..., 1] = y), ``hi`` is the flat
+    index of the free east (north) neighbour, else the cell's own; ``lo``
+    that of the free west (south) neighbour, else the cell's own; and
+    ``den`` is 2h where both neighbours are free and h where one is.  Where
+    neither is, or the cell is an obstacle, both indices are H*W, one past
+    the grid, where the build keeps a 0.0, and ``den`` is 1.0: such a cell
+    gets 0.0 whatever its own log u, -inf under a zero floor included.
+
+    The tables depend only on the map, so they are memoised, read-only, for
+    the last map built on: the ladder of every label on it shares them.  One
+    map only, as each entry holds its map alive.
+    """
+    free = worldmap.free
+    H, W = free.shape
+    n = H * W
+    # pad the free mask so out-of-bounds counts as not-free
+    fpad = np.zeros((H + 2, W + 2), dtype=bool)
+    fpad[1:-1, 1:-1] = free
+    cell = np.arange(n).reshape(H, W)
+    # intp, as take casts any other index type on every call (a uint16
+    # gather took 5x as long at 128x128); a 64x64 map's tables are 196 KiB
+    hi, lo = np.empty((H, W, 2), dtype=np.intp), np.empty((H, W, 2), dtype=np.intp)
+    den = np.empty((H, W, 2))
+    axes = ((fpad[1:-1, 2:], fpad[1:-1, :-2], 1, worldmap.cell_size[0]),
+            (fpad[2:, 1:-1], fpad[:-2, 1:-1], W, worldmap.cell_size[1]))
+    for axis, (plus, minus, step, h) in enumerate(axes):
+        plus, minus = plus & free, minus & free
+        own = np.where(plus | minus, cell, n)
+        hi[..., axis] = np.where(plus, cell + step, own)
+        lo[..., axis] = np.where(minus, cell - step, own)
+        den[..., axis] = np.where(plus & minus, 2 * h, np.where(plus | minus, h, 1.0))
+    for table in (hi, lo, den, free):
+        table.flags.writeable = False  # every build on the map gets the same arrays
+    return hi, lo, den, free
+
+
 def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t: int = 0) -> ScoreField:
     """Finite-difference gradient of log u on free cells.
 
     Central differences where both axis neighbors are free, one-sided where
     exactly one is, zero where neither.  Obstacle-cell u (exactly zero) is
-    never read; obstacle cells get the zero vector.
+    never read; obstacle cells get the zero vector.  Vectors longer than
+    SCORE_CAP_CELLS / h are scaled onto that length.  ``state.u`` must be
+    the map's (H, W) grid (a ParameterError names ``state``) with a finite,
+    positive peak (else DegenerateFieldError).
+
+    Each level is a gather on the map's memoised tables (``_gradient_tables``):
+    with lu = log(max(u, floor)) and a 0.0 appended past the grid, the
+    vectors are (lu[hi] - lu[lo]) / den, and only the cells over the cap are
+    rescaled.  These are the bits of the per-cell selection the tables
+    encode (``tests/oracles.build_score_field``): IEEE division by a per-cell
+    2h or h rounds as division by the scalar does, a cell with no free
+    neighbour on an axis gets 0.0 - 0.0 = +0.0, and the cells under the cap
+    skip a multiplication by 1.0, which was the identity.
     """
     worldmap = state.map
     u = state.u
+    H, W = worldmap.height_cells, worldmap.width_cells
+    if not isinstance(u, np.ndarray) or u.shape != (H, W):
+        raise ParameterError(f"u must be the map's ({H}, {W}) grid, got shape {np.shape(u)}", field="state")
     peak = float(u.max())
-    if peak <= 0.0:
-        raise DegenerateFieldError("heat state carries no mass")
-    free = worldmap.free
+    if not 0.0 < peak < math.inf:
+        raise DegenerateFieldError(f"heat state carries no finite mass (peak {peak!r})")
+    hi, lo, den, free = _gradient_tables(worldmap)
     floor = log_floor * peak
-    lu = np.log(np.maximum(u, floor))
-    hx, hy = worldmap.cell_size
-    H, W = u.shape
-
-    # pad the free mask so out-of-bounds counts as not-free
-    fpad = np.zeros((H + 2, W + 2), dtype=bool)
-    fpad[1:-1, 1:-1] = free
-    lpad = np.zeros((H + 2, W + 2), dtype=np.float64)
-    lpad[1:-1, 1:-1] = lu
-
-    def axis_grad(shift_plus, shift_minus, h):
-        # whole-grid differences, selected per cell (every padded value is
-        # finite, so the unselected ones are harmless)
-        plus_free, minus_free = shift_plus[0], shift_minus[0]
-        plus_val, minus_val = shift_plus[1], shift_minus[1]
-        one_sided = np.where(plus_free, (plus_val - lu) / h, np.where(minus_free, (lu - minus_val) / h, 0.0))
-        g = np.where(plus_free & minus_free, (plus_val - minus_val) / (2 * h), one_sided)
-        return np.where(free, g, 0.0)
-
-    east = (fpad[1:-1, 2:], lpad[1:-1, 2:])
-    west = (fpad[1:-1, :-2], lpad[1:-1, :-2])
-    north = (fpad[2:, 1:-1], lpad[2:, 1:-1])
-    south = (fpad[:-2, 1:-1], lpad[:-2, 1:-1])
-    gx = axis_grad(east, west, hx)
-    gy = axis_grad(north, south, hy)
-    # vectors longer than the cap are scaled onto it; the others by 1.0
-    cap = SCORE_CAP_CELLS / min(hx, hy)
-    norm = np.sqrt(gx * gx + gy * gy)
-    scale = np.ones((H, W))
-    np.divide(cap, norm, out=scale, where=norm > cap)
-    vectors = np.empty((H, W, 2))
-    np.multiply(gx, scale, out=vectors[..., 0])
-    np.multiply(gy, scale, out=vectors[..., 1])
+    n = H * W
+    lu = np.empty(n + 1)
+    np.maximum(u.ravel(), floor, out=lu[:n])
+    np.log(lu[:n], out=lu[:n])
+    lu[n] = 0.0
+    # every index is in range, so 'clip' only spares take a checked copy
+    vectors, below = lu.take(hi, mode="clip"), lu.take(lo, mode="clip")
+    np.subtract(vectors, below, out=vectors)
+    np.divide(vectors, den, out=vectors)
+    cap = SCORE_CAP_CELLS / min(worldmap.cell_size)
+    sq = np.multiply(vectors, vectors, out=below)
+    norm = np.sqrt(sq[..., 0] + sq[..., 1]).ravel()
+    big = np.flatnonzero(norm > cap)
+    vectors.reshape(n, 2)[big] *= (cap / norm[big])[:, None]
     supported = free & (u > floor)
     return ScoreField(t=t, vectors=vectors, map=worldmap, supported=supported)
 

@@ -95,6 +95,15 @@ def _rect(cv, x0, y0, x1, y1, fill, extra=""):
     )
 
 
+def _on_grid(layer, grid, worldmap: WorldMap, tail=()):
+    """``grid`` if its shape is the map's (H, W) plus ``tail``; else a
+    RenderError names ``layer``."""
+    shape = (worldmap.height_cells, worldmap.width_cells, *tail)
+    if np.shape(grid) != shape:
+        raise RenderError(layer, f"grid of shape {np.shape(grid)} is not the map's {shape}")
+    return grid
+
+
 def _robot_color(i: int) -> str:
     return ROBOT_COLORS[i % len(ROBOT_COLORS)]
 
@@ -136,10 +145,11 @@ def render_svg(
             for r, row in enumerate(worldmap.occupancy):
                 parts += [cv.cells(r, c0, c1, OBSTACLE_FILL) for c0, c1 in _row_runs(row)]
         elif layer == "heat":
-            peak = float(heat.u.max())
+            u = _on_grid(layer, heat.u, worldmap)
+            peak = float(u.max())
             if peak <= 0:
                 raise RenderError(layer, "heat state has no mass")
-            levels = np.floor(np.clip((heat.u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
+            levels = np.floor(np.clip((u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
             for r, row in enumerate(levels):
                 for level in range(1, 16):
                     extra = f' fill-opacity="{_fmt(level / 15)}"'
@@ -153,7 +163,7 @@ def render_svg(
                     f'text-anchor="middle" fill="#212121">{escape(reg.label)}</text>'
                 )
         elif layer == "field_arrows":
-            vecs = score_field.vectors
+            vecs = _on_grid(layer, score_field.vectors, worldmap, (2,))
             mags = np.sqrt((vecs**2).sum(axis=-1))
             vmax = float(mags.max())
             scale = 0.45 * spec.stride * min(cv.hx, cv.hy) / vmax if vmax > 0 else 0.0

@@ -5,9 +5,9 @@ from collections import deque
 
 import numpy as np
 
-from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
+from heatplan.errors import DegenerateFieldError, DomainError, ParameterError, SingularConfigurationError
 from heatplan.gridmap import Scenario, SemanticRegion, WorldMap, resolve_goal_regions
-from heatplan.heatfield import ScoreField
+from heatplan.heatfield import DEFAULT_LOG_FLOOR, SCORE_CAP_CELLS, ScoreField
 from heatplan.planner import SEGMENT_SAMPLES, _SEG_FRACTIONS, PlannerConfig, _point_to_region_distance, _points_free
 
 
@@ -55,6 +55,56 @@ def run_steps(ops, u, n_steps: int, dt: float) -> None:
     step = ops._stencil(dt, u, u)
     for _ in range(n_steps):
         step()
+
+
+def build_score_field(state, log_floor: float = DEFAULT_LOG_FLOOR, t: int = 0) -> ScoreField:
+    """The whole-grid score field, the oracle for
+    ``heatfield.build_score_field``, which must give the same bits: central
+    differences of log u where both axis neighbours are free, one-sided
+    where exactly one is, zero where neither is and on obstacle cells, each
+    chosen per cell by ``np.where`` over a padded free mask."""
+    worldmap = state.map
+    u = state.u
+    peak = float(u.max())
+    if peak <= 0.0:
+        raise DegenerateFieldError("heat state carries no mass")
+    free = worldmap.free
+    floor = log_floor * peak
+    lu = np.log(np.maximum(u, floor))
+    hx, hy = worldmap.cell_size
+    H, W = u.shape
+
+    # pad the free mask so out-of-bounds counts as not-free
+    fpad = np.zeros((H + 2, W + 2), dtype=bool)
+    fpad[1:-1, 1:-1] = free
+    lpad = np.zeros((H + 2, W + 2), dtype=np.float64)
+    lpad[1:-1, 1:-1] = lu
+
+    def axis_grad(shift_plus, shift_minus, h):
+        # whole-grid differences, selected per cell (every padded value is
+        # finite, so the unselected ones are harmless)
+        plus_free, minus_free = shift_plus[0], shift_minus[0]
+        plus_val, minus_val = shift_plus[1], shift_minus[1]
+        one_sided = np.where(plus_free, (plus_val - lu) / h, np.where(minus_free, (lu - minus_val) / h, 0.0))
+        g = np.where(plus_free & minus_free, (plus_val - minus_val) / (2 * h), one_sided)
+        return np.where(free, g, 0.0)
+
+    east = (fpad[1:-1, 2:], lpad[1:-1, 2:])
+    west = (fpad[1:-1, :-2], lpad[1:-1, :-2])
+    north = (fpad[2:, 1:-1], lpad[2:, 1:-1])
+    south = (fpad[:-2, 1:-1], lpad[:-2, 1:-1])
+    gx = axis_grad(east, west, hx)
+    gy = axis_grad(north, south, hy)
+    # vectors longer than the cap are scaled onto it; the others by 1.0
+    cap = SCORE_CAP_CELLS / min(hx, hy)
+    norm = np.sqrt(gx * gx + gy * gy)
+    scale = np.ones((H, W))
+    np.divide(cap, norm, out=scale, where=norm > cap)
+    vectors = np.empty((H, W, 2))
+    np.multiply(gx, scale, out=vectors[..., 0])
+    np.multiply(gy, scale, out=vectors[..., 1])
+    supported = free & (u > floor)
+    return ScoreField(t=t, vectors=vectors, map=worldmap, supported=supported)
 
 
 def score_ascent_reaches(fields: dict, worldmap: WorldMap, start_cell, region: SemanticRegion) -> bool:

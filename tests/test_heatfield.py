@@ -1,9 +1,11 @@
 import base64
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +557,77 @@ def test_score_field_zero_mass_rejected():
     state = hf.HeatState(u=np.zeros((8, 8)), time=0.0, map=m)
     with pytest.raises(DegenerateFieldError):
         hf.build_score_field(state)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_score_field_non_finite_peak_rejected(value):
+    # a NaN peak passed a `peak <= 0.0` check and gave NaN vectors
+    state = hf.HeatState(u=np.full((16, 16), value), time=0.0, map=hp.empty_map(cells=16))
+    with pytest.raises(DegenerateFieldError):
+        hf.build_score_field(state)
+
+
+@pytest.mark.parametrize("u", [np.full((8, 32), 1 / 256), np.full((16, 15), 1 / 240), np.full((16, 16, 1), 1 / 256),
+                               [[1.0] * 16] * 16])
+def test_score_field_off_the_map_grid_rejected(u):
+    # a grid with the map's cell count, such as (8, 32), would gather silently
+    state = hf.HeatState(u=u, time=0.0, map=hp.empty_map(cells=16))
+    with pytest.raises(ParameterError) as ei:
+        hf.build_score_field(state)
+    assert ei.value.field == "state"
+
+
+@st.composite
+def _heat_states(draw):
+    """A heat state and a log floor on a random grid up to 16x16 (two in five
+    one cell wide or high) on a square or a 2:1 world, obstacles drawn per cell
+    and so often on the border.  The heat is a ladder level from one source,
+    with a support edge whose vectors exceed the cap, or masses spread over
+    300 decades with empty free cells, which put most vectors over it."""
+    shape = [draw(st.integers(1, 16)), draw(st.integers(1, 16))]
+    thin = draw(st.sampled_from([None, None, None, 0, 1]))
+    if thin is not None:
+        shape[thin] = 1
+    h, w = shape
+    occ = draw(hnp.arrays(bool, (h, w)))
+    free = np.argwhere(~occ)
+    assume(len(free) > 0)
+    m = hp.WorldMap("g", occ, world_size=draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row, col = (int(v) for v in free[rng.integers(len(free))])
+    if draw(st.booleans()):
+        states = hf.solve_to_times([hp.SemanticRegion("goal", ((col, row),))], m, hp.build_schedule(draw(st.integers(2, 6))))
+        u = states[draw(st.integers(0, len(states) - 1))].u
+    else:
+        u = np.where(m.free & (rng.random((h, w)) < 0.8), 10.0 ** rng.uniform(-300, 0, (h, w)), 0.0)
+        u[row, col] = 1.0
+    return hf.HeatState(u, 0.0, m), draw(st.sampled_from([hf.DEFAULT_LOG_FLOOR, 1e-12, 0.5]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_heat_states())
+@example(case=(hf.HeatState(np.ones((1, 1)), 0.0, hp.WorldMap("g", np.zeros((1, 1), dtype=bool))), 1e-300))
+@example(case=(hf.HeatState(np.array([[0.0, 1.0]]), 0.0, hp.WorldMap("g", np.zeros((1, 2), dtype=bool), (2.0, 1.0))),
+               1e-300))
+def test_score_field_equals_the_whole_grid_oracle(case):
+    """The gather on the map's tables gives the bits of the per-cell
+    selection, signed zeros included, and the same support."""
+    state, log_floor = case
+    got = hf.build_score_field(state, log_floor, t=3)
+    want = oracles.build_score_field(state, log_floor, t=3)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert np.array_equal(got.supported, want.supported)
+    assert got.t == want.t and got.map is want.map
+
+
+def test_gradient_tables_keep_at_most_one_map():
+    a, b = hp.empty_map(cells=8), hp.empty_map(cells=8)
+    hf.build_score_field(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, a))
+    gone = weakref.ref(a)
+    del a
+    hf.build_score_field(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, b))
+    gc.collect()
+    assert gone() is None
 
 
 def test_obstacle_cells_get_zero_vector():

@@ -85,6 +85,19 @@ def test_missing_layer_data_named():
         RenderSpec(layers=("volumetric",))
 
 
+@pytest.mark.parametrize("cells, other", [(32, 16), (16, 32)])
+def test_inputs_from_another_grid_named(cells, other):
+    # a smaller heat grid used to fill a corner of the canvas, a larger one
+    # to draw off it, and smaller arrows to raise a raw IndexError
+    m, elsewhere = hp.empty_map(cells=cells), hp.empty_map(cells=other)
+    heat = hf.HeatState(u=np.full((other, other), 1 / other**2), time=0.0, map=elsewhere)
+    field = hf.ScoreField(t=1, vectors=np.ones((other, other, 2)), map=elsewhere)
+    for layer, kwargs in (("heat", {"heat": heat}), ("field_arrows", {"score_field": field})):
+        with pytest.raises(RenderError) as ei:
+            render_svg(m, RenderSpec(layers=("occupancy", layer), stride=1), **kwargs)
+        assert ei.value.layer == layer and f"({other}, {other}" in str(ei.value)
+
+
 @pytest.mark.parametrize("kwargs, field", [
     ({"stride": "2"}, "stride"),
     ({"stride": 1.5}, "stride"),
