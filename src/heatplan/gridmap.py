@@ -229,6 +229,14 @@ def _is_point(p) -> bool:
         return False
 
 
+def _length(seq, name: str) -> int:
+    """``len(seq)``; a ParameterError naming ``name`` if it has none."""
+    try:
+        return len(seq)
+    except TypeError as exc:
+        raise ParameterError(f"must be a sequence: {exc}", field=name) from exc
+
+
 # ---------------------------------------------------------------------------
 # point <-> cell mapping
 

@@ -67,7 +67,7 @@ from .errors import (
     ParameterError,
     PlacementError,
 )
-from .gridmap import WorldMap, _is_int, _is_real, hop_distances, resolve_goal_regions
+from .gridmap import WorldMap, _is_int, _is_point, _is_real, _length, hop_distances, resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
@@ -131,6 +131,13 @@ def build_schedule(
     t = np.arange(T, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** (t / (T - 1))
     return NoiseSchedule(T=T, sigma=sigma, alpha=step_ratio * sigma, heat_time=sigma**2 / 2.0)
+
+
+def _check_log_floor(log_floor) -> None:
+    """A ParameterError naming ``log_floor``, the fraction of a level's peak
+    under which its log is flat, unless it is a finite number in (0, 1)."""
+    if not (_is_real(log_floor) and 0.0 < log_floor < 1.0):
+        raise ParameterError(f"must be a finite number in (0, 1), got {log_floor!r}", field="log_floor")
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,15 +341,20 @@ def _ladder_coefficients(lam_max: float, dt: float, heat_times: tuple, tol: floa
 
 def init_heat(regions, worldmap: WorldMap) -> HeatState:
     """Unit mass split equally across the source regions (goal region
-    instances), uniform within each."""
+    instances), uniform within each.  A source cell off the grid raises a
+    ParameterError naming it, and one on an obstacle a PlacementError."""
     regions = tuple(regions)
     if not regions:
         raise ParameterError("must hold at least one source region", field="regions")
-    u = np.zeros((worldmap.height_cells, worldmap.width_cells), dtype=np.float64)
+    H, W = worldmap.height_cells, worldmap.width_cells
+    u = np.zeros((H, W), dtype=np.float64)
     share = 1.0 / len(regions)
-    for reg in regions:
+    for i, reg in enumerate(regions):
         per_cell = share / len(reg.cells)
-        for col, row in reg.cells:
+        for j, (col, row) in enumerate(reg.cells):
+            if not (0 <= col < W and 0 <= row < H):
+                raise ParameterError(f"source cell ({col},{row}) of region {reg.label!r} is off the {W}x{H} grid",
+                                     field=f"regions[{i}].cells[{j}]")
             if worldmap.occupancy[row, col]:
                 raise PlacementError(
                     f"source cell ({col},{row}) of region {reg.label!r} is an obstacle"
@@ -437,6 +449,7 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     neighbour on an axis gets 0.0 - 0.0 = +0.0, and the cells under the cap
     skip a multiplication by 1.0, which was the identity.
     """
+    _check_log_floor(log_floor)
     worldmap = state.map
     u = state.u
     H, W = worldmap.height_cells, worldmap.width_cells
@@ -468,15 +481,15 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
 def interpolate(field, p):
     """Bilinear interpolation of score vectors at continuous points.
 
-    ``field`` is one ScoreField, or a sequence of ScoreFields on one map with
-    one field per point of ``p``.  ``p`` is one point, shape (2,), or many,
-    shape (N, 2), and the result is an array of the shape of ``p``; or ``p``
-    is a ``list`` of N [x, y] pairs of floats, and the result is a list of N
-    [sx, sy] lists, with no array made.  Both forms give the same bits.
+    ``p`` is a list of N [x, y] pairs of floats and ``field`` a sequence of
+    N ScoreFields on one map, one per point; the result is a new list of N
+    [sx, sy] lists, with no array made.  A caller holding an (N, 2) array
+    passes ``arr.tolist()`` and reads the result with ``np.array(result)``.
     Queries outside the cell-center lattice hull (but inside the map) clamp
     to the hull; queries outside the map (or NaN) raise DomainError.
     Malformed points raise a ParameterError naming ``p``, and a field count
-    other than the point count, or no field at all, one naming ``field``.
+    other than the point count, no field at all, or a field that is not a
+    ScoreField, one naming ``field``.
 
     Each point is a loop over Python floats, which costs less than numpy
     calls on arrays this small.  Per component the result is
@@ -484,38 +497,23 @@ def interpolate(field, p):
     product and sum taken left to right; on a map one cell wide or high the
     missing neighbour repeats the first.
     """
-    as_list = isinstance(p, list)
-    if as_list:
-        pts = p
-    else:
-        try:
-            arr = np.asarray(p, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"must be a point or an (N, 2) array of points: {exc}", field="p") from exc
-        if arr.ndim not in (1, 2) or arr.shape[-1] != 2:
-            raise ParameterError(f"must be a point or an (N, 2) array of points, got shape {arr.shape}", field="p")
-        pts = arr.reshape(-1, 2).tolist()
-    if isinstance(field, ScoreField):
-        fields = [field] * len(pts)
-        worldmap = field.map
-    else:
-        fields = field
-        if len(fields) != len(pts):
-            raise ParameterError(f"holds {len(fields)} fields for {len(pts)} points", field="field")
-        if not fields:
-            raise ParameterError("must hold at least one field", field="field")
-        worldmap = fields[0].map
-    w, h = worldmap.world_size
-    hx, hy = worldmap.cell_size
-    W, H = worldmap.width_cells, worldmap.height_cells
-    # lattice coordinates are clamped to the cell-center hull; the lower
-    # corner (column, row) stops one cell short of the far edge, and
-    # conditional expressions stand in for min and max, which cost more here
-    last_x, last_y = W - 1.0, H - 1.0
-    top_i, top_j = max(W - 2, 0), max(H - 2, 0)
+    n = _length(p, "p")
+    if _length(field, "field") != n:
+        raise ParameterError(f"holds {len(field)} fields for {n} points", field="field")
+    if not n:
+        raise ParameterError("must hold at least one field", field="field")
     out = []
     try:
-        for f, (x, y) in zip(fields, pts):
+        worldmap = field[0].map
+        w, h = worldmap.world_size
+        hx, hy = worldmap.cell_size
+        W, H = worldmap.width_cells, worldmap.height_cells
+        # lattice coordinates are clamped to the cell-center hull; the lower corner
+        # (column, row) stops one cell short of the far edge, and conditional
+        # expressions stand in for min and max, which cost more here
+        last_x, last_y = W - 1.0, H - 1.0
+        top_i, top_j = max(W - 2, 0), max(H - 2, 0)
+        for f, (x, y) in zip(field, p):
             if not (0.0 <= x < w and 0.0 <= y < h):
                 raise DomainError("interpolation point outside the world rectangle")
             gx = x / hx - 0.5
@@ -539,29 +537,31 @@ def interpolate(field, p):
             sy += v10[1] * ex * fy
             sy += v11[1] * fx * fy
             out.append([sx, sy])
-    except (TypeError, ValueError) as exc:  # a list row that is not a pair of numbers
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        if all(map(_is_point, p)):
+            raise ParameterError(f"must hold ScoreFields with (H, W, 2) vectors: {exc}", field="field") from exc
         raise ParameterError(f"must hold [x, y] pairs of numbers: {exc}", field="p") from exc
-    return out if as_list else np.array(out, dtype=np.float64).reshape(arr.shape)
+    return out
 
 
 def sample_heat(state: HeatState, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw points from the heat distribution: categorical over cells by mass,
-    then uniform jitter within the chosen cell.  Obstacle cells hold zero mass
-    and are never drawn."""
-    if n < 0:
-        raise ParameterError(f"must be >= 0, got {n!r}", field="n")
+    """Draw ``n`` points (an integer >= 0) from the heat distribution:
+    categorical over cells by mass, then uniform jitter within the chosen
+    cell.  Obstacle cells hold zero mass and are never drawn."""
+    if not _is_int(n) or n < 0:
+        raise ParameterError(f"must be an integer >= 0, got {n!r}", field="n")
     u = state.u
     total = float(u.sum())
     if total <= 0.0:
         raise DegenerateFieldError("cannot sample from a zero-mass heat state")
     p = (u / total).ravel()
-    idx = rng.choice(p.size, size=int(n), p=p)
+    idx = rng.choice(p.size, size=n, p=p)
     W = state.map.width_cells
     cols = idx % W
     rows = idx // W
     hx, hy = state.map.cell_size
-    xs = (cols + rng.random(int(n))) * hx
-    ys = (rows + rng.random(int(n))) * hy
+    xs = (cols + rng.random(n)) * hx
+    ys = (rows + rng.random(n)) * hy
     return np.column_stack([xs, ys])
 
 
@@ -576,6 +576,7 @@ def score_fields(
     log_floor: float = DEFAULT_LOG_FLOOR,
 ) -> dict:
     """Solve one heat ladder for the given source regions; {t: ScoreField}."""
+    _check_log_floor(log_floor)
     states = solve_to_times(regions, worldmap, schedule)
     return {
         t: build_score_field(states[t - 1], log_floor, t=t)
@@ -607,6 +608,7 @@ class FieldCache:
 
     def fields(self, worldmap: WorldMap, label: str, schedule: NoiseSchedule,
                log_floor: float = DEFAULT_LOG_FLOOR) -> dict:
+        _check_log_floor(log_floor)
         key = (worldmap.content_hash(), label, schedule.key(), float(log_floor))
         return self._memo(self._store, key, lambda: score_fields(
             worldmap, resolve_goal_regions(label, worldmap), schedule, log_floor))

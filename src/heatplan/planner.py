@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError, SingularConfigurationError
-from .gridmap import Scenario, WorldMap, _is_int, _is_real, _uniform_point, resolve_goal_regions
+from .gridmap import Scenario, WorldMap, _is_int, _is_point, _is_real, _length, _uniform_point, resolve_goal_regions
 from .heatfield import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_SIGMA_MAX,
@@ -35,6 +35,7 @@ from .heatfield import (
     DEFAULT_STEP_RATIO,
     FieldCache,
     NoiseSchedule,
+    _check_log_floor,
     build_schedule,
     interpolate,
 )
@@ -65,7 +66,7 @@ class PlannerConfig:
             if f.name in ("K", "seed"):
                 if not (_is_int(val) or (f.name == "seed" and val is None)):
                     raise ParameterError(f"must be an integer, got {val!r}", field=f.name)
-            elif f.name not in ("T", "sigma_min", "sigma_max", "step_ratio") and not _is_real(val):
+            elif f.name not in ("T", "sigma_min", "sigma_max", "step_ratio", "log_floor") and not _is_real(val):
                 raise ParameterError(f"must be a finite number, got {val!r}", field=f.name)
         if self.K < 1:
             raise ParameterError("must be >= 1", field="K")
@@ -78,8 +79,7 @@ class PlannerConfig:
             raise ParameterError("must be positive", field="time_limit")
         if self.goal_tol < 0:
             raise ParameterError("must be >= 0", field="goal_tol")
-        if not (0 < self.log_floor < 1):
-            raise ParameterError("must be in (0, 1)", field="log_floor")
+        _check_log_floor(self.log_floor)
         if self.seed is not None and int(self.seed) < 0:
             raise ParameterError("must be unsigned", field="seed")
 
@@ -303,24 +303,23 @@ def langevin_step(
     config: PlannerConfig,
     noise=None,
 ):
-    """One synchronous annealing update of all robots' (N, 2) positions at
-    level t, from a common snapshot; returns the new positions.
+    """One synchronous annealing update of all robots' positions at level t,
+    from a common snapshot; returns the new positions.
 
-    ``ladders`` holds each robot's {t: ScoreField}.  A robot outside its
-    level's field support escalates to the smallest covering level and uses
-    that level's alpha.  One ``interpolate`` call reads every robot's score,
-    each from its own effective-level field.  ``noise`` holds this update's
-    (N, 2) standard normals, one row per robot, or None for a noiseless
-    update.  A move is walked cell by cell (``_clamp_to_free``) only when an
-    obstacle lies in its cell box widened by one cell; otherwise the walk
-    would return the proposal unchanged.
-
-    ``positions`` is an (N, 2) array, and the result is a new one; or it is
-    a ``list`` of N [x, y] pairs of floats, and the result is a new list of
-    N [x, y] lists (a robot whose move is reverted gets its input pair
-    back).  ``noise`` may be either form too.  Lists are the form ``plan``
-    passes from one update to the next, so no array is made per update;
-    both forms give the same bits.
+    ``positions`` is a list of N [x, y] pairs of floats, and the result is a
+    new list of N [x, y] lists (a robot whose move is reverted gets its
+    input pair back).  ``ladders`` holds each robot's {t: ScoreField}.  A
+    robot outside its level's field support escalates to the smallest
+    covering level and uses that level's alpha.  One ``interpolate`` call
+    reads every robot's score, each from its own effective-level field.
+    ``noise`` holds this update's N [ex, ey] pairs of standard normals, one
+    per robot, or None for a noiseless update.  A move is walked cell by
+    cell (``_clamp_to_free``) only when an obstacle lies in its cell box
+    widened by one cell; otherwise the walk would return the proposal
+    unchanged.  ``plan`` passes these lists from one update to the next, so
+    no array is made per update; an array caller passes ``arr.tolist()``
+    and reads the result with ``np.array(result)``.  Malformed input raises
+    a ParameterError naming ``positions``, ``noise``, ``ladders`` or ``t``.
 
     The update runs on Python floats, robot by robot and pair by pair,
     because numpy's fixed cost per call outweighs the arithmetic on a few
@@ -330,29 +329,26 @@ def langevin_step(
     Python: near N = 25 robots this costs as much as whole-array code, and
     past that it costs more.
     """
-    as_list = isinstance(positions, list)
-    xy = positions if as_list else _float_rows(positions, "positions")
-    n = len(xy)
+    n = _length(positions, "positions")
     if n == 0:
         raise ParameterError("must hold at least one robot", field="positions")
-    if len(ladders) != n:
+    if _length(ladders, "ladders") != n:
         raise ParameterError(f"holds {len(ladders)} ladders for {n} robots", field="ladders")
-    if not 1 <= t <= schedule.T:
-        raise ParameterError(f"must be in 1..{schedule.T}, got {t!r}", field="t")
-    eps = noise if noise is None or isinstance(noise, list) else _float_rows(noise, "noise")
-    if eps is not None and len(eps) != n:
-        raise ParameterError(f"has {len(eps)} rows for {n} robots", field="noise")
-    worldmap = ladders[0][t].map
-    W, H = worldmap.width_cells, worldmap.height_cells
-    hx, hy = worldmap.cell_size
-    w, h = worldmap.world_size
-    bound_x, bound_y = w * (1 - 1e-12), h * (1 - 1e-12)
+    if not (_is_int(t) and 1 <= t <= schedule.T):
+        raise ParameterError(f"must be an integer in 1..{schedule.T}, got {t!r}", field="t")
+    if noise is not None and _length(noise, "noise") != n:
+        raise ParameterError(f"has {len(noise)} rows for {n} robots", field="noise")
 
     # conditional expressions in place of min and max, which cost more here
     # than the arithmetic
-    cells, levels, fields = [], [], []
+    cells, levels, fields, new = [], [], [], []
     try:
-        for (x, y), ladder in zip(xy, ladders):
+        worldmap = ladders[0][t].map
+        W, H = worldmap.width_cells, worldmap.height_cells
+        hx, hy = worldmap.cell_size
+        w, h = worldmap.world_size
+        bound_x, bound_y = w * (1 - 1e-12), h * (1 - 1e-12)
+        for (x, y), ladder in zip(positions, ladders):
             if not (0.0 <= x < w and 0.0 <= y < h):
                 raise DomainError("robot position outside the world rectangle")
             col, row = int(x / hx), int(y / hy)
@@ -361,46 +357,51 @@ def langevin_step(
             cells.append(cell)
             levels.append(level)
             fields.append(field)
-    except (TypeError, ValueError) as exc:  # a row that is not a pair of numbers
-        raise ParameterError(f"must hold [x, y] pairs of numbers: {exc}", field="positions") from exc
-    drift = interpolate(fields, xy)
-    if n > 1 and config.beta > 0:
-        beta = config.beta
-        for d, (gx, gy) in zip(drift, _guidance(xy, config.d_margin)):
-            d[0] += beta * gx
-            d[1] += beta * gy
-
-    new = []
-    for i, ((x, y), (sx, sy)) in enumerate(zip(xy, drift)):
-        a = schedule.alpha.item(levels[i] - 1)
-        half_a2 = 0.5 * a * a
-        px = x + half_a2 * sx
-        py = y + half_a2 * sy
-        if eps is not None:
-            px += a * eps[i][0]
-            py += a * eps[i][1]
-        # maximum(0, p) then minimum(p, bound): -0.0 and NaN pass as they are
-        px = px if not px < 0.0 else 0.0
-        px = bound_x if px > bound_x else px
-        py = py if not py < 0.0 else 0.0
-        py = bound_y if py > bound_y else py
-        # zero-density regions are never entered: advance the robot along
-        # its proposal until the exact cell walk meets an obstacle.  The walk
-        # can end one cell beyond either end's cell when an end lies on a
-        # cell face, so the box is widened by one cell; with no obstacle in
-        # it the walk would return the proposal as it is (and a robot that
-        # did not move stays put either way).
-        c0, r0 = cells[i]
-        c1, r1 = int(px / hx), int(py / hy)
-        c1, r1 = (c1 if c1 < W else W - 1), (r1 if r1 < H else H - 1)
-        if c0 > c1:
-            c0, c1 = c1, c0
-        if r0 > r1:
-            r0, r1 = r1, r0
-        if worldmap.obstacles_in(c0 - 1 if c0 else 0, r0 - 1 if r0 else 0,
-                                 c1 + 2 if c1 + 2 < W else W, r1 + 2 if r1 + 2 < H else H):
-            px, py = _clamp_to_free(worldmap, (x, y), (px, py))
-        new.append([px, py])
+        drift = interpolate(fields, positions)
+        if n > 1 and config.beta > 0:
+            beta = config.beta
+            for d, (gx, gy) in zip(drift, _guidance(positions, config.d_margin)):
+                d[0] += beta * gx
+                d[1] += beta * gy
+        for i, ((x, y), (sx, sy)) in enumerate(zip(positions, drift)):
+            a = schedule.alpha.item(levels[i] - 1)
+            half_a2 = 0.5 * a * a
+            px = x + half_a2 * sx
+            py = y + half_a2 * sy
+            if noise is not None:
+                ex, ey = noise[i]
+                px += a * ex
+                py += a * ey
+            # maximum(0, p) then minimum(p, bound): -0.0 and NaN pass as they are
+            px = px if not px < 0.0 else 0.0
+            px = bound_x if px > bound_x else px
+            py = py if not py < 0.0 else 0.0
+            py = bound_y if py > bound_y else py
+            # zero-density regions are never entered: advance the robot along
+            # its proposal until the exact cell walk meets an obstacle.  The walk
+            # can end one cell beyond either end's cell when an end lies on a
+            # cell face, so the box is widened by one cell; with no obstacle in
+            # it the walk would return the proposal as it is (and a robot that
+            # did not move stays put either way).
+            c0, r0 = cells[i]
+            c1, r1 = int(px / hx), int(py / hy)
+            c1, r1 = (c1 if c1 < W else W - 1), (r1 if r1 < H else H - 1)
+            if c0 > c1:
+                c0, c1 = c1, c0
+            if r0 > r1:
+                r0, r1 = r1, r0
+            if worldmap.obstacles_in(c0 - 1 if c0 else 0, r0 - 1 if r0 else 0,
+                                     c1 + 2 if c1 + 2 < W else W, r1 + 2 if r1 + 2 < H else H):
+                px, py = _clamp_to_free(worldmap, (x, y), (px, py))
+            new.append([px, py])
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        # malformed input: positions or noise if a row of it is not a pair of
+        # finite numbers, else ladders (a missing level, a field that is not
+        # a ScoreField, or a NaN score, which stops at int)
+        for name, rows in (("positions", positions), ("noise", () if noise is None else noise)):
+            if not all(map(_is_point, rows)):
+                raise ParameterError(f"must hold [x, y] pairs of finite numbers: {exc}", field=name) from exc
+        raise ParameterError(f"must hold ScoreFields with finite vectors: {exc}", field="ladders") from exc
 
     # reject moves that breach the hard pairwise separation; symmetric in the
     # pair, so the update stays permutation-equivariant
@@ -417,24 +418,12 @@ def langevin_step(
                 if math.sqrt(dx * dx + dy * dy) <= d_safe:
                     bad[i] = bad[j] = True
         # compared by component: a sequence compare would call a NaN equal to itself
-        revert = [k for k in range(n) if bad[k] and (new[k][0] != xy[k][0] or new[k][1] != xy[k][1])]
+        revert = [k for k in range(n) if bad[k] and (new[k][0] != positions[k][0] or new[k][1] != positions[k][1])]
         if not revert:
             break
         for k in revert:
-            new[k] = xy[k]
-    return new if as_list else np.array(new, dtype=np.float64)
-
-
-def _float_rows(rows, name: str) -> list:
-    """An (N, 2) array-like as N [x, y] lists of Python floats; any other
-    shape raises a ParameterError naming ``name``."""
-    try:
-        arr = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"must be an (N, 2) array of numbers: {exc}", field=name) from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParameterError(f"must be an (N, 2) array, got shape {arr.shape}", field=name)
-    return arr.tolist()
+            new[k] = positions[k]
+    return new
 
 
 # ---------------------------------------------------------------------------

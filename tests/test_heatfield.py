@@ -139,6 +139,23 @@ def test_init_without_regions_rejected():
         hf.init_heat([], hp.empty_map(cells=8))
 
 
+@pytest.mark.parametrize("cells, field", [
+    (((0, 0), (-1, 0)), "regions[1].cells[1]"),
+    (((20, 0),), "regions[1].cells[0]"),
+    (((3, 15), (3, 16)), "regions[1].cells[1]"),
+])
+def test_init_source_off_the_grid_named(cells, field):
+    """A source cell off the grid raises a ParameterError naming it, from
+    ``init_heat`` and from the ladder solve; a negative index would put its
+    mass on the far side of the grid, and a large one past its end."""
+    m = hp.empty_map(cells=16)
+    regions = [hp.SemanticRegion("apple", ((4, 4),)), hp.SemanticRegion("apple", cells)]
+    for call in (lambda: hf.init_heat(regions, m), lambda: hf.solve_to_times(regions, m, hp.build_schedule(3))):
+        with pytest.raises(ParameterError) as ei:
+            call()
+        assert ei.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # solve_to_times
 
@@ -517,13 +534,18 @@ def test_levels_are_the_explicit_ladder(spec, family, variant, only_label):
 # score fields
 
 
+def _lookup(field, p):
+    """``interpolate`` at the one point ``p``, as a (2,) array."""
+    return np.array(hf.interpolate([field], [[float(p[0]), float(p[1])]])[0])
+
+
 def test_score_matches_analytic_gaussian_gradient():
     m, src = point_source_map(128)
     t = 0.02
     states = hf.solve_to_times(src, m, hp.build_schedule(2, 0.01, math.sqrt(2 * t)))
     field = hf.build_score_field(states[-1])
     g = np.array(hp.cell_center((64, 64), m))
-    v = hf.interpolate(field, g + np.array([0.2, 0.0]))
+    v = _lookup(field, g + np.array([0.2, 0.0]))
     assert v[0] == pytest.approx(-5.0, rel=0.02)
     assert abs(v[1]) <= 0.05
 
@@ -620,6 +642,25 @@ def test_score_field_equals_the_whole_grid_oracle(case):
     assert got.t == want.t and got.map is want.map
 
 
+@pytest.mark.parametrize("log_floor", [0.0, -1.0, float("nan"), 2.0, float("inf")])
+def test_log_floor_outside_the_unit_interval_rejected(log_floor):
+    """Every entry point that takes a log floor rejects one that is not a
+    finite number in (0, 1), and the cache stores nothing for it: at 0 or
+    below, or NaN, vectors would be NaN, and at 1 or above no cell would be
+    supported."""
+    m = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    sched = hp.build_schedule(3)
+    cache = hf.FieldCache()
+    for call in (lambda: hf.build_score_field(hf.HeatState(np.full((16, 16), 1 / 256), 0.0, m), log_floor),
+                 lambda: hf.score_fields(m, m.regions_with_label("apple"), sched, log_floor),
+                 lambda: cache.fields(m, "apple", sched, log_floor),
+                 lambda: hp.PlannerConfig(log_floor=log_floor)):
+        with pytest.raises(ParameterError) as ei:
+            call()
+        assert ei.value.field == "log_floor"
+    assert not cache._store
+
+
 def test_gradient_tables_keep_at_most_one_map():
     a, b = hp.empty_map(cells=8), hp.empty_map(cells=8)
     hf.build_score_field(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, a))
@@ -656,7 +697,7 @@ def test_interpolate_exact_at_cell_centers():
     field = _linear_field()
     m = field.map
     for cell in ((0, 0), (3, 7), (15, 15), (8, 1)):
-        v = hf.interpolate(field, hp.cell_center(cell, m))
+        v = _lookup(field, hp.cell_center(cell, m))
         assert v == pytest.approx(field.vectors[cell[1], cell[0]], abs=1e-12)
 
 
@@ -665,7 +706,7 @@ def test_interpolate_midpoint_average():
     m = field.map
     a = np.array(hp.cell_center((4, 5), m))
     b = np.array(hp.cell_center((5, 5), m))
-    v = hf.interpolate(field, (a + b) / 2)
+    v = _lookup(field, (a + b) / 2)
     expect = (field.vectors[5, 4] + field.vectors[5, 5]) / 2
     assert v == pytest.approx(expect, abs=1e-12)
 
@@ -675,7 +716,7 @@ def test_interpolate_four_cell_center_mean():
     m = field.map
     corners = [(4, 5), (5, 5), (4, 6), (5, 6)]
     pts = np.array([hp.cell_center(c, m) for c in corners])
-    v = hf.interpolate(field, pts.mean(axis=0))
+    v = _lookup(field, pts.mean(axis=0))
     expect = np.mean([field.vectors[r, c] for c, r in corners], axis=0)
     assert v == pytest.approx(expect, abs=1e-12)
 
@@ -683,10 +724,10 @@ def test_interpolate_four_cell_center_mean():
 def test_interpolate_clamps_to_hull_and_rejects_outside():
     field = _linear_field()
     m = field.map
-    v_edge = hf.interpolate(field, (1e-9, 1e-9))
+    v_edge = _lookup(field, (1e-9, 1e-9))
     assert v_edge == pytest.approx(field.vectors[0, 0], abs=1e-6)
     with pytest.raises(DomainError):
-        hf.interpolate(field, (2.0, 1.0))
+        _lookup(field, (2.0, 1.0))
 
 
 def test_interpolate_continuity_along_segment():
@@ -703,7 +744,7 @@ def test_interpolate_continuity_along_segment():
     a, b = np.array([0.31, 0.42]), np.array([1.63, 1.17])
     ts = np.linspace(0, 1, 2001)
     pts = a[None] + ts[:, None] * (b - a)[None]
-    vals = hf.interpolate(field, pts)
+    vals = np.array(hf.interpolate([field] * len(pts), pts.tolist()))
     step = np.linalg.norm(b - a) / 2000
     deltas = np.linalg.norm(np.diff(vals, axis=0), axis=1)
     assert deltas.max() <= 2 * lip * step + 1e-12
@@ -764,41 +805,38 @@ def _bilinear_reference(field, p):
 @given(_fields_and_points())
 def test_interpolate_one_field_per_point_matches_single_queries(case):
     fields, pts = case
-    got = hf.interpolate(fields, pts)
+    got = np.array(hf.interpolate(fields, pts.tolist()))
     assert got.shape == pts.shape
     for i, (field, p) in enumerate(zip(fields, pts)):
-        assert np.array_equal(got[i], hf.interpolate(field, p))
-        assert np.array_equal(got[i], hf.interpolate(field, pts)[i])
+        assert np.array_equal(got[i], _lookup(field, p))
+        assert np.array_equal(got[i], np.array(hf.interpolate([field] * len(pts), pts.tolist()))[i])
         assert np.array_equal(got[i], _bilinear_reference(field, p))
 
 
 @settings(deadline=None, max_examples=500)
 @given(_fields_and_points())
 def test_interpolate_equals_the_array_oracle(case):
-    """The scalar lookup gives the bits of the whole-array one, signed zeros
-    included, for one field per point and for one field at every point, and
-    so does a list of [x, y] points, as a list."""
+    """The scalar lookup on a list of [x, y] points gives a new list of
+    [sx, sy] lists with the bits of the whole-array one, signed zeros
+    included, for one field per point and for one field at every point."""
     fields, pts = case
-    as_list = hf.interpolate(fields, pts.tolist())
-    assert type(as_list) is list and all(type(row) is list and len(row) == 2 for row in as_list)
-    for got, want in ((hf.interpolate(fields, pts), oracles.interpolate(fields, pts)),
-                      (np.array(as_list), oracles.interpolate(fields, pts)),
-                      (np.array(hf.interpolate(fields[0], pts.tolist())), oracles.interpolate(fields[0], pts)),
-                      (hf.interpolate(fields[0], pts), oracles.interpolate(fields[0], pts)),
-                      (hf.interpolate(fields[0], pts[0]), oracles.interpolate(fields[0], pts[0]))):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    for picks, want in ((fields, oracles.interpolate(fields, pts)),
+                        ([fields[0]] * len(pts), oracles.interpolate(fields[0], pts))):
+        got = hf.interpolate(picks, pts.tolist())
+        assert type(got) is list and all(type(row) is list and len(row) == 2 for row in got)
+        assert np.array(got).shape == want.shape
+        assert np.array_equal(np.array(got), want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_interpolate_rejects_field_count_mismatch():
     field = _linear_field()
     with pytest.raises(ParameterError):
-        hf.interpolate([field, field], np.array([[0.5, 0.5]]))
+        hf.interpolate([field, field], [[0.5, 0.5]])
     with pytest.raises(DomainError):
-        hf.interpolate([field], np.array([[0.5, 2.0]]))
+        hf.interpolate([field], [[0.5, 2.0]])
     with pytest.raises(DomainError):
-        hf.interpolate(field, np.array([[0.5, 0.5], [np.nan, 0.5]]))
+        hf.interpolate([field, field], [[0.5, 0.5], [float("nan"), 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +873,12 @@ def test_sample_uniform_multinomial():
     expect = n / 64
     sd = math.sqrt(n * (1 / 64) * (1 - 1 / 64))
     assert np.abs(counts - expect).max() <= 4 * sd
+
+
+def test_sample_takes_any_integer_count():
+    state = hf.HeatState(np.full((8, 8), 1 / 64), 0.0, hp.empty_map(cells=8))
+    for n in (0, 3, np.int64(3)):
+        assert hf.sample_heat(state, np.random.default_rng(0), n).shape == (n, 2)
 
 
 def test_sample_zero_mass_rejected():

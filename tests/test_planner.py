@@ -265,7 +265,7 @@ def test_langevin_pure_score_displacement():
     field = _constant_field(m, (1.0, 0.0))
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig(beta=0.0)
-    out = hp.langevin_step(np.array([[1.0, 1.0]]), 1, [{1: field}], sched, cfg)
+    out = hp.langevin_step([[1.0, 1.0]], 1, [{1: field}], sched, cfg)
     assert out[0] == pytest.approx([1.005, 1.0], abs=1e-12)
 
 
@@ -274,9 +274,9 @@ def test_langevin_fixed_point_without_forces():
     field = _constant_field(m, (0.0, 0.0))
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
-    pos = np.array([[0.7, 0.3], [1.3, 1.7]])
+    pos = [[0.7, 0.3], [1.3, 1.7]]
     out = hp.langevin_step(pos, 1, [{1: field}] * 2, sched, cfg)
-    assert np.array_equal(out, pos)
+    assert out == pos and out is not pos
 
 
 def test_langevin_guidance_separates_close_pair():
@@ -285,7 +285,7 @@ def test_langevin_guidance_separates_close_pair():
     sched = _schedule_with_alpha(0.1)
     cfg = PlannerConfig()
     pos = np.array([[1.0, 1.0], [1.11, 1.0]])
-    out = hp.langevin_step(pos.copy(), 1, [{1: field}] * 2, sched, cfg)
+    out = np.array(hp.langevin_step(pos.tolist(), 1, [{1: field}] * 2, sched, cfg))
     d0 = np.linalg.norm(pos[1] - pos[0])
     d1 = np.linalg.norm(out[1] - out[0])
     assert d1 > d0
@@ -299,12 +299,11 @@ def test_langevin_never_crosses_wall():
     field = hf.ScoreField(t=1, vectors=vecs, map=m)
     sched = _schedule_with_alpha(0.2)
     cfg = PlannerConfig(beta=0.0)
-    out = hp.langevin_step(np.array([[0.98, 1.0]]), 1, [{1: field}], sched, cfg)
+    (x, y), = hp.langevin_step([[0.98, 1.0]], 1, [{1: field}], sched, cfg)
     # the proposal points across the wall; the robot slides up to it instead
-    x = out[0, 0]
     assert 0.98 <= x < 1.0
-    assert out[0, 1] == 1.0
-    assert hp.is_free(out[0], m)
+    assert y == 1.0
+    assert hp.is_free((x, y), m)
 
 
 @st.composite
@@ -444,12 +443,12 @@ def _cell_of(p, m):
             min(int(p[1] / m.cell_size[1]), m.height_cells - 1))
 
 
-def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=False):
-    """The sampler step in whole-array code, with one level lookup and one
-    single-point call of the ``interpolate`` oracle per robot, the guidance
-    oracle, per-step draws from each robot's stream, and a wall walk for
-    every robot that moved: the reference for the scalar step, the batched
-    lookup, the per-plan noise and the free-box gate."""
+def _langevin_step_per_robot(pos, t, ladders, schedule, config, noise=None):
+    """The sampler step in whole-array code on an (N, 2) array, with one
+    level lookup and one single-point call of the ``interpolate`` oracle per
+    robot, the guidance oracle, the (N, 2) ``noise`` rows (or None), and a
+    wall walk for every robot that moved: the reference for the scalar step
+    on lists, the batched lookup and the free-box gate."""
     worldmap = ladders[0][t].map
     n = len(pos)
     s = np.empty_like(pos)
@@ -460,11 +459,8 @@ def _langevin_step_per_robot(pos, t, ladders, schedule, config, rngs, noiseless=
         alpha[i, 0] = schedule.alpha[t_eff - 1]
     drift = s + config.beta * oracles.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
     prop = pos + 0.5 * alpha * alpha * drift
-    if not noiseless:
-        eps = np.empty_like(pos)
-        for i in range(n):
-            eps[i] = rngs[i].standard_normal(2)
-        prop = prop + alpha * eps
+    if noise is not None:
+        prop = prop + alpha * noise
     w, h = worldmap.world_size
     np.clip(prop[:, 0], 0.0, w * (1 - 1e-12), out=prop[:, 0])
     np.clip(prop[:, 1], 0.0, h * (1 - 1e-12), out=prop[:, 1])
@@ -504,7 +500,7 @@ def test_langevin_batched_lookup_matches_per_robot_reference():
     noise = np.stack([np.random.default_rng([9, i]).standard_normal((cfg.T * cfg.K, 2))
                       for i in range(len(labels))], axis=1)
     rngs = [np.random.default_rng([9, i]) for i in range(len(labels))]
-    batched = reference = starts
+    batched, reference = starts.tolist(), starts
     escalations = 0
     for t in range(cfg.T, 0, -1):
         for k in range(1, cfg.K + 1):
@@ -514,9 +510,10 @@ def test_langevin_batched_lookup_matches_per_robot_reference():
                 _effective_level(ladder, t, _cell_of(p, m), sched.T)[0] > t
                 for ladder, p in zip(ladders, batched)
             )
-            batched = hp.langevin_step(batched, t, ladders, sched, cfg, None if noiseless else noise[step])
-            reference = _langevin_step_per_robot(reference, t, ladders, sched, cfg, rngs, noiseless)
-            assert np.array_equal(batched, reference)
+            batched = hp.langevin_step(batched, t, ladders, sched, cfg, None if noiseless else noise[step].tolist())
+            eps = None if noiseless else np.array([rng.standard_normal(2) for rng in rngs])
+            reference = _langevin_step_per_robot(reference, t, ladders, sched, cfg, eps)
+            assert np.array_equal(np.array(batched), reference)
     assert escalations > 0
 
 
@@ -559,7 +556,7 @@ def _team_step(draw):
 @given(_team_step())
 def test_langevin_step_keeps_hard_separation_and_free_space(case):
     m, pos, t, ladders, sched, cfg, noise = case
-    out = hp.langevin_step(pos, t, ladders, sched, cfg, noise)
+    out = np.array(hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, None if noise is None else noise.tolist()))
     gaps = np.linalg.norm(out[:, None] - out[None], axis=-1)[np.triu_indices(len(out), 1)]
     assert (gaps > cfg.d_safe).all()
     assert _points_free(m, out).all()
@@ -586,19 +583,17 @@ def _revert_case():
 @given(_team_step())
 @example(_walk_case())
 @example(_revert_case())
-def test_langevin_step_on_lists_equals_the_array_path(case):
-    """Positions and noise as lists of [x, y] floats give a list with the
-    bits of the array path's result, signed zeros included."""
+def test_langevin_step_equals_the_per_robot_reference(case):
+    """Positions and noise as lists of [x, y] floats give a new list of
+    [x, y] lists with the bits of the whole-array reference, signed zeros
+    included."""
     _m, pos, t, ladders, sched, cfg, noise = case
-    want = hp.langevin_step(pos, t, ladders, sched, cfg, noise)
-    got = hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, None if noise is None else noise.tolist())
-    assert type(got) is list and all(len(row) == 2 for row in got)
+    rows = pos.tolist()
+    got = hp.langevin_step(rows, t, ladders, sched, cfg, None if noise is None else noise.tolist())
+    want = _langevin_step_per_robot(pos, t, ladders, sched, cfg, noise)
+    assert type(got) is list and got is not rows and all(type(row) is list and len(row) == 2 for row in got)
     assert np.array_equal(np.array(got), want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    # the array path takes list noise, and the list path array noise
-    if noise is not None:
-        assert np.array_equal(hp.langevin_step(pos, t, ladders, sched, cfg, noise.tolist()), want)
-        assert np.array_equal(np.array(hp.langevin_step(pos.tolist(), t, ladders, sched, cfg, noise)), want)
 
 
 def test_list_cases_walk_and_revert():
@@ -615,10 +610,11 @@ def test_list_cases_walk_and_revert():
 _MAP8 = hp.empty_map(cells=8)
 _LADDER8 = {t: hf.ScoreField(t, np.zeros((8, 8, 2)), _MAP8) for t in (1, 2, 3)}
 _FIELD8 = _LADDER8[1]
+_NAN_LADDER8 = {t: hf.ScoreField(t, np.full((8, 8, 2), np.nan), _MAP8) for t in (1, 2, 3)}
 
 
-def _step(positions, t=1, n_ladders=1, noise=None):
-    return lambda: hp.langevin_step(positions, t, [_LADDER8] * n_ladders, hp.build_schedule(3), PlannerConfig(), noise)
+def _step(positions, t=1, n_ladders=1, noise=None, ladder=_LADDER8):
+    return lambda: hp.langevin_step(positions, t, [ladder] * n_ladders, hp.build_schedule(3), PlannerConfig(), noise)
 
 
 def _validate(robot_id, waypoints, micro_steps):
@@ -628,15 +624,19 @@ def _validate(robot_id, waypoints, micro_steps):
 
 
 @pytest.mark.parametrize("call, field", [
-    pytest.param(lambda: hf.interpolate([], np.empty((0, 2))), "field", id="interpolate-no-fields"),
+    pytest.param(lambda: hf.interpolate([], [[0.5, 0.5]]), "field", id="interpolate-no-fields"),
     pytest.param(lambda: hf.interpolate([], []), "field", id="interpolate-no-fields-list"),
     pytest.param(lambda: hf.interpolate([_FIELD8] * 2, [[0.5, 0.5]]), "field", id="interpolate-field-count-list"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, np.array([0.5, 0.5, 0.5])), "p", id="interpolate-three-coordinates"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, ["a", "b"]), "p", id="interpolate-strings-list"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, np.array(["a", "b"])), "p", id="interpolate-strings-array"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, [[0.5, 0.5, 0.5]]), "p", id="interpolate-triple-list"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, np.array([0.5, 0.5, 0.5, 0.5])), "p", id="interpolate-four-coordinates"),
-    pytest.param(lambda: hf.interpolate(_FIELD8, np.full((1, 1, 2), 0.5)), "p", id="interpolate-three-axes"),
+    pytest.param(lambda: hf.interpolate([_FIELD8] * 3, [0.5, 0.5, 0.5]), "p", id="interpolate-three-coordinates"),
+    pytest.param(lambda: hf.interpolate([_FIELD8] * 2, ["a", "b"]), "p", id="interpolate-strings-list"),
+    pytest.param(lambda: hf.interpolate([_FIELD8], np.array([["a", "b"]])), "p", id="interpolate-strings-array"),
+    pytest.param(lambda: hf.interpolate([_FIELD8], [[0.5, 0.5, 0.5]]), "p", id="interpolate-triple-list"),
+    pytest.param(lambda: hf.interpolate([_FIELD8] * 4, np.full(4, 0.5)), "p", id="interpolate-four-coordinates"),
+    pytest.param(lambda: hf.interpolate([_FIELD8], np.full((1, 1, 2), 0.5)), "p", id="interpolate-three-axes"),
+    pytest.param(lambda: hf.interpolate([_FIELD8], None), "p", id="interpolate-no-sequence"),
+    pytest.param(lambda: hf.interpolate([_FIELD8], [None]), "p", id="interpolate-none-row"),
+    pytest.param(lambda: hf.interpolate(_FIELD8, [[0.5, 0.5]]), "field", id="interpolate-one-field"),
+    pytest.param(lambda: hf.interpolate([None], [[0.5, 0.5]]), "field", id="interpolate-not-a-field"),
     pytest.param(lambda: planner.interrobot_guidance(np.zeros((0, 2)), 0.12), "positions", id="guidance-no-robots"),
     pytest.param(lambda: planner.interrobot_guidance(np.zeros((2, 3)), 0.12), "positions", id="guidance-2x3"),
     pytest.param(lambda: planner.interrobot_guidance(np.array([[0.5, np.nan]]), 0.12), "positions",
@@ -648,11 +648,30 @@ def _validate(robot_id, waypoints, micro_steps):
     pytest.param(_step([[0.5, 0.5], [1.0, 1.0]], noise=np.zeros((1, 2)), n_ladders=2), "noise", id="step-noise-short"),
     pytest.param(_step([[0.5, 0.5], [1.0, 1.0]], noise=[[0.0, 0.0]], n_ladders=2), "noise",
                  id="step-noise-short-list"),
-    pytest.param(_step(np.array([[0.5, 0.5]]), t=0), "t", id="step-t0"),
-    pytest.param(_step(np.array([[0.5, 0.5]]), t=9), "t", id="step-t9"),
-    pytest.param(_step(np.array([[0.5, 0.5]]), n_ladders=2), "ladders", id="step-extra-ladder"),
+    pytest.param(_step([[0.5, 0.5]], noise=[[0.1]]), "noise", id="step-noise-one-number"),
+    pytest.param(_step([[0.5, 0.5]], noise=[["a", "b"]]), "noise", id="step-noise-strings"),
+    pytest.param(_step([[0.5, 0.5]], noise=[None]), "noise", id="step-noise-none-row"),
+    pytest.param(_step([[0.5, 0.5]], noise=[[0.1, 0.2, 0.3]]), "noise", id="step-noise-triple"),
+    pytest.param(_step([[0.5, 0.5]], noise=[[float("nan"), 0.0]]), "noise", id="step-noise-nan"),
+    pytest.param(_step([[0.5, 0.5]], noise=5), "noise", id="step-noise-number"),
+    pytest.param(_step(None), "positions", id="step-positions-none"),
+    pytest.param(_step([None]), "positions", id="step-none-row"),
+    pytest.param(_step([["a", "b"]]), "positions", id="step-strings"),
+    pytest.param(_step([[0.5, 0.5]], t=0), "t", id="step-t0"),
+    pytest.param(_step([[0.5, 0.5]], t=9), "t", id="step-t9"),
+    pytest.param(_step([[0.5, 0.5]], t=1.0), "t", id="step-t-float"),
+    pytest.param(_step([[0.5, 0.5]], t="1"), "t", id="step-t-string"),
+    pytest.param(_step([[0.5, 0.5]], n_ladders=2), "ladders", id="step-extra-ladder"),
+    pytest.param(lambda: hp.langevin_step([[0.5, 0.5]], 1, None, hp.build_schedule(3), PlannerConfig()), "ladders",
+                 id="step-ladders-none"),
+    pytest.param(_step([[0.5, 0.5]], ladder={2: _FIELD8}), "ladders", id="step-ladder-missing-level"),
+    pytest.param(_step([[0.5, 0.5]], ladder=dict.fromkeys((1, 2, 3))), "ladders", id="step-ladder-not-fields"),
+    pytest.param(_step([[0.5, 0.5]], ladder=_NAN_LADDER8), "ladders", id="step-nan-score"),
     pytest.param(lambda: hf.sample_heat(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, _MAP8), np.random.default_rng(0), -1),
                  "n", id="sample-heat-negative"),
+    *[pytest.param(lambda n=n: hf.sample_heat(hf.HeatState(np.full((8, 8), 1 / 64), 0.0, _MAP8),
+                                              np.random.default_rng(0), n), "n", id=f"sample-heat-{n!r}")
+      for n in (2.5, "3", True, None)],
     pytest.param(_validate("r0", np.empty((0, 2)), np.empty((0, 2))), "trajectories[0].waypoints",
                  id="validate-no-waypoints"),
     pytest.param(_validate("r0", np.full((1, 2), 0.5), np.full((4, 3), 0.5)), "trajectories[0].micro_steps",
@@ -673,9 +692,8 @@ def test_robots_too_close_for_a_finite_guidance_are_singular():
         hp.interrobot_guidance(np.array(pos), 0.12)
     with pytest.raises(SingularConfigurationError):
         oracles.interrobot_guidance(np.array(pos), 0.12)
-    for positions in (pos, np.array(pos)):
-        with pytest.raises(SingularConfigurationError):
-            _step(positions, n_ladders=2)()
+    with pytest.raises(SingularConfigurationError):
+        _step(pos, n_ladders=2)()
     # so close that d^2 underflows to 0.0
     with pytest.raises(SingularConfigurationError):
         hp.interrobot_guidance(np.array([[0.0, 0.5], [1e-170, 0.5]]), 0.12)
@@ -744,6 +762,32 @@ def test_plan_keeps_no_array_or_list_per_micro_step(monkeypatch):
     assert growth[0] == growth[1]
 
 
+def test_plan_calls_the_step_and_the_lookup_once_per_micro_step(monkeypatch):
+    """``plan`` calls ``langevin_step``, and the step ``interpolate``,
+    through the planner module's globals once per micro-step: T*K calls of
+    each per plan, the structure a layer trace wraps."""
+    spec = hp.SuiteSpec(families=("room",), robot_counts=(3,), scenarios_per_config=1, map_variants=1,
+                        map_params={"cells": 32})
+    (scenario,) = hp.generate_suite(spec)
+    calls = {"langevin_step": 0, "interpolate": 0}
+
+    def counting(name):
+        inner = getattr(planner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(planner, name, counting(name))
+    for cfg in (PlannerConfig(T=6, K=4), PlannerConfig(T=3, K=5)):
+        calls.update(langevin_step=0, interpolate=0)
+        result = hp.plan(scenario, cfg, hf.FieldCache())
+        assert calls == {"langevin_step": cfg.T * cfg.K, "interpolate": cfg.T * cfg.K}
+        assert result.trajectories[0].micro_steps.shape == (cfg.T * cfg.K, 2)
+
+
 def _guidance_terms(pos, d_margin):
     """Per robot, how many other robots lie within ``d_margin``: the number
     of nonzero terms in its row of the guidance sum."""
@@ -768,15 +812,15 @@ def test_plan_permutation_equivariance(case, K, data):
     perm = np.array(data.draw(st.permutations(range(n))))
     noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((sched.T * K, n, 2))
     permuted_ladders = [ladders[i] for i in perm]
-    a, b = pos, pos[perm]
+    a, b = pos.tolist(), pos[perm].tolist()
     for t in range(sched.T, 0, -1):
         for k in range(1, K + 1):
-            if cfg.beta > 0 and (_guidance_terms(a, cfg.d_margin) > 2).any():
+            if cfg.beta > 0 and (_guidance_terms(np.array(a), cfg.d_margin) > 2).any():
                 return
             eps = None if t == 1 and k == K else noise[(sched.T - t) * K + k - 1]
-            a = hp.langevin_step(a, t, ladders, sched, cfg, eps)
-            b = hp.langevin_step(b, t, permuted_ladders, sched, cfg, None if eps is None else eps[perm])
-            assert np.array_equal(b, a[perm])
+            a = hp.langevin_step(a, t, ladders, sched, cfg, None if eps is None else eps.tolist())
+            b = hp.langevin_step(b, t, permuted_ladders, sched, cfg, None if eps is None else eps[perm].tolist())
+            assert np.array_equal(np.array(b), np.array(a)[perm])
 
 
 # ---------------------------------------------------------------------------
