@@ -7,7 +7,6 @@ from .errors import (
     HeatplanError,
     MapFormatError,
     ParameterError,
-    PlacementError,
     RenderError,
     SingularConfigurationError,
     UnknownLabelError,

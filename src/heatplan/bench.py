@@ -24,7 +24,7 @@ from .gridmap import (
     RobotSpec,
     Scenario,
     WorldMap,
-    _int_pair,
+    _free_cell,
     _is_int,
     _uniform_point,
     generate_map,
@@ -55,17 +55,8 @@ MAP_PARAMS = ("cells",)  # generate_map's keywords a suite may set
 
 
 def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
-    """Boolean mask of free cells 4-connected to ``seed_cell``, a free
-    (col, row) cell of the map."""
-    cell = _int_pair(seed_cell)
-    if cell is None:
-        raise ParameterError(f"must be a (col, row) pair of integers, got {seed_cell!r}", field="seed_cell")
-    col, row = cell
-    if not (0 <= col < worldmap.width_cells and 0 <= row < worldmap.height_cells):
-        raise ParameterError(f"({col},{row}) is out of bounds", field="seed_cell")
-    if worldmap.occupancy[row, col]:
-        raise ParameterError(f"({col},{row}) is an obstacle", field="seed_cell")
-    return reachable(worldmap.free, [(col, row)])
+    """Mask of the free cells 4-connected to ``seed_cell``, a free cell of the map (``gridmap._free_cell``)."""
+    return reachable(worldmap.free, [_free_cell(seed_cell, worldmap.free, "seed_cell")])
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class UnknownLabelError(HeatplanError):
         )
 
 
-class PlacementError(HeatplanError):
-    """A heat source cell falls on an obstacle."""
-
-
 class DegenerateFieldError(HeatplanError):
     """A heat state carries no mass, so no score field exists."""
 

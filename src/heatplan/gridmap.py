@@ -92,6 +92,36 @@ def _int_pair(cell):
     return None
 
 
+def _cell_fault(pair, free) -> Optional[str]:
+    """What keeps the (col, row) int pair ``pair`` off the free cells of ``free``, or None."""
+    col, row = pair
+    h, w = free.shape
+    if not (0 <= col < w and 0 <= row < h):
+        return f"({col}, {row}) lies outside the {w}x{h} grid"
+    return None if free[row, col] else f"({col}, {row}) lies on an obstacle"
+
+
+def _free_cell(cell, free, field: str, item=None) -> tuple:
+    """The one rule for a grid cell: ``cell`` as a (col, row) pair of ints (``_int_pair``) on a free cell
+    of the (H, W) bool grid ``free``, else a ParameterError naming ``field`` and the index ``item``."""
+    pair = _int_pair(cell)
+    fault = f"must be a (col, row) pair of integers, got {cell!r}" if pair is None else _cell_fault(pair, free)
+    if fault:
+        raise ParameterError(fault if item is None else f"{fault} (item {item})", field=field)
+    return pair
+
+
+def _check_regions(regions, free) -> None:
+    """A ParameterError naming the first region that is not a SemanticRegion, or cell ``_cell_fault`` rejects."""
+    for i, reg in enumerate(regions):
+        if not isinstance(reg, SemanticRegion):
+            raise ParameterError(f"must be a SemanticRegion, got {reg!r}", field=f"regions[{i}]")
+        for j, pair in enumerate(reg.cells):
+            fault = _cell_fault(pair, free)
+            if fault:
+                raise ParameterError(f"{fault} in region {reg.label!r}", field=f"regions[{i}].cells[{j}]")
+
+
 def _cells_4connected(cells) -> bool:
     cols = [c for c, _ in cells]
     rows = [r for _, r in cells]
@@ -144,15 +174,7 @@ class WorldMap:
             self.world_size[0] / self.width_cells,
             self.world_size[1] / self.height_cells,
         )
-        for i, reg in enumerate(self.regions):
-            if not isinstance(reg, SemanticRegion):
-                raise ParameterError(f"must be a SemanticRegion, got {reg!r}", field=f"regions[{i}]")
-            for j, (col, row) in enumerate(reg.cells):
-                inside = 0 <= col < self.width_cells and 0 <= row < self.height_cells
-                if not inside or self._occ[row, col]:
-                    problem = "lies on an obstacle" if inside else "is out of bounds"
-                    raise ParameterError(f"({col}, {row}) of region {reg.label!r} {problem}",
-                                         field=f"regions[{i}].cells[{j}]")
+        _check_regions(self.regions, ~occupancy)
         self._hash = None
         self._table = None
 
@@ -201,7 +223,9 @@ class WorldMap:
 
 
 def empty_map(name="empty", cells=128, regions=()) -> WorldMap:
-    """Fully free square map on a WORLD_SIZE world; handy for analytic checks."""
+    """Fully free map of ``cells`` x ``cells`` (an integer >= 1) on a WORLD_SIZE world; for analytic checks."""
+    if not _is_int(cells) or cells < 1:
+        raise ParameterError(f"must be an integer >= 1, got {cells!r}", field="cells")
     occ = np.zeros((cells, cells), dtype=bool)
     return WorldMap(name, occ, regions=regions)
 
@@ -242,7 +266,9 @@ def _length(seq, name: str) -> int:
 
 
 def world_to_cell(p, worldmap: WorldMap) -> tuple:
-    """Index of the cell containing ``p``; raises DomainError outside the map."""
+    """Index of the cell holding the point ``p`` (``_is_point``, else ParameterError); DomainError outside."""
+    if not _is_point(p):
+        raise ParameterError(f"must be a point (x, y) of finite numbers, got {p!r}", field="p")
     x, y = float(p[0]), float(p[1])
     w, h = worldmap.world_size
     if not (0.0 <= x < w and 0.0 <= y < h):
@@ -253,7 +279,7 @@ def world_to_cell(p, worldmap: WorldMap) -> tuple:
 
 
 def cell_center(cell, worldmap: WorldMap) -> tuple:
-    col, row = cell
+    col, row = _free_cell(cell, worldmap.free, "cell")
     return (
         (col + 0.5) * worldmap.cell_size[0],
         (row + 0.5) * worldmap.cell_size[1],
@@ -270,7 +296,7 @@ def _uniform_point(cells, cell_size, rng) -> tuple:
 
 
 def is_free(p, worldmap: WorldMap) -> bool:
-    """True iff ``p`` lies in the map and its cell is obstacle-free."""
+    """True iff the point ``p`` (``world_to_cell``) lies in the map and its cell is obstacle-free."""
     try:
         col, row = world_to_cell(p, worldmap)
     except DomainError:
@@ -335,12 +361,10 @@ def _checked_robot(robot, where: str, worldmap: WorldMap) -> RobotSpec:
         raise ParameterError(f"must be a RobotSpec, got {robot!r}", field=where)
     if not isinstance(robot.id, str) or not robot.id:
         raise ParameterError(f"must be a nonempty string, got {robot.id!r}", field=f"{where}.id")
-    if not isinstance(robot.instruction, str) or not robot.instruction.strip():
-        raise ParameterError(f"must be a nonempty string, got {robot.instruction!r}", field=f"{where}.instruction")
     try:
         resolve_goal_regions(robot.instruction, worldmap)
-    except UnknownLabelError as exc:
-        raise ParameterError(f"names an unknown label: {exc}", field=f"{where}.instruction") from exc
+    except (ParameterError, UnknownLabelError) as exc:  # not a nonempty string, or no such label
+        raise ParameterError(f"must name a label: {exc}", field=f"{where}.instruction") from exc
     start = robot.start
     if start is None:
         return robot
@@ -359,8 +383,8 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
     insensitive.  All regions carrying the label are returned (duplicate
     labels are multi-instance goals).
     """
-    if not instruction or not instruction.strip():
-        raise ParameterError("is empty", field="instruction")
+    if not isinstance(instruction, str) or not instruction.strip():
+        raise ParameterError(f"must be a nonempty string, got {instruction!r}", field="instruction")
     text = " ".join(instruction.lower().split())
     m = _INSTRUCTION_RE.match(text)
     token = m.group(1) if m else text
@@ -423,25 +447,21 @@ def _flood(free: int, seeds: int, stride: int, planes=None) -> int:
 
 
 def _seed_board(free: np.ndarray, seed_cells) -> int:
-    """The bitboard of ``seed_cells``, (col, row) cells inside ``free``'s grid."""
-    h, w = free.shape
-    try:
-        pairs = np.asarray(seed_cells, dtype=np.int64).reshape(-1, 2).tolist()
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"must be a sequence of (col, row) cells: {exc}", field="seed_cells") from exc
+    """The bitboard of ``seed_cells``, a sequence of free cells of ``free`` (``_free_cell``, naming ``seed_cells``)."""
+    _length(seed_cells, "seed_cells")  # a non-sequence is named too
+    stride = free.shape[1] + 1
     seeds = 0
-    for col, row in pairs:
-        if not (0 <= col < w and 0 <= row < h):
-            raise ParameterError(f"({col}, {row}) lies outside the {w}x{h} grid", field="seed_cells")
-        seeds |= 1 << (row * (w + 1) + col)
+    for j, cell in enumerate(seed_cells):
+        col, row = _free_cell(cell, free, "seed_cells", j)
+        seeds |= 1 << (row * stride + col)
     return seeds
 
 
 def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
     """4-connected hop count from the nearest seed cell through ``free``.
 
-    ``seed_cells`` is a sequence of free ``(col, row)`` cells, and a cell
-    outside the grid raises a ParameterError naming ``seed_cells``; the
+    ``seed_cells`` is a sequence of free ``(col, row)`` cells, and any other
+    cell raises a ParameterError naming ``seed_cells`` and its index; the
     result is an (H, W) int64 grid holding -1 on obstacles and unreachable
     cells.  The hop counts come out of the kernel as bit-planes, unpacked
     once here.
@@ -681,8 +701,8 @@ def _shelf_obstacles(occ, rng):
         r += th + int(rng.integers(MIN_AISLE, MIN_AISLE + 3))
 
 
-def _region_free_at(occ, main, r0, c0, side):
-    block = slice(r0, r0 + side), slice(c0, c0 + side)
+def _region_free_at(occ, main, r0, c0, rows, cols):
+    block = slice(r0, r0 + rows), slice(c0, c0 + cols)
     return bool((~occ[block]).all() and main[block].all())
 
 
@@ -699,17 +719,15 @@ def _place_regions(occ, main, zone_rects, rng, n_labels):
     for idx, label in enumerate(labels):
         if idx < len(zone_rects):
             c0, r0, zw, zh = zone_rects[idx]
-            cells = [(c, r) for r in range(r0, r0 + zh) for c in range(c0, c0 + zw)]
-            free_cells = [(c, r) for c, r in cells if not occ[r, c] and main[r, c]]
-            if len(free_cells) == len(cells):
-                regions.append(SemanticRegion(label, tuple(cells)))
+            if _region_free_at(occ, main, r0, c0, zh, zw):
+                regions.append(SemanticRegion(label, [(c, r) for r in range(r0, r0 + zh) for c in range(c0, c0 + zw)]))
                 centers.append((c0 + zw / 2, r0 + zh / 2))
                 continue
         placed = False
         for _attempt in range(800):
             c0 = int(rng.integers(2, n - 2 - side))
             r0 = int(rng.integers(2, n - 2 - side))
-            if not _region_free_at(occ, main, r0, c0, side):
+            if not _region_free_at(occ, main, r0, c0, side, side):
                 continue
             center = (c0 + side / 2, r0 + side / 2)
             if any(

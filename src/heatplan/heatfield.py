@@ -60,14 +60,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateFieldError,
-    DomainError,
-    MapFormatError,
-    ParameterError,
-    PlacementError,
-)
-from .gridmap import WorldMap, _is_int, _is_point, _is_real, _length, hop_distances, resolve_goal_regions
+from .errors import DegenerateFieldError, DomainError, MapFormatError, ParameterError
+from .gridmap import WorldMap, _check_regions, _is_int, _is_point, _is_real, _length, hop_distances
+from .gridmap import resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
@@ -104,10 +99,12 @@ class NoiseSchedule:
     heat_time: np.ndarray
 
     def sigma_at(self, t: int) -> float:
+        if not (_is_int(t) and 1 <= t <= self.T):
+            raise ParameterError(f"must be an integer in 1..{self.T}, got {t!r}", field="t")
         return float(self.sigma[t - 1])
 
     def key(self) -> tuple:
-        return (self.T, float(self.sigma[0]), float(self.sigma[-1]), float(self.alpha[0] / self.sigma[0]))
+        return (self.T, *self.sigma.tolist())  # what a ladder depends on: not step_ratio
 
 
 def build_schedule(
@@ -162,6 +159,12 @@ class ScoreField:
     vectors: np.ndarray    # (H, W, 2) float64, [..., 0] = d/dx, [..., 1] = d/dy
     map: WorldMap
     supported: Optional[np.ndarray] = None  # (H, W) bool
+
+    def __post_init__(self):
+        grid = (self.map.height_cells, self.map.width_cells)
+        for name, value, shape in (("vectors", self.vectors, (*grid, 2)), ("supported", self.supported, grid)):
+            if getattr(value, "shape", None) != shape and not (name == "supported" and value is None):
+                raise ParameterError(f"must be the map's {shape} grid, got {getattr(value, 'shape', None)}", field=name)
 
 
 class _Solver:
@@ -340,25 +343,17 @@ def _ladder_coefficients(lam_max: float, dt: float, heat_times: tuple, tol: floa
 
 
 def init_heat(regions, worldmap: WorldMap) -> HeatState:
-    """Unit mass split equally across the source regions (goal region
-    instances), uniform within each.  A source cell off the grid raises a
-    ParameterError naming it, and one on an obstacle a PlacementError."""
+    """Unit mass split equally across the source regions (goal region instances), uniform
+    within each; a region off the map's free cells raises ``WorldMap``'s ParameterError."""
     regions = tuple(regions)
     if not regions:
         raise ParameterError("must hold at least one source region", field="regions")
-    H, W = worldmap.height_cells, worldmap.width_cells
-    u = np.zeros((H, W), dtype=np.float64)
+    _check_regions(regions, worldmap.free)
+    u = np.zeros((worldmap.height_cells, worldmap.width_cells), dtype=np.float64)
     share = 1.0 / len(regions)
-    for i, reg in enumerate(regions):
+    for reg in regions:
         per_cell = share / len(reg.cells)
-        for j, (col, row) in enumerate(reg.cells):
-            if not (0 <= col < W and 0 <= row < H):
-                raise ParameterError(f"source cell ({col},{row}) of region {reg.label!r} is off the {W}x{H} grid",
-                                     field=f"regions[{i}].cells[{j}]")
-            if worldmap.occupancy[row, col]:
-                raise PlacementError(
-                    f"source cell ({col},{row}) of region {reg.label!r} is an obstacle"
-                )
+        for col, row in reg.cells:
             u[row, col] += per_cell
     return HeatState(u=u, time=0.0, map=worldmap)
 

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,94 @@ def test_hop_distances_seed_outside_the_grid_is_named():
             with pytest.raises(ParameterError) as ei:
                 search(free, [(1, 1), seed])
             assert ei.value.field == "seed_cells"
+
+
+@st.composite
+def _grid_and_cell_inputs(draw):
+    """A random occupancy grid up to 24x24 with a free cell, and 1-4 cell
+    inputs: (col, row) pairs inside the grid (on free cells or obstacles) as
+    tuples or lists, and pairs off the grid, pairs holding floats, bools,
+    strings or None, sequences of another length, strings and bare numbers."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    occ = draw(hnp.arrays(bool, (h, w)))
+    assume(not occ.all())
+    coord = st.integers(-2, 26)
+    inside = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    odd = st.one_of(st.floats(-2, 26), st.booleans(), st.text(max_size=2), st.none())
+    bad = st.one_of(
+        st.tuples(coord, coord), st.tuples(odd, coord), st.tuples(coord, odd),
+        st.lists(coord, max_size=4).filter(lambda v: len(v) != 2), st.text(max_size=3), coord, st.floats(),
+    )
+    return occ, draw(st.lists(st.one_of(inside, inside.map(list), bad), min_size=1, max_size=4))
+
+
+def _is_free_cell(cell, occ) -> bool:
+    """The cell rule, written out: a list or tuple of two Python ints on a free cell."""
+    h, w = occ.shape
+    return (type(cell) in (tuple, list) and len(cell) == 2 and all(type(v) is int for v in cell)
+            and 0 <= cell[0] < w and 0 <= cell[1] < h and not occ[cell[1], cell[0]])
+
+
+def _rejected_index(occ, cells) -> dict:
+    """Per entry point, the index of the first of ``cells`` it rejects, or
+    None, read from the field or message of its ParameterError."""
+    m = hp.WorldMap("g", occ)
+    found = {}
+    # one single-cell region per input; SemanticRegion holds the pair half
+    regions, at = [], None
+    for j, cell in enumerate(cells):
+        try:
+            regions.append(hp.SemanticRegion("apple", (cell,)))
+        except ParameterError as exc:
+            assert exc.field == "cells[0]"
+            at = j
+            break
+    for name, build in (("WorldMap", lambda: hp.WorldMap("g", occ, regions=regions)),
+                        ("init_heat", lambda: hf.init_heat(regions, m))):
+        found[name] = at
+        try:
+            if regions:
+                build()
+        except ParameterError as exc:
+            found[name] = int(re.fullmatch(r"regions\[(\d+)\]\.cells\[0\]", exc.field)[1])
+    for name, search in (("hop_distances", hop_distances), ("reachable", reachable)):
+        found[name] = None
+        try:
+            search(m.free, cells)
+        except ParameterError as exc:
+            assert exc.field == "seed_cells"
+            found[name] = int(re.search(r"\(item (\d+)\)$", str(exc))[1])
+    found["flood_fill"] = None
+    for j, cell in enumerate(cells):
+        try:
+            bench.flood_fill(m, cell)
+        except ParameterError as exc:
+            assert exc.field == "seed_cell"
+            found["flood_fill"] = j
+            break
+    return found
+
+
+@settings(deadline=None)
+@given(_grid_and_cell_inputs())
+@example((np.zeros((4, 4), dtype=bool), [(1, 2), (1.7, 2)]))
+@example((np.zeros((4, 4), dtype=bool), [(True, 2)]))
+@example((np.zeros((4, 4), dtype=bool), [("3", 2)]))
+@example((np.zeros((4, 4), dtype=bool), [1, 2, 3, 4]))
+@example((np.eye(4, dtype=bool), [[0, 1], (2, 2)]))
+def test_every_cell_input_follows_the_one_rule(case):
+    """Region cells, heat sources, flood-fill seeds and BFS seeds reject the
+    same inputs and name the same one.  The BFS used to cast its seeds to
+    int64, so (1.7, 2) and (True, 2) seeded cell (1, 2), ('3', 2) seeded
+    (3, 2), a flat [1, 2, 3, 4] was two cells, and an obstacle seed spread
+    hop counts to its neighbours."""
+    occ, cells = case
+    expected = next((j for j, cell in enumerate(cells) if not _is_free_cell(cell, occ)), None)
+    found = _rejected_index(occ, cells)
+    assert found == dict.fromkeys(found, expected)
+    if expected is None:
+        m = hp.WorldMap("g", occ)
+        assert np.array_equal(reachable(m.free, cells), np.any([bench.flood_fill(m, c) for c in cells], axis=0))
 
 
 def test_bfs_length_trivial_cases():
@@ -435,7 +524,6 @@ _ERROR_EXAMPLES = {
     errors.GenerationError: ("no layout",),
     errors.MapFormatError: ("occupancy[3]", "row too short"),
     errors.UnknownLabelError: ("kiwi", ["apple", "cone"]),
-    errors.PlacementError: ("on an obstacle",),
     errors.DegenerateFieldError: ("no mass",),
     errors.SingularConfigurationError: ("coincident",),
     errors.RenderError: ("heat", "no field"),

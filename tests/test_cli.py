@@ -328,7 +328,7 @@ def test_public_names_are_the_ones_callers_use():
     modules = ["bench", "errors", "gridmap", "heatfield", "planner", "render"]
     names = [
         "DegenerateFieldError", "DomainError", "FAMILIES", "FieldCache", "GenerationError", "HeatState",
-        "HeatplanError", "MapFormatError", "NoiseSchedule", "ParameterError", "PlacementError", "PlanResult",
+        "HeatplanError", "MapFormatError", "NoiseSchedule", "ParameterError", "PlanResult",
         "PlannerConfig", "RenderError", "RenderSpec", "RobotSpec", "Scenario", "ScoreField", "SemanticRegion",
         "SingularConfigurationError", "SuiteReport", "SuiteSpec", "Trajectory", "UnknownLabelError", "WorldMap",
         "aggregate_records", "build_schedule", "build_score_field", "cell_center", "decode_map",

@@ -555,6 +555,29 @@ def test_constructors_name_the_field(build, field):
     assert str(ei.value).startswith(f"{field} ")
 
 
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda m: hp.world_to_cell([1.0], m), "p", id="short-point"),
+    pytest.param(lambda m: hp.world_to_cell("ab", m), "p", id="str-point"),
+    pytest.param(lambda m: hp.world_to_cell(None, m), "p", id="no-point"),
+    pytest.param(lambda m: hp.world_to_cell((float("nan"), 0.5), m), "p", id="nan-point"),
+    pytest.param(lambda m: hp.is_free([1.0], m), "p", id="is-free-short-point"),
+    pytest.param(lambda m: hp.cell_center((1,), m), "cell", id="short-cell"),
+    pytest.param(lambda m: hp.cell_center(("a", "b"), m), "cell", id="str-cell"),
+    pytest.param(lambda m: hp.cell_center((8, 0), m), "cell", id="off-grid-cell"),
+    pytest.param(lambda m: hp.cell_center((3, 3), hp.WorldMap("o", np.eye(8, dtype=bool))), "cell",
+                 id="obstacle-cell"),
+    pytest.param(lambda m: hp.resolve_goal_regions(5, m), "instruction", id="int-instruction"),
+    pytest.param(lambda m: hp.empty_map(cells=2.5), "cells", id="float-cells"),
+    pytest.param(lambda m: hp.empty_map(cells=-1), "cells", id="negative-cells"),
+])
+def test_point_and_cell_helpers_name_the_field(call, field):
+    """Each of these raised a raw IndexError, ValueError, TypeError or
+    AttributeError; cell_center takes a cell by the one cell rule."""
+    with pytest.raises(ParameterError) as ei:
+        call(hp.empty_map(cells=8))
+    assert ei.value.field == field
+
+
 def test_scenario_keeps_starts_as_float_pairs_and_names_unknown_labels():
     sc = _scenario(robots=[gridmap.RobotSpec("r0", "apple", np.array([1, 0.5]))])
     assert sc.robots == (gridmap.RobotSpec("r0", "apple", (1.0, 0.5)),)

@@ -21,7 +21,6 @@ from heatplan.errors import (
     DomainError,
     MapFormatError,
     ParameterError,
-    PlacementError,
 )
 import oracles
 from oracles import score_ascent_reaches
@@ -54,6 +53,14 @@ def test_schedule_endpoints_geometric():
     s = hp.build_schedule(20, 0.01, 1.0)
     assert s.sigma_at(1) == pytest.approx(0.01)
     assert s.sigma_at(20) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("t", [0, 4, -1, 1.0, True, "1", None])
+def test_sigma_at_takes_a_step_in_1_to_T(t):
+    # sigma_at(0) read sigma_T, and sigma_at(4) raised a raw IndexError
+    with pytest.raises(ParameterError) as ei:
+        hp.build_schedule(3).sigma_at(t)
+    assert ei.value.field == "t"
 
 
 def test_schedule_heat_time_is_half_sigma_squared():
@@ -130,8 +137,9 @@ def test_init_source_on_obstacle_rejected():
     reg = hp.SemanticRegion.__new__(hp.SemanticRegion)  # bypass region validation
     object.__setattr__(reg, "label", "apple")
     object.__setattr__(reg, "cells", ((3, 3),))
-    with pytest.raises(PlacementError):
+    with pytest.raises(ParameterError) as ei:
         hf.init_heat([reg], m)
+    assert ei.value.field == "regions[0].cells[0]"
 
 
 def test_init_without_regions_rejected():
@@ -599,6 +607,21 @@ def test_score_field_off_the_map_grid_rejected(u):
     assert ei.value.field == "state"
 
 
+@pytest.mark.parametrize("vectors, supported, field", [
+    (np.arange(32.0).reshape(4, 4, 2), None, "vectors"),
+    (np.zeros((3,)), np.ones((2, 2), bool), "vectors"),
+    ([[[0.0, 0.0]] * 8] * 8, None, "vectors"),
+    (np.zeros((8, 8, 2)), np.ones((2, 2), bool), "supported"),
+    (np.zeros((8, 8, 2)), np.ones((8, 8, 1), bool), "supported"),
+])
+def test_score_field_off_its_map_grid_named(vectors, supported, field):
+    """A field on a smaller grid was read wherever it reached: interpolate
+    gave [[7.0, 8.0]] at (0.3, 0.3) for the first, on an 8x8 map."""
+    with pytest.raises(ParameterError) as ei:
+        hf.ScoreField(1, vectors, hp.empty_map(cells=8), supported=supported)
+    assert ei.value.field == field
+
+
 @st.composite
 def _heat_states(draw):
     """A heat state and a log floor on a random grid up to 16x16 (two in five
@@ -901,6 +924,31 @@ def test_field_cache_hit_returns_same_object():
     b = cache.fields(m, label, sched)
     assert a is b
     assert set(a.keys()) == set(range(1, 6))
+
+
+def test_ladders_are_shared_by_schedules_that_differ_in_step_ratio(monkeypatch):
+    """A ladder depends on T and the sigmas, so a cache solves it once for
+    any step_ratio: two plans of one 2-robot scenario at step ratios 0.3 and
+    0.2 make 2 solves, where a key holding the ratio made 4."""
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[2].key())
+        return score_fields(*args, **kwargs)
+
+    score_fields = hf.score_fields
+    monkeypatch.setattr(hf, "score_fields", counted)
+    m = hp.generate_map("room", 2, cells=32, n_labels=2)
+    cache = hp.FieldCache()
+    label = m.labels()[0]
+    assert cache.fields(m, label, hp.build_schedule(4, step_ratio=0.3)) is cache.fields(
+        m, label, hp.build_schedule(4, step_ratio=0.2))
+    assert len(solves) == 1
+    robots = tuple(hp.RobotSpec(f"r{i}", label, None) for i, label in enumerate(m.labels()))
+    cache, solves[:] = hp.FieldCache(), []
+    for ratio in (0.3, 0.2):
+        hp.plan(hp.Scenario(m, robots, seed=1), hp.PlannerConfig(T=4, K=2, step_ratio=ratio), cache)
+    assert len(solves) == 2
 
 
 def _rewrite_header(data, **changes):
