@@ -98,6 +98,8 @@ class SuiteSpec:
             if n > len(VOCABULARY):
                 raise ParameterError(f"must be at most {len(VOCABULARY)}, the labels a map can hold, got {n!r}",
                                      field=f"robot_counts[{i}]")
+        if not isinstance(self.ood, bool):
+            raise ParameterError(f"must be a bool, got {self.ood!r}", field="ood")
         if not isinstance(self.map_params, dict) or set(self.map_params) - set(MAP_PARAMS):
             raise ParameterError(f"must be a dict with keys among {MAP_PARAMS}, got {self.map_params!r}",
                                  field="map_params")

@@ -19,24 +19,26 @@ from . import gridmap, heatfield, render
 from .errors import HeatplanError, MapFormatError
 from .planner import PlannerConfig, Trajectory, plan, result_to_json
 
-# (flag dest, PlannerConfig field, type, help); the flag is --dest with dashes
+# (flag dest, PlannerConfig field, type, help); the flag is --dest with dashes.
+# The first three, all a heat ladder depends on, are all render and fields take.
 _PLANNER_FLAGS = (
     ("steps", "T", int, "diffusion steps T"),
+    ("sigma_min", "sigma_min", float, "noise level sigma_1 of the finest step"),
+    ("sigma_max", "sigma_max", float, "noise level sigma_T of the coarsest step"),
     ("anneal", "K", int, "annealing steps K per diffusion step"),
     ("beta", "beta", float, "inter-robot guidance strength"),
     ("d_safe", "d_safe", float, "hard minimum robot separation, units"),
     ("d_margin", "d_margin", float, "soft repulsion threshold, units"),
     ("step_ratio", "step_ratio", float, "alpha_t / sigma_t"),
-    ("sigma_min", "sigma_min", float, "noise level sigma_1 of the finest step"),
-    ("sigma_max", "sigma_max", float, "noise level sigma_T of the coarsest step"),
     ("time_limit", "time_limit", float, "seconds before abort"),
     ("goal_tol", "goal_tol", float, "goal membership tolerance, units"),
 )
+_LADDER_FLAGS = _PLANNER_FLAGS[:3]
 
 
-def _add_planner_flags(p: argparse.ArgumentParser):
+def _add_planner_flags(p: argparse.ArgumentParser, flags=_PLANNER_FLAGS):
     defaults = PlannerConfig()
-    for dest, field, kind, text in _PLANNER_FLAGS:
+    for dest, field, kind, text in flags:
         p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
                        help=f"{text} (default {getattr(defaults, field)})")
 
@@ -45,7 +47,7 @@ def _planner_overrides(args) -> dict:
     return {
         field: getattr(args, dest)
         for dest, field, _kind, _text in _PLANNER_FLAGS
-        if getattr(args, dest) is not None
+        if getattr(args, dest, None) is not None
     }
 
 
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--t", type=int, default=20, help="diffusion step for heat/field layers")
     r.add_argument("--field-dump", dest="field_dump", help="load field_arrows from a fields dump instead of solving")
     r.add_argument("--out", help="SVG path (default stdout)")
-    _add_planner_flags(r)
+    _add_planner_flags(r, _LADDER_FLAGS)
 
     f = sub.add_parser("fields", help="solve score fields for one label and dump them")
     f.add_argument("--map", required=True)
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--t", type=step_or_all, default="all", help="diffusion step, or 'all'")
     f.add_argument("--format", choices=("bin", "json"), default="bin")
     f.add_argument("--out", required=True, help="output file (single t) or directory (all)")
-    _add_planner_flags(f)
+    _add_planner_flags(f, _LADDER_FLAGS)
 
     return parser
 

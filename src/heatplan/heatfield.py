@@ -66,7 +66,6 @@ from .gridmap import resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
 DEFAULT_SIGMA_MAX = 1.0
-DEFAULT_STEP_RATIO = 0.30
 DEFAULT_LOG_FLOOR = 1e-300
 
 # Physical scores inside the explicit scheme's support never exceed ~3/h
@@ -84,50 +83,44 @@ SCORE_CAP_CELLS = 3.0
 CHEB_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NoiseSchedule:
-    """Geometric noise ladder with derived step sizes and heat times.
+    """Geometric noise ladder and its heat times, all a ladder depends on.
 
     sigma[i] is the noise scale of diffusion step t = i + 1 (t runs 1..T);
-    heat_time = sigma^2 / 2 (free-space Gaussian correspondence) and
-    alpha = step_ratio * sigma.
+    heat_time = sigma^2 / 2 (free-space Gaussian correspondence).  Both are
+    tuples of floats, whatever sequences they come as: a hashable value.
     """
 
     T: int
-    sigma: np.ndarray
-    alpha: np.ndarray
-    heat_time: np.ndarray
+    sigma: tuple
+    heat_time: tuple
+
+    def __post_init__(self):
+        for name in ("sigma", "heat_time"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     def sigma_at(self, t: int) -> float:
         if not (_is_int(t) and 1 <= t <= self.T):
             raise ParameterError(f"must be an integer in 1..{self.T}, got {t!r}", field="t")
-        return float(self.sigma[t - 1])
-
-    def key(self) -> tuple:
-        return (self.T, *self.sigma.tolist())  # what a ladder depends on: not step_ratio
+        return self.sigma[t - 1]
 
 
-def build_schedule(
-    T: int = 20,
-    sigma_min: float = DEFAULT_SIGMA_MIN,
-    sigma_max: float = DEFAULT_SIGMA_MAX,
-    step_ratio: float = DEFAULT_STEP_RATIO,
-) -> NoiseSchedule:
+def build_schedule(T: int = 20, sigma_min: float = DEFAULT_SIGMA_MIN,
+                   sigma_max: float = DEFAULT_SIGMA_MAX) -> NoiseSchedule:
     """The ladder of ``T`` geometric noise levels from ``sigma_min`` to
-    ``sigma_max``.  ``T`` is an integer >= 2, the sigmas are finite with
-    0 < sigma_min < sigma_max, and ``step_ratio`` is finite and positive;
-    a ParameterError names the field that breaks its rule."""
+    ``sigma_max``.  ``T`` is an integer >= 2 and the sigmas are finite with
+    0 < sigma_min < sigma_max; a ParameterError names the field that breaks
+    its rule."""
     if not _is_int(T) or T < 2:
         raise ParameterError(f"must be an integer >= 2, got {T!r}", field="T")
     if not (_is_real(sigma_min) and sigma_min > 0):
         raise ParameterError(f"must be a finite number > 0, got {sigma_min!r}", field="sigma_min")
     if not (_is_real(sigma_max) and sigma_max > sigma_min):
         raise ParameterError(f"must be a finite number > sigma_min={sigma_min!r}, got {sigma_max!r}", field="sigma_max")
-    if not (_is_real(step_ratio) and step_ratio > 0):
-        raise ParameterError(f"must be a finite number > 0, got {step_ratio!r}", field="step_ratio")
     t = np.arange(T, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** (t / (T - 1))
-    return NoiseSchedule(T=T, sigma=sigma, alpha=step_ratio * sigma, heat_time=sigma**2 / 2.0)
+    return NoiseSchedule(T=T, sigma=sigma, heat_time=sigma**2 / 2.0)
 
 
 def _check_log_floor(log_floor) -> None:
@@ -380,7 +373,7 @@ def solve_to_times(regions, worldmap: WorldMap, schedule: NoiseSchedule):
     for target, v in zip(schedule.heat_time, levels):
         v[v < CHEB_TOL * v.max()] = 0.0
         v /= v.sum()
-        snapshots.append(HeatState(u=v, time=float(target), map=worldmap))
+        snapshots.append(HeatState(u=v, time=target, map=worldmap))
     return snapshots
 
 
@@ -425,6 +418,21 @@ def _gradient_tables(worldmap: WorldMap) -> tuple:
     return hi, lo, den, free
 
 
+def _state_peak(state: HeatState) -> float:
+    """The peak of ``state.u``.  A ParameterError names ``state`` unless
+    ``u`` is its map's (H, W) grid with no cell below 0, and a
+    DegenerateFieldError says so unless the peak is finite and positive."""
+    u, grid = state.u, (state.map.height_cells, state.map.width_cells)
+    if not isinstance(u, np.ndarray) or u.shape != grid:
+        raise ParameterError(f"u must be the map's {grid} grid, got shape {np.shape(u)}", field="state")
+    low, peak = float(u.min()), float(u.max())
+    if low < 0.0:
+        raise ParameterError(f"u must hold no cell below 0, got {low!r}", field="state")
+    if not 0.0 < peak < math.inf:
+        raise DegenerateFieldError(f"heat state carries no finite mass (peak {peak!r})")
+    return peak
+
+
 def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t: int = 0) -> ScoreField:
     """Finite-difference gradient of log u on free cells.
 
@@ -432,8 +440,8 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     exactly one is, zero where neither.  Obstacle-cell u (exactly zero) is
     never read; obstacle cells get the zero vector.  Vectors longer than
     SCORE_CAP_CELLS / h are scaled onto that length.  ``state.u`` must be
-    the map's (H, W) grid (a ParameterError names ``state``) with a finite,
-    positive peak (else DegenerateFieldError).
+    the map's (H, W) grid of cells >= 0 (a ParameterError names ``state``)
+    with a finite, positive peak (else DegenerateFieldError): ``_state_peak``.
 
     Each level is a gather on the map's memoised tables (``_gradient_tables``):
     with lu = log(max(u, floor)) and a 0.0 appended past the grid, the
@@ -445,14 +453,9 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     skip a multiplication by 1.0, which was the identity.
     """
     _check_log_floor(log_floor)
-    worldmap = state.map
-    u = state.u
+    peak = _state_peak(state)
+    worldmap, u = state.map, state.u
     H, W = worldmap.height_cells, worldmap.width_cells
-    if not isinstance(u, np.ndarray) or u.shape != (H, W):
-        raise ParameterError(f"u must be the map's ({H}, {W}) grid, got shape {np.shape(u)}", field="state")
-    peak = float(u.max())
-    if not 0.0 < peak < math.inf:
-        raise DegenerateFieldError(f"heat state carries no finite mass (peak {peak!r})")
     hi, lo, den, free = _gradient_tables(worldmap)
     floor = log_floor * peak
     n = H * W
@@ -542,14 +545,13 @@ def interpolate(field, p):
 def sample_heat(state: HeatState, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` points (an integer >= 0) from the heat distribution:
     categorical over cells by mass, then uniform jitter within the chosen
-    cell.  Obstacle cells hold zero mass and are never drawn."""
+    cell.  Obstacle cells hold zero mass and are never drawn.  The state is
+    checked as ``build_score_field`` checks it (``_state_peak``)."""
     if not _is_int(n) or n < 0:
         raise ParameterError(f"must be an integer >= 0, got {n!r}", field="n")
+    _state_peak(state)
     u = state.u
-    total = float(u.sum())
-    if total <= 0.0:
-        raise DegenerateFieldError("cannot sample from a zero-mass heat state")
-    p = (u / total).ravel()
+    p = (u / float(u.sum())).ravel()
     idx = rng.choice(p.size, size=n, p=p)
     W = state.map.width_cells
     cols = idx % W
@@ -604,7 +606,7 @@ class FieldCache:
     def fields(self, worldmap: WorldMap, label: str, schedule: NoiseSchedule,
                log_floor: float = DEFAULT_LOG_FLOOR) -> dict:
         _check_log_floor(log_floor)
-        key = (worldmap.content_hash(), label, schedule.key(), float(log_floor))
+        key = (worldmap.content_hash(), label, schedule, float(log_floor))
         return self._memo(self._store, key, lambda: score_fields(
             worldmap, resolve_goal_regions(label, worldmap), schedule, log_floor))
 
@@ -637,8 +639,8 @@ def _field_header(field: ScoreField, schedule: NoiseSchedule | None) -> dict:
     if schedule is not None:
         header["schedule"] = {
             "T": schedule.T,
-            "sigma": [float(s) for s in schedule.sigma],
-            "heat_time": [float(h) for h in schedule.heat_time],
+            "sigma": list(schedule.sigma),
+            "heat_time": list(schedule.heat_time),
         }
     return header
 

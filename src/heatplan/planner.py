@@ -32,7 +32,6 @@ from .heatfield import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_SIGMA_MAX,
     DEFAULT_SIGMA_MIN,
-    DEFAULT_STEP_RATIO,
     FieldCache,
     NoiseSchedule,
     _check_log_floor,
@@ -51,7 +50,7 @@ class PlannerConfig:
     beta: float = 2.0
     d_safe: float = 0.10
     d_margin: float = 0.12
-    step_ratio: float = DEFAULT_STEP_RATIO
+    step_ratio: float = 0.30
     sigma_min: float = DEFAULT_SIGMA_MIN
     sigma_max: float = DEFAULT_SIGMA_MAX
     seed: Optional[int] = None
@@ -60,18 +59,20 @@ class PlannerConfig:
     log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
-        self.schedule()  # build_schedule holds the rules of T, the sigmas and step_ratio
+        self.schedule()  # build_schedule holds the rules of T and the sigmas
         for f in dataclass_fields(self):
             val = getattr(self, f.name)
             if f.name in ("K", "seed"):
                 if not (_is_int(val) or (f.name == "seed" and val is None)):
                     raise ParameterError(f"must be an integer, got {val!r}", field=f.name)
-            elif f.name not in ("T", "sigma_min", "sigma_max", "step_ratio", "log_floor") and not _is_real(val):
+            elif f.name not in ("T", "sigma_min", "sigma_max", "log_floor") and not _is_real(val):
                 raise ParameterError(f"must be a finite number, got {val!r}", field=f.name)
         if self.K < 1:
             raise ParameterError("must be >= 1", field="K")
         if self.beta < 0:
             raise ParameterError("must be >= 0", field="beta")
+        if self.step_ratio <= 0:
+            raise ParameterError("must be > 0", field="step_ratio")
         if not (0 < self.d_safe < self.d_margin):
             raise ParameterError(f"must satisfy 0 < d_safe < d_margin, got {self.d_safe!r} and {self.d_margin!r}",
                                  field="d_safe" if self.d_safe <= 0 else "d_margin")
@@ -84,7 +85,7 @@ class PlannerConfig:
             raise ParameterError("must be unsigned", field="seed")
 
     def schedule(self) -> NoiseSchedule:
-        return build_schedule(self.T, self.sigma_min, self.sigma_max, self.step_ratio)
+        return build_schedule(self.T, self.sigma_min, self.sigma_max)
 
     def with_overrides(self, overrides: dict) -> "PlannerConfig":
         """Apply a scenario/CLI override dict; unknown keys are rejected."""
@@ -185,8 +186,11 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     sum differently: the guidance, and the Langevin step, are then not
     exactly permutation-equivariant (``plan`` runs robots in id order).
     Coincident robots, and a pair so close that 1/d^2 overflows, raise
-    SingularConfigurationError; positions must be finite.
+    SingularConfigurationError; positions must be finite, and ``d_margin``
+    a finite number > 0.
     """
+    if not (_is_real(d_margin) and d_margin > 0):
+        raise ParameterError(f"must be a finite number > 0, got {d_margin!r}", field="d_margin")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 1:
         raise ParameterError("must be an (N, 2) array with N >= 1", field="positions")
@@ -310,7 +314,8 @@ def langevin_step(
     new list of N [x, y] lists (a robot whose move is reverted gets its
     input pair back).  ``ladders`` holds each robot's {t: ScoreField}.  A
     robot outside its level's field support escalates to the smallest
-    covering level and uses that level's alpha.  One ``interpolate`` call
+    covering level and takes that level's step size, alpha = step_ratio *
+    sigma, from ``config`` and ``schedule``.  One ``interpolate`` call
     reads every robot's score, each from its own effective-level field.
     ``noise`` holds this update's N [ex, ey] pairs of standard normals, one
     per robot, or None for a noiseless update.  A move is walked cell by
@@ -363,8 +368,9 @@ def langevin_step(
             for d, (gx, gy) in zip(drift, _guidance(positions, config.d_margin)):
                 d[0] += beta * gx
                 d[1] += beta * gy
+        ratio, sigma = float(config.step_ratio), schedule.sigma
         for i, ((x, y), (sx, sy)) in enumerate(zip(positions, drift)):
-            a = schedule.alpha.item(levels[i] - 1)
+            a = ratio * sigma[levels[i] - 1]
             half_a2 = 0.5 * a * a
             px = x + half_a2 * sx
             py = y + half_a2 * sy

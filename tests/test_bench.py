@@ -344,6 +344,9 @@ def test_suite_spec_validation():
     ({"map_params": {"seal_duplicate": True}}, "map_params"),  # ood=True is the only way to seal
     ({"map_params": {"n_labels": 4}}, "map_params"),  # always max(robot_counts)
     ({"robot_counts": (3, 13)}, "robot_counts[1]"),  # more robots than a map has labels
+    ({"ood": "no"}, "ood"),  # built an OOD suite
+    ({"ood": 1}, "ood"),
+    ({"ood": None}, "ood"),
 ])
 def test_suite_spec_names_the_field(kwargs, field):
     with pytest.raises(ParameterError) as ei:

@@ -95,16 +95,22 @@ def test_unknown_flag_exits_2():
     assert run_cli(["gen-map", "--family", "room", "--seed", "1", "--frobnicate"]) == 2
 
 
+_PLANNER_DEFAULTS = [("--steps", 20), ("--anneal", 16), ("--beta", 2.0), ("--d-safe", 0.1), ("--d-margin", 0.12),
+                     ("--step-ratio", 0.3), ("--sigma-min", 0.01), ("--sigma-max", 1.0), ("--time-limit", 180.0),
+                     ("--goal-tol", 0.05)]
+_LADDER_FLAGS = ["--steps", "--sigma-min", "--sigma-max"]
+
+
 def test_planner_flag_help_shows_config_defaults(capsys):
-    defaults = [("--steps", 20), ("--anneal", 16), ("--beta", 2.0), ("--d-safe", 0.1), ("--d-margin", 0.12),
-                ("--step-ratio", 0.3), ("--sigma-min", 0.01), ("--sigma-max", 1.0), ("--time-limit", 180.0),
-                ("--goal-tol", 0.05)]
     for command in ("plan", "bench", "render", "fields"):
         assert run_cli([command, "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "diffusion steps T (default 20)" in text
-        assert "annealing steps K per diffusion step (default 16)" in text
-        for flag, default in defaults:
+        if command in ("plan", "bench"):
+            assert "annealing steps K per diffusion step (default 16)" in text
+        for flag, default in _PLANNER_DEFAULTS:
+            if command not in ("plan", "bench") and flag not in _LADDER_FLAGS:
+                continue
             metavar = flag[2:].upper().replace("-", "_")
             help_text = text.split(f"{flag} {metavar} ", 1)[1].split(" --", 1)[0]
             assert help_text.endswith(f"(default {default})"), (command, flag, help_text)
@@ -221,6 +227,24 @@ def test_flag_overrides_scenario_config(tmp_path):
     run_cli(["plan", "--scenario", str(tmp_path / "s.json"), "--out", str(out), "--steps", "7"])
     doc = json.loads(out.read_text())
     assert len(doc["robots"][0]["waypoints"]) == 8  # flag T=7 beats scenario T=5
+
+
+def test_ladder_commands_take_only_the_ladder_flags(tmp_path, capsys):
+    """render and fields take the three flags a heat ladder depends on, and
+    plan and bench all ten planner flags."""
+    every = [flag for flag, _default in _PLANNER_DEFAULTS]
+    for command, want in (("plan", every), ("bench", every), ("render", _LADDER_FLAGS), ("fields", _LADDER_FLAGS)):
+        assert run_cli([command, "--help"]) == 0
+        listed = {word for word in capsys.readouterr().out.replace(",", " ").split() if word in every}
+        assert listed == set(want), command
+    hp.save_map(hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))]), tmp_path / "m.json")
+    for flag, _default in _PLANNER_DEFAULTS:
+        args = ["fields", "--map", str(tmp_path / "m.json"), "--label", "apple", "--t", "1",
+                "--out", str(tmp_path / "f.hpsf"), flag, "2" if flag == "--steps" else "0.5"]
+        assert run_cli(args) == (0 if flag in _LADDER_FLAGS else 2), flag
+    capsys.readouterr()
+    assert run_cli([*args[:-2], "--beta", "1"]) == 2
+    assert "unrecognized arguments: --beta 1" in capsys.readouterr().err
 
 
 def test_render_scenario_with_plan(tmp_path):

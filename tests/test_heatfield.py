@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import gc
 import json
 import math
@@ -66,12 +67,36 @@ def test_sigma_at_takes_a_step_in_1_to_T(t):
 def test_schedule_heat_time_is_half_sigma_squared():
     s = hp.build_schedule(20, 0.01, 1.0)
     assert s.heat_time[19] == pytest.approx(0.5)
-    assert np.allclose(s.heat_time, s.sigma**2 / 2)
+    assert np.allclose(s.heat_time, np.square(s.sigma) / 2)
 
 
 def test_schedule_alpha_proportional_to_sigma():
-    s = hp.build_schedule(10, 0.02, 0.7, step_ratio=0.25)
-    assert np.allclose(s.alpha, 0.25 * s.sigma)
+    # the step size alpha = step_ratio * sigma is the sampler's, from its
+    # config: a noiseless step on a unit score moves by 0.5 * alpha^2
+    cfg = hp.PlannerConfig(T=10, sigma_min=0.02, sigma_max=0.7, step_ratio=0.25, beta=0.0)
+    s = cfg.schedule()
+    m = hp.empty_map(cells=8)
+    ladder = {t: hf.ScoreField(t, np.tile([1.0, 0.0], (8, 8, 1)), m) for t in range(1, 11)}
+    for t in range(1, 11):
+        a = 0.25 * s.sigma[t - 1]
+        assert hp.langevin_step([[0.5, 0.5]], t, [ladder], s, cfg) == [[0.5 + 0.5 * a * a, 0.5]]
+
+
+def test_schedule_is_a_hashable_value():
+    """Two builds, and a schedule built by hand from numpy arrays, are one
+    value: equal, hashed alike, tuples of floats, and one ladder solve in a
+    cache.  A schedule holds only what a ladder depends on."""
+    a, b = hp.build_schedule(4), hp.build_schedule(4)
+    c = hf.NoiseSchedule(T=4, sigma=np.array(a.sigma), heat_time=np.array(a.heat_time))
+    assert a == b == c and hash(a) == hash(b) == hash(c) and len({a, b, c}) == 1
+    assert all(type(v) is tuple and all(type(x) is float for x in v) for v in (c.sigma, c.heat_time))
+    assert [f.name for f in dataclasses.fields(c)] == ["T", "sigma", "heat_time"]
+    assert not hasattr(c, "alpha") and not hasattr(c, "key") and a != hp.build_schedule(5)
+    m = hp.generate_map("room", 2, cells=32)
+    cache = hp.FieldCache()
+    label = m.labels()[0]
+    assert cache.fields(m, label, a) is cache.fields(m, label, b) is cache.fields(m, label, c)
+    assert len(cache._store) == 1
 
 
 def test_schedule_strictly_increasing_random_params():
@@ -459,7 +484,7 @@ def test_ladder_coefficients_are_computed_once_per_key():
 def test_decreasing_heat_times_rejected(heat_time):
     m = hp.generate_map("room", 1, cells=32)
     sigma = np.sqrt(2.0 * np.array(heat_time))
-    sched = hf.NoiseSchedule(T=len(heat_time), sigma=sigma, alpha=0.3 * sigma, heat_time=np.array(heat_time))
+    sched = hf.NoiseSchedule(T=len(heat_time), sigma=sigma, heat_time=np.array(heat_time))
     with pytest.raises(ParameterError, match="nondecreasing"):
         hf.solve_to_times(m.regions_with_label(m.labels()[0]), m, sched)
 
@@ -904,6 +929,22 @@ def test_sample_takes_any_integer_count():
         assert hf.sample_heat(state, np.random.default_rng(0), n).shape == (n, 2)
 
 
+@pytest.mark.parametrize("u, error", [
+    (np.ones((4, 4)) / 16, ParameterError),         # drew y in [0, 0.5) only
+    (np.ones((8, 8, 1)) / 64, ParameterError),
+    ([[1 / 64] * 8] * 8, ParameterError),
+    (np.where(np.eye(8) > 0, -0.1, 0.1), ParameterError),   # raised a raw ValueError
+    (np.full((8, 8), np.nan), DegenerateFieldError),         # raised a raw ValueError
+    (np.where(np.eye(8) > 0, np.inf, 0.0), DegenerateFieldError),
+])
+def test_sample_heat_checks_its_state_as_build_score_field_does(u, error):
+    state = hf.HeatState(u=u, time=0.0, map=hp.empty_map(cells=8))
+    for call in (lambda: hf.sample_heat(state, np.random.default_rng(0), 10), lambda: hf.build_score_field(state)):
+        with pytest.raises(error) as ei:
+            call()
+        assert error is DegenerateFieldError or ei.value.field == "state"
+
+
 def test_sample_zero_mass_rejected():
     m = hp.empty_map(cells=8)
     state = hf.HeatState(u=np.zeros((8, 8)), time=0.0, map=m)
@@ -933,7 +974,7 @@ def test_ladders_are_shared_by_schedules_that_differ_in_step_ratio(monkeypatch):
     solves = []
 
     def counted(*args, **kwargs):
-        solves.append(args[2].key())
+        solves.append(args[2])
         return score_fields(*args, **kwargs)
 
     score_fields = hf.score_fields
@@ -941,8 +982,8 @@ def test_ladders_are_shared_by_schedules_that_differ_in_step_ratio(monkeypatch):
     m = hp.generate_map("room", 2, cells=32, n_labels=2)
     cache = hp.FieldCache()
     label = m.labels()[0]
-    assert cache.fields(m, label, hp.build_schedule(4, step_ratio=0.3)) is cache.fields(
-        m, label, hp.build_schedule(4, step_ratio=0.2))
+    assert cache.fields(m, label, hp.PlannerConfig(T=4, step_ratio=0.3).schedule()) is cache.fields(
+        m, label, hp.PlannerConfig(T=4, step_ratio=0.2).schedule())
     assert len(solves) == 1
     robots = tuple(hp.RobotSpec(f"r{i}", label, None) for i, label in enumerate(m.labels()))
     cache, solves[:] = hp.FieldCache(), []

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -65,18 +66,20 @@ _SCALES = st.one_of(st.floats(-2.0, 2.0), st.integers(-1, 2),
 @example(T=20, sigma_min=0.01, sigma_max=float("inf"), step_ratio=0.3)
 @example(T=20, sigma_min=0.01, sigma_max=1.0, step_ratio=float("nan"))
 def test_schedule_and_config_share_the_schedule_rules(T, sigma_min, sigma_max, step_ratio):
-    """build_schedule raises exactly when PlannerConfig does, naming the same field."""
-    kwargs = {"T": T, "sigma_min": sigma_min, "sigma_max": sigma_max, "step_ratio": step_ratio}
-    named = []
-    for build in (hp.build_schedule, PlannerConfig):
+    """PlannerConfig names the field build_schedule names; with a valid
+    schedule it names step_ratio exactly when that is not a finite number > 0,
+    a rule of the sampler's that the schedule does not hold."""
+    def named(build, **kwargs):
         try:
             build(**kwargs)
         except ParameterError as exc:
-            assert exc.field in kwargs
-            named.append(exc.field)
-        else:
-            named.append(None)
-    assert named[0] == named[1]
+            return exc.field
+        return None
+
+    want = named(hp.build_schedule, T=T, sigma_min=sigma_min, sigma_max=sigma_max)
+    if want is None and not (math.isfinite(step_ratio) and step_ratio > 0):
+        want = "step_ratio"
+    assert named(PlannerConfig, T=T, sigma_min=sigma_min, sigma_max=sigma_max, step_ratio=step_ratio) == want
 
 
 def test_config_overrides_and_unknown_keys():
@@ -255,37 +258,34 @@ def _constant_field(m, vec):
     return hf.ScoreField(t=1, vectors=vecs, map=m)
 
 
-def _schedule_with_alpha(alpha_1):
-    # step_ratio chosen so alpha at t=1 equals alpha_1
-    return hp.build_schedule(2, 0.01, 1.0, step_ratio=alpha_1 / 0.01)
+def _config_with_alpha(alpha_1, **kwargs):
+    # step_ratio chosen so alpha at t=1 (sigma 0.01) equals alpha_1
+    return PlannerConfig(T=2, sigma_min=0.01, sigma_max=1.0, step_ratio=alpha_1 / 0.01, **kwargs)
 
 
 def test_langevin_pure_score_displacement():
     m = hp.empty_map(cells=64)
     field = _constant_field(m, (1.0, 0.0))
-    sched = _schedule_with_alpha(0.1)
-    cfg = PlannerConfig(beta=0.0)
-    out = hp.langevin_step([[1.0, 1.0]], 1, [{1: field}], sched, cfg)
+    cfg = _config_with_alpha(0.1, beta=0.0)
+    out = hp.langevin_step([[1.0, 1.0]], 1, [{1: field}], cfg.schedule(), cfg)
     assert out[0] == pytest.approx([1.005, 1.0], abs=1e-12)
 
 
 def test_langevin_fixed_point_without_forces():
     m = hp.empty_map(cells=64)
     field = _constant_field(m, (0.0, 0.0))
-    sched = _schedule_with_alpha(0.1)
-    cfg = PlannerConfig()
+    cfg = _config_with_alpha(0.1)
     pos = [[0.7, 0.3], [1.3, 1.7]]
-    out = hp.langevin_step(pos, 1, [{1: field}] * 2, sched, cfg)
+    out = hp.langevin_step(pos, 1, [{1: field}] * 2, cfg.schedule(), cfg)
     assert out == pos and out is not pos
 
 
 def test_langevin_guidance_separates_close_pair():
     m = hp.empty_map(cells=64)
     field = _constant_field(m, (0.0, 0.0))
-    sched = _schedule_with_alpha(0.1)
-    cfg = PlannerConfig()
+    cfg = _config_with_alpha(0.1)
     pos = np.array([[1.0, 1.0], [1.11, 1.0]])
-    out = np.array(hp.langevin_step(pos.tolist(), 1, [{1: field}] * 2, sched, cfg))
+    out = np.array(hp.langevin_step(pos.tolist(), 1, [{1: field}] * 2, cfg.schedule(), cfg))
     d0 = np.linalg.norm(pos[1] - pos[0])
     d1 = np.linalg.norm(out[1] - out[0])
     assert d1 > d0
@@ -297,9 +297,8 @@ def test_langevin_never_crosses_wall():
     m = hp.WorldMap("wall", occ)
     vecs = np.tile(np.array([50.0, 0.0]), (64, 64, 1))
     field = hf.ScoreField(t=1, vectors=vecs, map=m)
-    sched = _schedule_with_alpha(0.2)
-    cfg = PlannerConfig(beta=0.0)
-    (x, y), = hp.langevin_step([[0.98, 1.0]], 1, [{1: field}], sched, cfg)
+    cfg = _config_with_alpha(0.2, beta=0.0)
+    (x, y), = hp.langevin_step([[0.98, 1.0]], 1, [{1: field}], cfg.schedule(), cfg)
     # the proposal points across the wall; the robot slides up to it instead
     assert 0.98 <= x < 1.0
     assert y == 1.0
@@ -453,10 +452,11 @@ def _langevin_step_per_robot(pos, t, ladders, schedule, config, noise=None):
     n = len(pos)
     s = np.empty_like(pos)
     alpha = np.empty((n, 1))
+    alphas = config.step_ratio * np.array(schedule.sigma)  # per level, in one array multiply
     for i in range(n):
         t_eff, field = _effective_level(ladders[i], t, _cell_of(pos[i], worldmap), schedule.T)
         s[i] = oracles.interpolate(field, pos[i])
-        alpha[i, 0] = schedule.alpha[t_eff - 1]
+        alpha[i, 0] = alphas[t_eff - 1]
     drift = s + config.beta * oracles.interrobot_guidance(pos, config.d_margin) if n > 1 and config.beta > 0 else s
     prop = pos + 0.5 * alpha * alpha * drift
     if noise is not None:
@@ -641,6 +641,9 @@ def _validate(robot_id, waypoints, micro_steps):
     pytest.param(lambda: planner.interrobot_guidance(np.zeros((2, 3)), 0.12), "positions", id="guidance-2x3"),
     pytest.param(lambda: planner.interrobot_guidance(np.array([[0.5, np.nan]]), 0.12), "positions",
                  id="guidance-nan"),
+    # a NaN d_margin returned zeros, and "a" raised a raw TypeError
+    *[pytest.param(lambda d=d: planner.interrobot_guidance(np.array([[0.5, 0.5], [0.6, 0.5]]), d), "d_margin",
+                   id=f"guidance-d-margin-{d!r}") for d in (float("nan"), "a", 0.0, -0.12, float("inf"), True, None)],
     pytest.param(_step(np.empty((0, 2)), n_ladders=0), "positions", id="step-no-robots"),
     pytest.param(_step([], n_ladders=0), "positions", id="step-no-robots-list"),
     pytest.param(_step(np.array([[0.5, 0.5, 0.5]])), "positions", id="step-1x3"),
