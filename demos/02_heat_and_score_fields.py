@@ -19,7 +19,7 @@ m = hp.generate_map("room", seed=3, cells=128, n_labels=3)
 label = m.labels()[0]
 print(f"map {m.name}, heat source = region {label!r}")
 
-schedule = hp.build_schedule()  # T=20, sigma 0.01..1.0
+schedule = hp.build_schedule()  # T=20, sigma 0.01..0.7
 states = hf.solve_to_times(m.regions_with_label(label), m, schedule)
 
 print(f"{'t':>3} {'sigma':>7} {'heat time':>10} {'mass drift':>11} {'obstacle mass':>13}")

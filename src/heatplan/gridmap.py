@@ -446,15 +446,19 @@ def _flood(free: int, seeds: int, stride: int, planes=None) -> int:
     return seeds | (start ^ unseen)
 
 
+def _cells_board(free: np.ndarray, cells) -> int:
+    """The bitboard of ``cells``, (col, row) pairs of ints already known to be free cells of ``free``."""
+    stride = free.shape[1] + 1
+    seeds = 0
+    for col, row in cells:
+        seeds |= 1 << (row * stride + col)
+    return seeds
+
+
 def _seed_board(free: np.ndarray, seed_cells) -> int:
     """The bitboard of ``seed_cells``, a sequence of free cells of ``free`` (``_free_cell``, naming ``seed_cells``)."""
     _length(seed_cells, "seed_cells")  # a non-sequence is named too
-    stride = free.shape[1] + 1
-    seeds = 0
-    for j, cell in enumerate(seed_cells):
-        col, row = _free_cell(cell, free, "seed_cells", j)
-        seeds |= 1 << (row * stride + col)
-    return seeds
+    return _cells_board(free, (_free_cell(cell, free, "seed_cells", j) for j, cell in enumerate(seed_cells)))
 
 
 def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
@@ -463,11 +467,16 @@ def hop_distances(free: np.ndarray, seed_cells) -> np.ndarray:
     ``seed_cells`` is a sequence of free ``(col, row)`` cells, and any other
     cell raises a ParameterError naming ``seed_cells`` and its index; the
     result is an (H, W) int64 grid holding -1 on obstacles and unreachable
-    cells.  The hop counts come out of the kernel as bit-planes, unpacked
-    once here.
+    cells (``_board_hops``).
     """
+    return _board_hops(free, _seed_board(free, seed_cells))
+
+
+def _board_hops(free: np.ndarray, seeds: int) -> np.ndarray:
+    """``hop_distances`` from the bitboard ``seeds`` of free cells.  The hop
+    counts come out of the kernel as bit-planes, unpacked once here."""
     planes = []
-    reached = _flood(_board(free), _seed_board(free, seed_cells), free.shape[1] + 1, planes)
+    reached = _flood(_board(free), seeds, free.shape[1] + 1, planes)
     # reached + sum of plane j << j, less 1: -1 off the reached cells
     weights = np.array([1] + [1 << j for j in range(len(planes))], dtype=np.int64)
     dist = np.tensordot(weights, _unpack([reached, *planes], free.shape), axes=1)

@@ -30,8 +30,8 @@ P_j(A) u0 = prod (I + dt_i A)^{n_i} u0, u0 being the sources' heat at time
 0.  All levels come from one Chebyshev recurrence (Tal-Ezer & Kosloff
 1984): its vectors T_k(B) u0, B = I + (2 / lam_max) A, are the same for
 every level and only the coefficients differ, so about sqrt(15 t lam_max)
-stencil applications give every level up to heat time t: 502 on a 128x128
-map, where the explicit scheme takes 12,288 steps.  lam_max, the maximum of
+stencil applications give every level up to heat time t: 354 on a 128x128
+map, where the explicit scheme takes 6,022 steps.  lam_max, the maximum of
 the stencil's lattice symbol, bounds A's spectrum.  The expansion's error
 is absolute, near CHEB_TOL times the peak, so each level's cells below
 CHEB_TOL times its peak are set to zero and the level is renormalised to
@@ -61,11 +61,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFieldError, DomainError, MapFormatError, ParameterError
-from .gridmap import WorldMap, _check_regions, _is_int, _is_point, _is_real, _length, hop_distances
+from .gridmap import WorldMap, _board_hops, _cells_board, _check_regions, _is_int, _is_point, _is_real, _length
 from .gridmap import resolve_goal_regions
 
 DEFAULT_SIGMA_MIN = 0.01
-DEFAULT_SIGMA_MAX = 1.0
+# The ladder's degree grows linearly with the top sigma; 0.7 still spreads the
+# top level over every free cell connected to a label's regions on the
+# generated maps, which 0.5 does not.
+DEFAULT_SIGMA_MAX = 0.7
 DEFAULT_LOG_FLOOR = 1e-300
 
 # Physical scores inside the explicit scheme's support never exceed ~3/h
@@ -89,7 +92,9 @@ class NoiseSchedule:
 
     sigma[i] is the noise scale of diffusion step t = i + 1 (t runs 1..T);
     heat_time = sigma^2 / 2 (free-space Gaussian correspondence).  Both are
-    tuples of floats, whatever sequences they come as: a hashable value.
+    tuples of T floats, whatever sequences they come as: a hashable value.
+    A ParameterError names ``T`` unless it is an integer >= 1, and a
+    sequence of another length.
     """
 
     T: int
@@ -97,8 +102,13 @@ class NoiseSchedule:
     heat_time: tuple
 
     def __post_init__(self):
+        if not (_is_int(self.T) and self.T >= 1):
+            raise ParameterError(f"must be an integer >= 1, got {self.T!r}", field="T")
         for name in ("sigma", "heat_time"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != self.T:
+                raise ParameterError(f"must hold T={self.T!r} values, got {len(values)}", field=name)
+            object.__setattr__(self, name, values)
 
     def sigma_at(self, t: int) -> float:
         if not (_is_int(t) and 1 <= t <= self.T):
@@ -612,10 +622,11 @@ class FieldCache:
 
     def goal_hops(self, worldmap: WorldMap, label: str) -> np.ndarray:
         """4-connected hop count from every cell to the nearest cell of the
-        label's regions (-1 where unreached), computed once per (map, label)."""
+        label's regions (-1 where unreached), computed once per (map, label).
+        The seeds are the cells ``WorldMap`` checked, so none is checked again."""
         key = (worldmap.content_hash(), label)
-        return self._memo(self._hops, key, lambda: hop_distances(
-            worldmap.free, [cell for reg in resolve_goal_regions(label, worldmap) for cell in reg.cells]))
+        return self._memo(self._hops, key, lambda: _board_hops(worldmap.free, _cells_board(
+            worldmap.free, (cell for reg in resolve_goal_regions(label, worldmap) for cell in reg.cells))))
 
 
 # ---------------------------------------------------------------------------

@@ -480,12 +480,13 @@ def test_run_suite_one_goal_bfs_per_map_and_label(monkeypatch):
     scenarios = hp.generate_suite(spec)
     calls = []
 
-    def counted(free, seed_cells):
-        calls.append(len(seed_cells))
-        return hop_distances(free, seed_cells)
+    def counted(free, seeds):
+        calls.append(seeds)
+        return board_hops(free, seeds)
 
     # run_one's detour base reaches the BFS through the cache it plans with
-    monkeypatch.setattr(hf, "hop_distances", counted)
+    board_hops = hf._board_hops
+    monkeypatch.setattr(hf, "_board_hops", counted)
     hp.run_suite(scenarios, PlannerConfig(T=4, K=2), workers=1)
     pairs = {
         (sc.map.content_hash(), hp.resolve_goal_regions(r.instruction, sc.map)[0].label)

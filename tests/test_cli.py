@@ -96,7 +96,7 @@ def test_unknown_flag_exits_2():
 
 
 _PLANNER_DEFAULTS = [("--steps", 20), ("--anneal", 16), ("--beta", 2.0), ("--d-safe", 0.1), ("--d-margin", 0.12),
-                     ("--step-ratio", 0.3), ("--sigma-min", 0.01), ("--sigma-max", 1.0), ("--time-limit", 180.0),
+                     ("--step-ratio", 0.3), ("--sigma-min", 0.01), ("--sigma-max", 0.7), ("--time-limit", 180.0),
                      ("--goal-tol", 0.05)]
 _LADDER_FLAGS = ["--steps", "--sigma-min", "--sigma-max"]
 

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
+from heatplan import gridmap
 from heatplan import heatfield as hf
+from heatplan.gridmap import hop_distances, reachable
 from heatplan.errors import (
     DegenerateFieldError,
     DomainError,
@@ -117,6 +119,20 @@ def test_schedule_bad_params():
         hp.build_schedule(10, 0.5, 0.1)
     with pytest.raises(ParameterError):
         hp.build_schedule(10, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("T, sigma, heat_time, field", [
+    (2, (0.01, 0.1, 0.5), (5e-05, 0.005, 0.125), "sigma"),
+    (5, (0.01, 0.5), (5e-05, 0.125), "sigma"),
+    (2, (0.01, 0.5), (5e-05,), "heat_time"),
+    (2.0, (0.01, 0.5), (5e-05, 0.125), "T"),
+    (True, (0.5,), (0.125,), "T"),
+    (0, (), (), "T"),
+])
+def test_schedule_lengths_must_match_T(T, sigma, heat_time, field):
+    with pytest.raises(ParameterError, match=f"^{field} must ") as ei:
+        hf.NoiseSchedule(T=T, sigma=sigma, heat_time=heat_time)
+    assert ei.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +458,7 @@ def test_ladder_coefficients_resolve_the_step_polynomials_at_256_cells(monkeypat
     # CHEB_TOL leaves about 1e-11 with any node count, so the sums are
     # checked untruncated, and the truncated rows as their prefixes.
     ops = hf._Solver(hp.empty_map(cells=256))
-    heat_times = hp.build_schedule(20).heat_time
+    heat_times = hp.build_schedule(20, sigma_max=1.0).heat_time
     tol, coefs = hf.CHEB_TOL, ops.ladder_coefficients(heat_times)
     monkeypatch.setattr(hf, "CHEB_TOL", 0.0)
     full = ops.ladder_coefficients(heat_times)
@@ -475,6 +491,48 @@ def test_ladder_coefficients_are_computed_once_per_key():
             c[0] = 0.0
     c = hf._Solver(hp.empty_map(cells=32)).ladder_coefficients(hp.build_schedule(10).heat_time)
     assert c is not a and hf._ladder_coefficients.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("cells, applications, terms", [(64, 179, 896), (128, 354, 1764)])
+def test_default_ladder_makes_a_fixed_count_of_operations(monkeypatch, cells, applications, terms):
+    """A noise-free record of a default ladder's cost: the stencil
+    applications of one solve, and the level terms it adds (the kept
+    Chebyshev coefficients of all levels)."""
+    applied = []
+    stencil = hf._Solver._stencil
+
+    def counted(self, scale, src, dst):
+        step = stencil(self, scale, src, dst)
+
+        def counted_step():
+            applied.append(scale)
+            step()
+
+        return counted_step
+
+    monkeypatch.setattr(hf._Solver, "_stencil", counted)
+    m = hp.generate_map("room", 1, cells=cells)
+    schedule = hp.PlannerConfig().schedule()
+    hf.solve_to_times(m.regions_with_label(m.labels()[0]), m, schedule)
+    assert len(applied) == applications
+    assert sum(map(len, hf._Solver(m).ladder_coefficients(schedule.heat_time))) == terms
+
+
+def test_default_top_level_covers_every_source_component():
+    """The default top level's support holds every free cell connected to
+    the label's regions, on 64-cell maps of all four families, with and
+    without the sealed duplicate (192 ladders).  A top sigma of 0.5 leaves
+    54 cells of conveyor-1's dock uncovered."""
+    schedule = hp.PlannerConfig().schedule()
+    for family in hp.FAMILIES:
+        for seed in range(6):
+            for sealed in (False, True):
+                m = hp.generate_map(family, seed, cells=64, seal_duplicate=sealed)
+                for label in m.labels():
+                    regions = hp.resolve_goal_regions(label, m)
+                    top = hf.build_score_field(hf.solve_to_times(regions, m, schedule)[-1], t=schedule.T)
+                    uncovered = reachable(m.free, [cell for reg in regions for cell in reg.cells]) & ~top.supported
+                    assert not uncovered.any(), (m.name, label, int(uncovered.sum()))
 
 
 @pytest.mark.parametrize("heat_time", [
@@ -965,6 +1023,24 @@ def test_field_cache_hit_returns_same_object():
     b = cache.fields(m, label, sched)
     assert a is b
     assert set(a.keys()) == set(range(1, 6))
+
+
+def test_goal_hops_seed_on_the_checked_region_cells(monkeypatch):
+    """FieldCache.goal_hops gives hop_distances' grids on 16 generated maps
+    without running the cell rule again on region cells WorldMap checked."""
+    maps = [hp.generate_map(family, seed, cells=64) for family in hp.FAMILIES for seed in range(4)]
+    want = {(m.name, label): hop_distances(m.free, [c for reg in hp.resolve_goal_regions(label, m) for c in reg.cells])
+            for m in maps for label in m.labels()}
+
+    def checked(*args):
+        raise AssertionError("a region cell was checked again")
+
+    monkeypatch.setattr(gridmap, "_free_cell", checked)
+    cache = hp.FieldCache()
+    for m in maps:
+        for label in m.labels():
+            assert np.array_equal(cache.goal_hops(m, label), want[m.name, label])
+    assert len(cache._hops) == len(want)
 
 
 def test_ladders_are_shared_by_schedules_that_differ_in_step_ratio(monkeypatch):

@@ -155,4 +155,4 @@ def test_rendered_figures_keep_their_bytes():
                 svg = render_svg(sc.map, RenderSpec(layers=layers, stride=stride, canvas=canvas), heat=states[2],
                                  score_field=field, trajectories=res.trajectories, scenario=sc)
                 digest.update(svg.encode("utf-8"))
-    assert digest.hexdigest() == "3ff030b8778fc2756cab527233fa6249a39f5cbccf709560db6953ca697a0cb7"
+    assert digest.hexdigest() == "44ad276c315d4b0353817bd0cfd6a805d223f7968cbc0caf47fb6e8e43614010"
