@@ -1,16 +1,6 @@
 """Heat-diffusion score fields and annealed Langevin multi-robot planning."""
 
-from .errors import (
-    DegenerateFieldError,
-    DomainError,
-    GenerationError,
-    HeatplanError,
-    MapFormatError,
-    ParameterError,
-    RenderError,
-    SingularConfigurationError,
-    UnknownLabelError,
-)
+from .errors import GenerationError, HeatplanError, MapFormatError, ParameterError
 from .gridmap import (
     FAMILIES,
     RobotSpec,

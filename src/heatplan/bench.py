@@ -24,11 +24,12 @@ from .gridmap import (
     RobotSpec,
     Scenario,
     WorldMap,
+    _board_reachable,
+    _cells_board,
     _free_cell,
     _is_int,
     _uniform_point,
     generate_map,
-    reachable,
     resolve_goal_regions,
     world_to_cell,
 )
@@ -55,8 +56,10 @@ MAP_PARAMS = ("cells",)  # generate_map's keywords a suite may set
 
 
 def flood_fill(worldmap: WorldMap, seed_cell) -> np.ndarray:
-    """Mask of the free cells 4-connected to ``seed_cell``, a free cell of the map (``gridmap._free_cell``)."""
-    return reachable(worldmap.free, [_free_cell(seed_cell, worldmap.free, "seed_cell")])
+    """Mask of the free cells 4-connected to ``seed_cell``, a free cell of the map (``gridmap._free_cell``),
+    checked once: the flood starts from the checked pair."""
+    free = worldmap.free
+    return _board_reachable(free, _cells_board(free, [_free_cell(seed_cell, free, "seed_cell")]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import gridmap, heatfield, render
-from .errors import HeatplanError, MapFormatError
+from .errors import HeatplanError, MapFormatError, ParameterError
 from .planner import PlannerConfig, Trajectory, plan, result_to_json
 
 # (flag dest, PlannerConfig field, type, help); the flag is --dest with dashes.
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--canvas", type=int, default=640)
     r.add_argument("--label", help="goal label for heat/field layers (solves on the fly)")
     r.add_argument("--t", type=int, default=20, help="diffusion step for heat/field layers")
-    r.add_argument("--field-dump", dest="field_dump", help="load field_arrows from a fields dump instead of solving")
+    r.add_argument("--field-dump", dest="field_dump", help="load field_arrows from a fields dump (bin or json)")
     r.add_argument("--out", help="SVG path (default stdout)")
     _add_planner_flags(r, _LADDER_FLAGS)
 
@@ -186,7 +186,7 @@ def _cmd_render(args) -> int:
     elif args.map:
         worldmap = gridmap.load_map(args.map)
     else:
-        raise HeatplanError("render needs --map or --scenario")
+        raise ParameterError("or --scenario is needed by render", field="--map")
     layers = tuple(s for s in args.layers.split(",") if s)
     spec = render.RenderSpec(layers=layers, stride=args.stride, canvas=(args.canvas, args.canvas))
 
@@ -196,12 +196,12 @@ def _cmd_render(args) -> int:
         score_field = heatfield.load_field_bytes(data, worldmap)
     elif "heat" in layers or "field_arrows" in layers:
         if not args.label:
-            raise HeatplanError("heat/field layers need --label (or --field-dump)")
+            raise ParameterError("is needed by heat/field layers (or --field-dump)", field="--label")
         config, schedule, regions = _ladder_inputs(args, worldmap)
         heat_state = heatfield.solve_to_times(regions, worldmap, schedule)[args.t - 1]
         score_field = heatfield.build_score_field(heat_state, config.log_floor, t=args.t)
     if "heat" in layers and heat_state is None:
-        raise HeatplanError("heat layer needs --label (dumps carry vectors only)")
+        raise ParameterError("is needed by the heat layer (dumps carry vectors only)", field="--label")
 
     trajectories = None
     if args.plan_path:
@@ -245,7 +245,7 @@ def _ladder_inputs(args, worldmap):
     config = PlannerConfig().with_overrides(_planner_overrides(args))
     schedule = config.schedule()
     if args.t != "all" and not 1 <= args.t <= schedule.T:
-        raise HeatplanError(f"--t must be in 1..{schedule.T}")
+        raise ParameterError(f"must be in 1..{schedule.T}", field="--t")
     return config, schedule, gridmap.resolve_goal_regions(args.label, worldmap)
 
 

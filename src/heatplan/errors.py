@@ -17,7 +17,9 @@ def _restore(cls, args, state):
 
 
 class ParameterError(HeatplanError):
-    """A parameter is outside its documented range or has the wrong shape.
+    """An argument breaks its rule: a value outside its documented range or
+    of the wrong shape, a point outside the world, an instruction naming a
+    label the map lacks, a heat state without mass, coincident robots.
 
     ``field``, when given, names it within the object being built, e.g.
     ``"robots[1].start"``, and starts the message."""
@@ -25,10 +27,6 @@ class ParameterError(HeatplanError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(f"{field} {message}" if field else message)
-
-
-class DomainError(HeatplanError):
-    """A continuous point lies outside the map's world rectangle."""
 
 
 class GenerationError(HeatplanError):
@@ -45,31 +43,3 @@ class MapFormatError(HeatplanError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
-
-
-class UnknownLabelError(HeatplanError):
-    """An instruction referenced a label no region carries."""
-
-    def __init__(self, token, available):
-        self.token = token
-        self.available = tuple(sorted(set(available)))
-        super().__init__(
-            f"no region labeled {token!r}; available labels: {', '.join(self.available) or '(none)'}"
-        )
-
-
-class DegenerateFieldError(HeatplanError):
-    """A heat state carries no mass, so no score field exists."""
-
-
-class SingularConfigurationError(HeatplanError):
-    """Two robots occupy the same point; pairwise terms are undefined."""
-
-
-class RenderError(HeatplanError):
-    """A requested render layer is missing its input data, or that data is
-    not on the map's grid."""
-
-    def __init__(self, layer, message=""):
-        self.layer = layer
-        super().__init__(f"layer {layer!r}: {message}" if message else f"missing data for layer {layer!r}")

@@ -20,13 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GenerationError,
-    MapFormatError,
-    ParameterError,
-    UnknownLabelError,
-)
+from .errors import GenerationError, MapFormatError, ParameterError
 
 MAP_FORMAT_VERSION = 1
 SCENARIO_FORMAT_VERSION = 1
@@ -266,13 +260,13 @@ def _length(seq, name: str) -> int:
 
 
 def world_to_cell(p, worldmap: WorldMap) -> tuple:
-    """Index of the cell holding the point ``p`` (``_is_point``, else ParameterError); DomainError outside."""
+    """Index of the cell holding ``p``; a ParameterError names ``p`` unless it is a point in the world."""
     if not _is_point(p):
         raise ParameterError(f"must be a point (x, y) of finite numbers, got {p!r}", field="p")
     x, y = float(p[0]), float(p[1])
     w, h = worldmap.world_size
     if not (0.0 <= x < w and 0.0 <= y < h):
-        raise DomainError(f"point ({x}, {y}) outside [0,{w}) x [0,{h})")
+        raise ParameterError(f"({x}, {y}) lies outside [0,{w}) x [0,{h})", field="p")
     col = min(int(x / worldmap.cell_size[0]), worldmap.width_cells - 1)
     row = min(int(y / worldmap.cell_size[1]), worldmap.height_cells - 1)
     return (col, row)
@@ -296,11 +290,12 @@ def _uniform_point(cells, cell_size, rng) -> tuple:
 
 
 def is_free(p, worldmap: WorldMap) -> bool:
-    """True iff the point ``p`` (``world_to_cell``) lies in the map and its cell is obstacle-free."""
-    try:
-        col, row = world_to_cell(p, worldmap)
-    except DomainError:
+    """True iff the point ``p`` lies in the map and its cell is obstacle-free; a ParameterError
+    names ``p`` unless it is a point (``world_to_cell``)."""
+    w, h = worldmap.world_size
+    if _is_point(p) and not (0.0 <= p[0] < w and 0.0 <= p[1] < h):
         return False
+    col, row = world_to_cell(p, worldmap)
     return not worldmap.occupancy[row, col]
 
 
@@ -363,7 +358,7 @@ def _checked_robot(robot, where: str, worldmap: WorldMap) -> RobotSpec:
         raise ParameterError(f"must be a nonempty string, got {robot.id!r}", field=f"{where}.id")
     try:
         resolve_goal_regions(robot.instruction, worldmap)
-    except (ParameterError, UnknownLabelError) as exc:  # not a nonempty string, or no such label
+    except ParameterError as exc:  # not a nonempty string, or no such label
         raise ParameterError(f"must name a label: {exc}", field=f"{where}.instruction") from exc
     start = robot.start
     if start is None:
@@ -381,7 +376,9 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
 
     Accepts the template "move to the <label>" or a bare label, case
     insensitive.  All regions carrying the label are returned (duplicate
-    labels are multi-instance goals).
+    labels are multi-instance goals).  A ParameterError names
+    ``instruction`` unless it is a nonempty string naming a label of the
+    map, and lists the labels the map has.
     """
     if not isinstance(instruction, str) or not instruction.strip():
         raise ParameterError(f"must be a nonempty string, got {instruction!r}", field="instruction")
@@ -390,7 +387,9 @@ def resolve_goal_regions(instruction: str, worldmap: WorldMap):
     token = m.group(1) if m else text
     matches = worldmap.regions_with_label(token)
     if not matches:
-        raise UnknownLabelError(token, [r.label for r in worldmap.regions])
+        available = ", ".join(sorted(worldmap.labels())) or "(none)"
+        raise ParameterError(f"names {token!r}, which labels no region; available labels: {available}",
+                             field="instruction")
     return matches
 
 
@@ -487,8 +486,12 @@ def _board_hops(free: np.ndarray, seeds: int) -> np.ndarray:
 def reachable(free: np.ndarray, seed_cells) -> np.ndarray:
     """Mask of the ``free`` cells 4-connected to any of ``seed_cells``: where
     ``hop_distances`` is >= 0, without the hop counts."""
-    reached = _flood(_board(free), _seed_board(free, seed_cells), free.shape[1] + 1)
-    return _unpack([reached], free.shape)[0].astype(bool)
+    return _board_reachable(free, _seed_board(free, seed_cells))
+
+
+def _board_reachable(free: np.ndarray, seeds: int) -> np.ndarray:
+    """``reachable`` from the bitboard ``seeds`` of free cells."""
+    return _unpack([_flood(_board(free), seeds, free.shape[1] + 1)], free.shape)[0].astype(bool)
 
 
 def _largest_component(occ):

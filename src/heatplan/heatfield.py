@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFieldError, DomainError, MapFormatError, ParameterError
+from .errors import MapFormatError, ParameterError
 from .gridmap import WorldMap, _board_hops, _cells_board, _check_regions, _is_int, _is_point, _is_real, _length
 from .gridmap import resolve_goal_regions
 
@@ -93,8 +93,9 @@ class NoiseSchedule:
     sigma[i] is the noise scale of diffusion step t = i + 1 (t runs 1..T);
     heat_time = sigma^2 / 2 (free-space Gaussian correspondence).  Both are
     tuples of T floats, whatever sequences they come as: a hashable value.
-    A ParameterError names ``T`` unless it is an integer >= 1, and a
-    sequence of another length.
+    A ParameterError names ``T`` unless it is an integer >= 1, a sequence
+    of another length, ``sigma`` unless every sigma is finite and > 0, and
+    ``heat_time`` unless every heat time is finite and >= 0.
     """
 
     T: int
@@ -104,10 +105,13 @@ class NoiseSchedule:
     def __post_init__(self):
         if not (_is_int(self.T) and self.T >= 1):
             raise ParameterError(f"must be an integer >= 1, got {self.T!r}", field="T")
-        for name in ("sigma", "heat_time"):
+        for name, rule, holds in (("sigma", "> 0", lambda v: 0.0 < v < math.inf),
+                                  ("heat_time", ">= 0", lambda v: 0.0 <= v < math.inf)):
             values = tuple(map(float, getattr(self, name)))
             if len(values) != self.T:
                 raise ParameterError(f"must hold T={self.T!r} values, got {len(values)}", field=name)
+            if not all(map(holds, values)):  # NaN fails every comparison
+                raise ParameterError(f"must hold finite values {rule}, got {values!r}", field=name)
             object.__setattr__(self, name, values)
 
     def sigma_at(self, t: int) -> float:
@@ -430,8 +434,8 @@ def _gradient_tables(worldmap: WorldMap) -> tuple:
 
 def _state_peak(state: HeatState) -> float:
     """The peak of ``state.u``.  A ParameterError names ``state`` unless
-    ``u`` is its map's (H, W) grid with no cell below 0, and a
-    DegenerateFieldError says so unless the peak is finite and positive."""
+    ``u`` is its map's (H, W) grid with no cell below 0 and a finite,
+    positive peak."""
     u, grid = state.u, (state.map.height_cells, state.map.width_cells)
     if not isinstance(u, np.ndarray) or u.shape != grid:
         raise ParameterError(f"u must be the map's {grid} grid, got shape {np.shape(u)}", field="state")
@@ -439,7 +443,7 @@ def _state_peak(state: HeatState) -> float:
     if low < 0.0:
         raise ParameterError(f"u must hold no cell below 0, got {low!r}", field="state")
     if not 0.0 < peak < math.inf:
-        raise DegenerateFieldError(f"heat state carries no finite mass (peak {peak!r})")
+        raise ParameterError(f"carries no finite mass (peak {peak!r})", field="state")
     return peak
 
 
@@ -450,8 +454,8 @@ def build_score_field(state: HeatState, log_floor: float = DEFAULT_LOG_FLOOR, t:
     exactly one is, zero where neither.  Obstacle-cell u (exactly zero) is
     never read; obstacle cells get the zero vector.  Vectors longer than
     SCORE_CAP_CELLS / h are scaled onto that length.  ``state.u`` must be
-    the map's (H, W) grid of cells >= 0 (a ParameterError names ``state``)
-    with a finite, positive peak (else DegenerateFieldError): ``_state_peak``.
+    the map's (H, W) grid of cells >= 0 with a finite, positive peak, else
+    a ParameterError names ``state``: ``_state_peak``.
 
     Each level is a gather on the map's memoised tables (``_gradient_tables``):
     with lu = log(max(u, floor)) and a 0.0 appended past the grid, the
@@ -494,8 +498,8 @@ def interpolate(field, p):
     [sx, sy] lists, with no array made.  A caller holding an (N, 2) array
     passes ``arr.tolist()`` and reads the result with ``np.array(result)``.
     Queries outside the cell-center lattice hull (but inside the map) clamp
-    to the hull; queries outside the map (or NaN) raise DomainError.
-    Malformed points raise a ParameterError naming ``p``, and a field count
+    to the hull.  Queries outside the map (or NaN) and malformed points
+    raise a ParameterError naming ``p``, and a field count
     other than the point count, no field at all, or a field that is not a
     ScoreField, one naming ``field``.
 
@@ -523,7 +527,7 @@ def interpolate(field, p):
         top_i, top_j = max(W - 2, 0), max(H - 2, 0)
         for f, (x, y) in zip(field, p):
             if not (0.0 <= x < w and 0.0 <= y < h):
-                raise DomainError("interpolation point outside the world rectangle")
+                raise ParameterError("holds a point outside the world rectangle", field="p")
             gx = x / hx - 0.5
             gx = 0.0 if gx < 0.0 else last_x if gx > last_x else gx
             gy = y / hy - 0.5
@@ -664,20 +668,22 @@ def dump_field_bytes(field: ScoreField, schedule: NoiseSchedule | None = None) -
 
 
 def load_field_bytes(data: bytes, worldmap: WorldMap) -> ScoreField:
-    """Parse a binary dump made for ``worldmap``; errors name the bad field."""
-    if data[:4] != _FIELD_MAGIC:
-        raise MapFormatError("magic", f"expected {_FIELD_MAGIC!r}, got {bytes(data[:4])!r}")
-    if len(data) < 8:
+    """Parse a dump made for ``worldmap``: the binary variant
+    (``dump_field_bytes``), or the JSON one (``dump_field_json``), which
+    starts with ``{``.  Both go through the same header, shape, hash,
+    payload and mask checks; errors name the bad field."""
+    if data[:1] == b"{":
+        header = _json_header(data)
+        payload = _b64("payload", header.get("data_b64"))
+    elif data[:4] != _FIELD_MAGIC:
+        raise MapFormatError("magic", f"expected {_FIELD_MAGIC!r} or a JSON dump, got {bytes(data[:4])!r}")
+    elif len(data) < 8:
         raise MapFormatError("header_length", "dump ends before the header length")
-    (hlen,) = struct.unpack("<I", data[4:8])
-    if len(data) < 8 + hlen:
-        raise MapFormatError("header_length", f"{hlen} header bytes announced, {len(data) - 8} present")
-    try:
-        header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise MapFormatError("header", f"invalid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MapFormatError("header", "expected a JSON object")
+    else:
+        (hlen,) = struct.unpack("<I", data[4:8])
+        if len(data) < 8 + hlen:
+            raise MapFormatError("header_length", f"{hlen} header bytes announced, {len(data) - 8} present")
+        header, payload = _json_header(data[8:8 + hlen]), data[8 + hlen:]
     shape = [worldmap.height_cells, worldmap.width_cells, 2]
     if header.get("shape") != shape:
         raise MapFormatError("shape", f"expected {shape} for this map, got {header.get('shape')!r}")
@@ -686,7 +692,6 @@ def load_field_bytes(data: bytes, worldmap: WorldMap) -> ScoreField:
     t = header.get("t")
     if not isinstance(t, int) or isinstance(t, bool):
         raise MapFormatError("t", "expected an integer")
-    payload = data[8 + hlen:]
     expected = 4 * shape[0] * shape[1] * 2  # float32 components
     if len(payload) != expected:
         raise MapFormatError("payload", f"expected {expected} bytes for shape {shape}, got {len(payload)}")
@@ -699,14 +704,30 @@ def _load_supported(header: dict, shape) -> Optional[np.ndarray]:
     packed = header.get("supported_b64")
     if packed is None:
         return None
-    try:
-        raw = base64.b64decode(packed, validate=True)
-    except (TypeError, ValueError) as exc:  # not a string, or not base64
-        raise MapFormatError("supported", f"invalid base64: {exc}") from exc
+    raw = _b64("supported", packed)
     cells = shape[0] * shape[1]
     if len(raw) != -(-cells // 8):
         raise MapFormatError("supported", f"expected {-(-cells // 8)} packed bytes for {cells} cells, got {len(raw)}")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=cells).astype(bool).reshape(shape)
+
+
+def _json_header(raw: bytes) -> dict:
+    """The JSON object ``raw`` holds; a MapFormatError names ``header`` otherwise."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise MapFormatError("header", f"invalid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise MapFormatError("header", "expected a JSON object")
+    return header
+
+
+def _b64(field: str, text) -> bytes:
+    """The bytes of the base64 string ``text``; a MapFormatError names ``field`` otherwise."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise MapFormatError(field, f"invalid base64: {exc}") from exc
 
 
 def dump_field_json(field: ScoreField, schedule: NoiseSchedule | None = None) -> str:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SingularConfigurationError
+from .errors import ParameterError
 from .gridmap import Scenario, WorldMap, _is_int, _is_point, _is_real, _length, _uniform_point, resolve_goal_regions
 from .heatfield import (
     DEFAULT_LOG_FLOOR,
@@ -160,12 +160,12 @@ def _guidance(xy: list, d_margin: float) -> list:
             dy = yi - xy[j][1]
             d = math.sqrt(dx * dx + dy * dy)
             if d == 0.0:
-                raise SingularConfigurationError("two robots occupy the same point")
+                raise ParameterError("puts two robots on the same point", field="positions")
             if d < d_margin:
                 dd = d * d
                 w = 1.0 / dd if dd else math.inf
                 if w == math.inf:
-                    raise SingularConfigurationError("two robots are too close for a finite guidance")
+                    raise ParameterError("puts two robots too close for a finite guidance", field="positions")
                 tx, ty = w * dx, w * dy
                 gi[0] += tx
                 gi[1] += ty
@@ -185,9 +185,9 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     neighbours within ``d_margin`` a permutation of the robots can round its
     sum differently: the guidance, and the Langevin step, are then not
     exactly permutation-equivariant (``plan`` runs robots in id order).
-    Coincident robots, and a pair so close that 1/d^2 overflows, raise
-    SingularConfigurationError; positions must be finite, and ``d_margin``
-    a finite number > 0.
+    Positions must be finite, with no two robots coincident or so close
+    that 1/d^2 overflows, else a ParameterError names ``positions``; and
+    ``d_margin`` must be a finite number > 0.
     """
     if not (_is_real(d_margin) and d_margin > 0):
         raise ParameterError(f"must be a finite number > 0, got {d_margin!r}", field="d_margin")
@@ -323,8 +323,9 @@ def langevin_step(
     widened by one cell; otherwise the walk would return the proposal
     unchanged.  ``plan`` passes these lists from one update to the next, so
     no array is made per update; an array caller passes ``arr.tolist()``
-    and reads the result with ``np.array(result)``.  Malformed input raises
-    a ParameterError naming ``positions``, ``noise``, ``ladders`` or ``t``.
+    and reads the result with ``np.array(result)``.  Malformed input, or a
+    position outside the world, raises a ParameterError naming
+    ``positions``, ``noise``, ``ladders`` or ``t``.
 
     The update runs on Python floats, robot by robot and pair by pair,
     because numpy's fixed cost per call outweighs the arithmetic on a few
@@ -355,7 +356,7 @@ def langevin_step(
         bound_x, bound_y = w * (1 - 1e-12), h * (1 - 1e-12)
         for (x, y), ladder in zip(positions, ladders):
             if not (0.0 <= x < w and 0.0 <= y < h):
-                raise DomainError("robot position outside the world rectangle")
+                raise ParameterError("holds a point outside the world rectangle", field="positions")
             col, row = int(x / hx), int(y / hy)
             cell = (col if col < W else W - 1, row if row < H else H - 1)
             level, field = _effective_level(ladder, t, cell, schedule.T)

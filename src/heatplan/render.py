@@ -13,10 +13,13 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import ParameterError, RenderError
+from .errors import ParameterError
 from .gridmap import WorldMap, _int_pair, _is_int, resolve_goal_regions
 
 LAYERS = ("occupancy", "regions", "heat", "field_arrows", "trajectories", "starts", "goals")
+# the render_svg argument each layer draws from, for the layers that need one
+_INPUT_OF = {"heat": "heat", "field_arrows": "score_field", "trajectories": "trajectories",
+             "starts": "trajectories", "goals": "scenario"}
 
 # fixed cycle, one color per robot up to the largest tested team
 ROBOT_COLORS = (
@@ -52,9 +55,9 @@ class RenderSpec:
             raise ParameterError(f"must be a pair of positive integers, got {self.canvas!r}", field="canvas")
         if not isinstance(self.layers, (tuple, list)):
             raise ParameterError(f"must be a tuple or list of layer names, got {self.layers!r}", field="layers")
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             if layer not in LAYERS:
-                raise RenderError(layer, f"unknown layer; expected one of {LAYERS}")
+                raise ParameterError(f"is an unknown layer {layer!r}; expected one of {LAYERS}", field=f"layers[{i}]")
 
 
 def _fmt(v: float) -> str:
@@ -97,10 +100,11 @@ def _rect(cv, x0, y0, x1, y1, fill, extra=""):
 
 def _on_grid(layer, grid, worldmap: WorldMap, tail=()):
     """``grid`` if its shape is the map's (H, W) plus ``tail``; else a
-    RenderError names ``layer``."""
+    ParameterError names the argument ``layer`` draws from."""
     shape = (worldmap.height_cells, worldmap.width_cells, *tail)
     if np.shape(grid) != shape:
-        raise RenderError(layer, f"grid of shape {np.shape(grid)} is not the map's {shape}")
+        raise ParameterError(f"has a grid of shape {np.shape(grid)} for layer {layer!r}, not the map's {shape}",
+                             field=_INPUT_OF[layer])
     return grid
 
 
@@ -124,11 +128,12 @@ def render_svg(
     trajectories=None,
     scenario=None,
 ) -> str:
-    """Compose the requested layers into an SVG 1.1 document."""
+    """Compose the requested layers into an SVG 1.1 document.  A layer's
+    input that is missing, off the map's grid, or a heat state without finite
+    mass raises a ParameterError naming the argument (``_INPUT_OF``)."""
     spec = spec if spec is not None else RenderSpec()
     cv = _Canvas(worldmap, spec)
-    inputs = {"heat": heat, "field_arrows": score_field, "trajectories": trajectories, "starts": trajectories,
-              "goals": scenario}
+    given = {"heat": heat, "score_field": score_field, "trajectories": trajectories, "scenario": scenario}
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -137,8 +142,8 @@ def render_svg(
     ]
 
     for layer in spec.layers:
-        if layer in inputs and inputs[layer] is None:
-            raise RenderError(layer)
+        if layer in _INPUT_OF and given[_INPUT_OF[layer]] is None:
+            raise ParameterError(f"is missing for layer {layer!r}", field=_INPUT_OF[layer])
         parts.append(f'<g id="{layer}"{_GROUP_ATTRS.get(layer, "")}>')
         if layer == "occupancy":
             parts[-1] += _rect(cv, 0, 0, *worldmap.world_size, FREE_FILL)
@@ -147,8 +152,8 @@ def render_svg(
         elif layer == "heat":
             u = _on_grid(layer, heat.u, worldmap)
             peak = float(u.max())
-            if peak <= 0:
-                raise RenderError(layer, "heat state has no mass")
+            if not 0.0 < peak < np.inf:  # NaN too, which drew an empty layer
+                raise ParameterError(f"has no finite mass for layer {layer!r}", field="heat")
             levels = np.floor(np.clip((u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
             for r, row in enumerate(levels):
                 for level in range(1, 16):

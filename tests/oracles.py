@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 
-from heatplan.errors import DegenerateFieldError, DomainError, ParameterError, SingularConfigurationError
+from heatplan.errors import ParameterError
 from heatplan.gridmap import Scenario, SemanticRegion, WorldMap, resolve_goal_regions
 from heatplan.heatfield import DEFAULT_LOG_FLOOR, SCORE_CAP_CELLS, ScoreField
 from heatplan.planner import SEGMENT_SAMPLES, _SEG_FRACTIONS, PlannerConfig, _point_to_region_distance, _points_free
@@ -67,7 +67,7 @@ def build_score_field(state, log_floor: float = DEFAULT_LOG_FLOOR, t: int = 0) -
     u = state.u
     peak = float(u.max())
     if peak <= 0.0:
-        raise DegenerateFieldError("heat state carries no mass")
+        raise ParameterError("carries no mass", field="state")
     free = worldmap.free
     floor = log_floor * peak
     lu = np.log(np.maximum(u, floor))
@@ -159,7 +159,7 @@ def interpolate(field, p) -> np.ndarray:
         raise ParameterError(f"{len(fields)} fields for {len(pts)} points")
     worldmap = fields[0].map
     if not ((pts >= 0.0).all() and (pts < worldmap.world_size).all()):
-        raise DomainError("interpolation point outside the world rectangle")
+        raise ParameterError("holds a point outside the world rectangle", field="p")
     W, H = worldmap.width_cells, worldmap.height_cells
     # lattice coordinates clamped to the cell-center hull; the lower corner
     # (column, row) stops one cell short of the far edge
@@ -197,7 +197,7 @@ def pairwise(positions):
     dist = np.sqrt((diff**2).sum(axis=-1))
     np.fill_diagonal(dist, np.inf)  # a robot is no neighbour of itself
     if not dist.all():
-        raise SingularConfigurationError("two robots occupy the same point")
+        raise ParameterError("puts two robots on the same point", field="positions")
     return pos, diff, dist
 
 
@@ -221,8 +221,8 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     ``planner.interrobot_guidance``, which must give the same bits.
 
     Pairs with d < d_margin contribute (x_i - x_j) / d^2 to robot i; a
-    pair whose weight 1/d^2 overflows to inf raises
-    SingularConfigurationError.
+    pair whose weight 1/d^2 overflows to inf raises a ParameterError naming
+    ``positions``.
     """
     pos, diff, dist = pairwise(positions)
     if len(pos) < 2:
@@ -230,7 +230,7 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         w = np.where(dist < d_margin, 1.0 / (dist * dist), 0.0)
     if np.isinf(w).any():
-        raise SingularConfigurationError("two robots are too close for a finite guidance")
+        raise ParameterError("puts two robots too close for a finite guidance", field="positions")
     return (w[:, :, None] * diff).sum(axis=1)
 
 

@@ -211,6 +211,35 @@ def test_render_from_field_dump(tmp_path):
     assert root.findall(".//{http://www.w3.org/2000/svg}line")
 
 
+def test_render_reads_the_bin_and_the_json_dump_alike(tmp_path):
+    m = hp.generate_map("room", 1, cells=32)
+    hp.save_map(m, tmp_path / "m.json")
+    svgs = []
+    for fmt in ("bin", "json"):
+        dump, out = tmp_path / f"f.{fmt}", tmp_path / f"{fmt}.svg"
+        assert run_cli(["fields", "--map", str(tmp_path / "m.json"), "--label", m.labels()[0], "--t", "3",
+                        "--steps", "4", "--format", fmt, "--out", str(dump)]) == 0
+        assert run_cli(["render", "--map", str(tmp_path / "m.json"), "--layers", "occupancy,field_arrows",
+                        "--field-dump", str(dump), "--out", str(out)]) == 0
+        svgs.append(out.read_bytes())
+    assert b"<line" in svgs[0] and svgs[0] == svgs[1]
+
+
+@pytest.mark.parametrize("args, flag", [
+    pytest.param([], "--map", id="no-map"),
+    pytest.param(["--map", "m.json", "--layers", "occupancy,field_arrows"], "--label", id="field-without-label"),
+    pytest.param(["--map", "m.json", "--layers", "heat", "--field-dump", "f.hpsf"], "--label", id="heat-from-dump"),
+])
+def test_render_usage_errors_name_their_flag(tmp_path, monkeypatch, capsys, args, flag):
+    m = hp.empty_map(cells=16, regions=[hp.SemanticRegion("apple", ((8, 8),))])
+    hp.save_map(m, tmp_path / "m.json")
+    field = hp.score_fields(m, m.regions, hp.build_schedule(2))[1]
+    hp.heatfield.save_field(field, tmp_path / "f.hpsf")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["render", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"heatplan: error: {flag} ")
+
+
 def test_flag_overrides_scenario_config(tmp_path):
     reg = hp.SemanticRegion("apple", ((31, 31), (32, 31), (31, 32), (32, 32)))
     m = hp.empty_map(cells=64, regions=[reg])
@@ -351,10 +380,10 @@ def test_render_field_dump_with_bad_magic_exits_2_naming_it(tmp_path, capsys):
 def test_public_names_are_the_ones_callers_use():
     modules = ["bench", "errors", "gridmap", "heatfield", "planner", "render"]
     names = [
-        "DegenerateFieldError", "DomainError", "FAMILIES", "FieldCache", "GenerationError", "HeatState",
+        "FAMILIES", "FieldCache", "GenerationError", "HeatState",
         "HeatplanError", "MapFormatError", "NoiseSchedule", "ParameterError", "PlanResult",
-        "PlannerConfig", "RenderError", "RenderSpec", "RobotSpec", "Scenario", "ScoreField", "SemanticRegion",
-        "SingularConfigurationError", "SuiteReport", "SuiteSpec", "Trajectory", "UnknownLabelError", "WorldMap",
+        "PlannerConfig", "RenderSpec", "RobotSpec", "Scenario", "ScoreField", "SemanticRegion",
+        "SuiteReport", "SuiteSpec", "Trajectory", "WorldMap",
         "aggregate_records", "build_schedule", "build_score_field", "cell_center", "decode_map",
         "decode_scenario", "empty_map", "encode_map", "encode_scenario", "figure_name", "flood_fill",
         "generate_map", "generate_suite", "init_heat", "interpolate", "interrobot_guidance", "is_free",
@@ -366,11 +395,14 @@ def test_public_names_are_the_ones_callers_use():
 
 
 def test_every_parameter_error_names_its_field():
+    # a bare HeatplanError names no field either
     src = Path(hp.__file__).parent
     unnamed = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ParameterError"
-                    and len(node.args) < 2 and "field" not in {kw.arg for kw in node.keywords}):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "HeatplanError" or (node.func.id == "ParameterError" and len(node.args) < 2
+                                                   and "field" not in {kw.arg for kw in node.keywords}):
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert not unnamed

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 import heatplan as hp
 from heatplan import gridmap
 from heatplan.errors import (
-    DomainError,
     GenerationError,
     HeatplanError,
     MapFormatError,
     ParameterError,
-    UnknownLabelError,
 )
 import oracles
 
@@ -30,8 +28,9 @@ def test_world_to_cell_origin_and_midpoint():
 def test_world_to_cell_out_of_domain():
     m = hp.empty_map(cells=16)
     for p in ((-0.01, 0.5), (2.0, 0.5), (0.5, 2.0), (0.5, -1e-9)):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError) as ei:
             hp.world_to_cell(p, m)
+        assert ei.value.field == "p"
 
 
 def test_cell_center_roundtrip_within_half_cell():
@@ -284,8 +283,9 @@ def test_resolve_bare_label_multi_instance():
 
 def test_resolve_unknown_label_lists_available():
     m = _map_with_labels()
-    with pytest.raises(UnknownLabelError) as ei:
+    with pytest.raises(ParameterError) as ei:
         hp.resolve_goal_regions("move to the pear", m)
+    assert ei.value.field == "instruction"
     assert "apple" in str(ei.value) and "basketball" in str(ei.value)
 
 

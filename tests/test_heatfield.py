@@ -20,8 +20,6 @@ from heatplan import gridmap
 from heatplan import heatfield as hf
 from heatplan.gridmap import hop_distances, reachable
 from heatplan.errors import (
-    DegenerateFieldError,
-    DomainError,
     MapFormatError,
     ParameterError,
 )
@@ -128,6 +126,9 @@ def test_schedule_bad_params():
     (2.0, (0.01, 0.5), (5e-05, 0.125), "T"),
     (True, (0.5,), (0.125,), "T"),
     (0, (), (), "T"),
+    (2, (0.1, 0.2), (math.nan, 0.02), "heat_time"),  # raised a raw ValueError from _ladder_coefficients
+    (2, (0.1, 0.2), (0.005, math.inf), "heat_time"),  # raised an error naming sigma_max
+    (2, (-0.1, 0.2), (0.005, 0.02), "sigma"),  # was accepted
 ])
 def test_schedule_lengths_must_match_T(T, sigma, heat_time, field):
     with pytest.raises(ParameterError, match=f"^{field} must ") as ei:
@@ -668,16 +669,18 @@ def test_sealed_pocket_scores_vanish():
 def test_score_field_zero_mass_rejected():
     m = hp.empty_map(cells=8)
     state = hf.HeatState(u=np.zeros((8, 8)), time=0.0, map=m)
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(ParameterError) as ei:
         hf.build_score_field(state)
+    assert ei.value.field == "state"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_score_field_non_finite_peak_rejected(value):
     # a NaN peak passed a `peak <= 0.0` check and gave NaN vectors
     state = hf.HeatState(u=np.full((16, 16), value), time=0.0, map=hp.empty_map(cells=16))
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(ParameterError) as ei:
         hf.build_score_field(state)
+    assert ei.value.field == "state"
 
 
 @pytest.mark.parametrize("u", [np.full((8, 32), 1 / 256), np.full((16, 15), 1 / 240), np.full((16, 16, 1), 1 / 256),
@@ -832,8 +835,9 @@ def test_interpolate_clamps_to_hull_and_rejects_outside():
     m = field.map
     v_edge = _lookup(field, (1e-9, 1e-9))
     assert v_edge == pytest.approx(field.vectors[0, 0], abs=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError) as ei:
         _lookup(field, (2.0, 1.0))
+    assert ei.value.field == "p"
 
 
 def test_interpolate_continuity_along_segment():
@@ -939,10 +943,10 @@ def test_interpolate_rejects_field_count_mismatch():
     field = _linear_field()
     with pytest.raises(ParameterError):
         hf.interpolate([field, field], [[0.5, 0.5]])
-    with pytest.raises(DomainError):
-        hf.interpolate([field], [[0.5, 2.0]])
-    with pytest.raises(DomainError):
-        hf.interpolate([field, field], [[0.5, 0.5], [float("nan"), 0.5]])
+    for fields, p in (([field], [[0.5, 2.0]]), ([field, field], [[0.5, 0.5], [float("nan"), 0.5]])):
+        with pytest.raises(ParameterError) as ei:
+            hf.interpolate(fields, p)
+        assert ei.value.field == "p"
 
 
 # ---------------------------------------------------------------------------
@@ -992,22 +996,23 @@ def test_sample_takes_any_integer_count():
     (np.ones((8, 8, 1)) / 64, ParameterError),
     ([[1 / 64] * 8] * 8, ParameterError),
     (np.where(np.eye(8) > 0, -0.1, 0.1), ParameterError),   # raised a raw ValueError
-    (np.full((8, 8), np.nan), DegenerateFieldError),         # raised a raw ValueError
-    (np.where(np.eye(8) > 0, np.inf, 0.0), DegenerateFieldError),
+    (np.full((8, 8), np.nan), ParameterError),              # raised a raw ValueError
+    (np.where(np.eye(8) > 0, np.inf, 0.0), ParameterError),
 ])
 def test_sample_heat_checks_its_state_as_build_score_field_does(u, error):
     state = hf.HeatState(u=u, time=0.0, map=hp.empty_map(cells=8))
     for call in (lambda: hf.sample_heat(state, np.random.default_rng(0), 10), lambda: hf.build_score_field(state)):
         with pytest.raises(error) as ei:
             call()
-        assert error is DegenerateFieldError or ei.value.field == "state"
+        assert ei.value.field == "state"
 
 
 def test_sample_zero_mass_rejected():
     m = hp.empty_map(cells=8)
     state = hf.HeatState(u=np.zeros((8, 8)), time=0.0, map=m)
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(ParameterError) as ei:
         hf.sample_heat(state, np.random.default_rng(0), 10)
+    assert ei.value.field == "state"
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +1126,30 @@ def test_field_dump_roundtrip_bin_and_json(tmp_path, corrupt, bad_field):
     hf.save_field(f, tmp_path / "f.hpsf", sched, "bin")
     f3 = hf.load_field_bytes((tmp_path / "f.hpsf").read_bytes(), m)
     assert np.allclose(f3.vectors, f.vectors, atol=1e-5)
+
+
+def test_json_field_dump_takes_the_binary_checks():
+    m = hp.generate_map("room", 1, cells=32)
+    f = hf.score_fields(m, m.regions_with_label(m.labels()[0]), hp.build_schedule(3))[2]
+    doc = json.loads(hf.dump_field_json(f))
+    g = hf.load_field_bytes(json.dumps(doc).encode(), m)
+    assert g.t == f.t and np.array_equal(g.supported, f.supported)
+    assert np.array_equal(g.vectors, f.vectors.astype("<f4"))
+    for change, bad_field in (
+        ({"shape": [16, 16, 2]}, "shape"),
+        ({"map_hash": "0" * 64}, "map_hash"),
+        ({"t": "2"}, "t"),
+        ({"data_b64": doc["data_b64"][:-8]}, "payload"),
+        ({"data_b64": "not base64!"}, "payload"),
+        ({"supported_b64": doc["supported_b64"][:-4]}, "supported"),
+    ):
+        with pytest.raises(MapFormatError) as info:
+            hf.load_field_bytes(json.dumps({**doc, **change}).encode(), m)
+        assert info.value.field == bad_field
+    for data in (b"{oops", b"{}" + bytes(4)):
+        with pytest.raises(MapFormatError) as info:
+            hf.load_field_bytes(data, m)
+        assert info.value.field == "header"
 
 
 def test_field_dump_keeps_the_support_mask():

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import heatplan as hp
 from heatplan import bench, gridmap, heatfield as hf, planner
-from heatplan.errors import DomainError, ParameterError, SingularConfigurationError
+from heatplan.errors import ParameterError
 from heatplan.planner import PlannerConfig, _clamp_to_free, _effective_level, _points_free
 import oracles
 
@@ -157,10 +157,10 @@ def test_cost_one_at_margin_over_e():
 
 def test_cost_coincident_rejected():
     pos = np.array([[0.3, 0.3], [0.3, 0.3]])
-    with pytest.raises(SingularConfigurationError):
-        oracles.interrobot_cost(pos, 0.12)
-    with pytest.raises(SingularConfigurationError):
-        hp.interrobot_guidance(pos, 0.12)
+    for call in (oracles.interrobot_cost, hp.interrobot_guidance):
+        with pytest.raises(ParameterError) as ei:
+            call(pos, 0.12)
+        assert ei.value.field == "positions"
 
 
 def test_guidance_pair_antiparallel_and_repulsive():
@@ -231,9 +231,10 @@ def test_guidance_equals_the_array_oracle(case):
     pos, d_margin = case
     try:
         want = oracles.interrobot_guidance(pos, d_margin)
-    except SingularConfigurationError:
-        with pytest.raises(SingularConfigurationError):
+    except ParameterError:
+        with pytest.raises(ParameterError) as ei:
             hp.interrobot_guidance(pos, d_margin)
+        assert ei.value.field == "positions"
         return
     got = hp.interrobot_guidance(pos, d_margin)
     assert got.shape == want.shape
@@ -691,21 +692,22 @@ def test_sampler_inputs_raise_typed_errors(call, field):
 def test_robots_too_close_for_a_finite_guidance_are_singular():
     # 1/d^2 overflows to inf at d = 4.1e-155, and inf * 0.0 would be NaN
     pos = [[0.0, 0.5], [4.1e-155, 0.5]]
-    with pytest.raises(SingularConfigurationError):
-        hp.interrobot_guidance(np.array(pos), 0.12)
-    with pytest.raises(SingularConfigurationError):
-        oracles.interrobot_guidance(np.array(pos), 0.12)
-    with pytest.raises(SingularConfigurationError):
-        _step(pos, n_ladders=2)()
-    # so close that d^2 underflows to 0.0
-    with pytest.raises(SingularConfigurationError):
-        hp.interrobot_guidance(np.array([[0.0, 0.5], [1e-170, 0.5]]), 0.12)
+    calls = (lambda: hp.interrobot_guidance(np.array(pos), 0.12),
+             lambda: oracles.interrobot_guidance(np.array(pos), 0.12),
+             _step(pos, n_ladders=2),
+             # so close that d^2 underflows to 0.0
+             lambda: hp.interrobot_guidance(np.array([[0.0, 0.5], [1e-170, 0.5]]), 0.12))
+    for call in calls:
+        with pytest.raises(ParameterError) as ei:
+            call()
+        assert ei.value.field == "positions"
 
 
 def test_langevin_step_rejects_positions_outside_the_world():
     for bad in ([[-5.0, 0.5]], [[0.5, float("nan")]], [[float("inf"), 0.5]]):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError) as ei:
             _step(bad)()
+        assert ei.value.field == "positions"
 
 
 class _CountingNumpy:

@@ -6,7 +6,7 @@ import pytest
 
 import heatplan as hp
 from heatplan import heatfield as hf
-from heatplan.errors import ParameterError, RenderError
+from heatplan.errors import ParameterError
 from heatplan.render import LAYERS, RenderSpec, _Canvas, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -75,14 +75,23 @@ def test_all_layers_render_wellformed():
 
 def test_missing_layer_data_named():
     m = hp.empty_map(cells=16)
-    with pytest.raises(RenderError) as ei:
+    with pytest.raises(ParameterError) as ei:
         render_svg(m, RenderSpec(layers=("heat",)))
-    assert "heat" in str(ei.value)
-    with pytest.raises(RenderError) as ei:
+    assert ei.value.field == "heat"
+    with pytest.raises(ParameterError) as ei:
         render_svg(m, RenderSpec(layers=("trajectories",)))
-    assert "trajectories" in str(ei.value)
-    with pytest.raises(RenderError):
-        RenderSpec(layers=("volumetric",))
+    assert ei.value.field == "trajectories"
+    with pytest.raises(ParameterError) as ei:
+        RenderSpec(layers=("occupancy", "volumetric"))
+    assert ei.value.field == "layers[1]"
+
+
+@pytest.mark.parametrize("u", [np.zeros((8, 8)), np.full((8, 8), np.nan), np.where(np.eye(8) > 0, np.inf, 0.0)])
+def test_heat_without_finite_mass_named(u):
+    m = hp.empty_map(cells=8)
+    with pytest.raises(ParameterError) as ei:
+        render_svg(m, RenderSpec(layers=("heat",)), heat=hf.HeatState(u=u, time=0.0, map=m))
+    assert ei.value.field == "heat"
 
 
 @pytest.mark.parametrize("cells, other", [(32, 16), (16, 32)])
@@ -93,9 +102,9 @@ def test_inputs_from_another_grid_named(cells, other):
     heat = hf.HeatState(u=np.full((other, other), 1 / other**2), time=0.0, map=elsewhere)
     field = hf.ScoreField(t=1, vectors=np.ones((other, other, 2)), map=elsewhere)
     for layer, kwargs in (("heat", {"heat": heat}), ("field_arrows", {"score_field": field})):
-        with pytest.raises(RenderError) as ei:
+        with pytest.raises(ParameterError) as ei:
             render_svg(m, RenderSpec(layers=("occupancy", layer), stride=1), **kwargs)
-        assert ei.value.layer == layer and f"({other}, {other}" in str(ei.value)
+        assert ei.value.field == next(iter(kwargs)) and f"({other}, {other}" in str(ei.value)
 
 
 @pytest.mark.parametrize("kwargs, field", [
