@@ -179,14 +179,18 @@ class WorldMap:
     def obstacles_in(self, col_lo: int, row_lo: int, col_hi: int, row_hi: int) -> int:
         """Number of obstacle cells in columns [col_lo, col_hi) and rows
         [row_lo, row_hi), bounds inside the grid: four reads of a summed-area
-        table of the occupancy, built on first use."""
+        table of the occupancy, built on first use.
+
+        The table is a flat Python list, (H + 1) rows of W + 1 counts, which
+        the sampler's free-box gate reads faster than an array or a
+        memoryview; it holds about 36 B per cell, 150 KB on a 64x64 map."""
         if self._table is None:
-            dtype = np.min_scalar_type(self._occ.size)  # the table lives as long as the map: keep it small
-            table = np.zeros((self.height_cells + 1, self.width_cells + 1), dtype=dtype)
-            np.cumsum(np.cumsum(self._occ, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
-            self._table = table
-        read = self._table.item
-        return read(row_hi, col_hi) - read(row_lo, col_hi) - read(row_hi, col_lo) + read(row_lo, col_lo)
+            table = np.zeros((self.height_cells + 1, self.width_cells + 1), dtype=np.int64)
+            np.cumsum(np.cumsum(self._occ, axis=0), axis=1, out=table[1:, 1:])
+            self._table = table.ravel().tolist()
+        read, stride = self._table, self.width_cells + 1
+        hi, lo = row_hi * stride, row_lo * stride
+        return read[hi + col_hi] - read[lo + col_hi] - read[hi + col_lo] + read[lo + col_lo]
 
     @property
     def free(self) -> np.ndarray:
@@ -358,8 +362,8 @@ def _checked_robot(robot, where: str, worldmap: WorldMap) -> RobotSpec:
         raise ParameterError(f"must be a nonempty string, got {robot.id!r}", field=f"{where}.id")
     try:
         resolve_goal_regions(robot.instruction, worldmap)
-    except ParameterError as exc:  # not a nonempty string, or no such label
-        raise ParameterError(f"must name a label: {exc}", field=f"{where}.instruction") from exc
+    except ParameterError as exc:  # not a nonempty string, or no such label; names ``instruction``
+        raise ParameterError(str(exc).removeprefix("instruction "), field=f"{where}.instruction") from exc
     start = robot.start
     if start is None:
         return robot

@@ -160,6 +160,15 @@ class ScoreField:
     spreads one cell per explicit step, and a ladder level keeps only cells
     above CHEB_TOL times its peak, so small-t fields have small supports;
     samplers can fall back to a coarser level outside.
+
+    Both grids are stored as C-contiguous float64 and bool arrays (the given
+    array itself when it already is one), each with a flat memoryview of the
+    same memory: the sampler reads ``_vector_view[(row * W + col) * 2 + axis]``
+    and ``_support_view[row * W + col]`` as Python floats and bools, which
+    costs less than numpy indexing.  A memoryview does not pickle, so a
+    field pickles and copies as its constructor arguments and rebuilds the
+    views.  A ParameterError names ``vectors`` or ``supported`` unless it is
+    a numeric array of the map's grid (``supported`` may be None).
     """
 
     t: int
@@ -169,9 +178,20 @@ class ScoreField:
 
     def __post_init__(self):
         grid = (self.map.height_cells, self.map.width_cells)
-        for name, value, shape in (("vectors", self.vectors, (*grid, 2)), ("supported", self.supported, grid)):
-            if getattr(value, "shape", None) != shape and not (name == "supported" and value is None):
+        for name, shape, dtype in (("vectors", (*grid, 2), np.float64), ("supported", grid, bool)):
+            value = getattr(self, name)
+            if value is None and name == "supported":
+                continue
+            if getattr(value, "shape", None) != shape or not isinstance(value, np.ndarray):
                 raise ParameterError(f"must be the map's {shape} grid, got {getattr(value, 'shape', None)}", field=name)
+            if value.dtype.kind not in "biuf":
+                raise ParameterError(f"must hold real numbers, got dtype {value.dtype}", field=name)
+            object.__setattr__(self, name, np.ascontiguousarray(value, dtype=dtype))
+        object.__setattr__(self, "_vector_view", memoryview(self.vectors.reshape(-1)))
+        object.__setattr__(self, "_support_view", None if self.supported is None else memoryview(self.supported.reshape(-1)))
+
+    def __reduce__(self):
+        return type(self), (self.t, self.vectors, self.map, self.supported)
 
 
 class _Solver:
@@ -504,7 +524,9 @@ def interpolate(field, p):
     ScoreField, one naming ``field``.
 
     Each point is a loop over Python floats, which costs less than numpy
-    calls on arrays this small.  Per component the result is
+    calls on arrays this small: its eight corner floats are read by index
+    from the field's flat view of ``vectors`` (``ScoreField._vector_view``).
+    Per component the result is
     v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy, each
     product and sum taken left to right; on a map one cell wide or high the
     missing neighbour repeats the first.
@@ -525,6 +547,10 @@ def interpolate(field, p):
         # expressions stand in for min and max, which cost more here
         last_x, last_y = W - 1.0, H - 1.0
         top_i, top_j = max(W - 2, 0), max(H - 2, 0)
+        # flat offsets of the column and row neighbours; on a map one cell
+        # wide or high the neighbour is the first cell itself
+        east = 2 if W > 1 else 0
+        north = 2 * W if H > 1 else 0
         for f, (x, y) in zip(field, p):
             if not (0.0 <= x < w and 0.0 <= y < h):
                 raise ParameterError("holds a point outside the world rectangle", field="p")
@@ -536,18 +562,19 @@ def interpolate(field, p):
             i, j = (i if i < top_i else top_i), (j if j < top_j else top_j)
             fx = gx - i
             fy = gy - j
-            # the 2x2 block [row j0/j1][column i0/i1]; on a map one cell wide or
-            # high its slice is one wide, and [-1] repeats the first
-            block = f.vectors[j:j + 2, i:i + 2].tolist()
-            r0, r1 = block[0], block[-1]
-            v00, v01, v10, v11 = r0[0], r0[-1], r1[0], r1[-1]
+            # the 2x2 block [row j0/j1][column i0/i1] at flat offsets k00..k11
+            v = f._vector_view
+            k00 = (j * W + i) * 2
+            k01 = k00 + east
+            k10 = k00 + north
+            k11 = k10 + east
             ex, ey = 1 - fx, 1 - fy
-            sx = v00[0] * ex * ey + v01[0] * fx * ey
-            sx += v10[0] * ex * fy
-            sx += v11[0] * fx * fy
-            sy = v00[1] * ex * ey + v01[1] * fx * ey
-            sy += v10[1] * ex * fy
-            sy += v11[1] * fx * fy
+            sx = v[k00] * ex * ey + v[k01] * fx * ey
+            sx += v[k10] * ex * fy
+            sx += v[k11] * fx * fy
+            sy = v[k00 + 1] * ex * ey + v[k01 + 1] * fx * ey
+            sy += v[k10 + 1] * ex * fy
+            sy += v[k11 + 1] * fx * fy
             out.append([sx, sy])
     except (TypeError, ValueError, LookupError, AttributeError) as exc:
         if all(map(_is_point, p)):

@@ -140,38 +140,72 @@ class PlanResult:
 # pairwise cost and guidance
 
 
+_LEAST_REACH = 2.0 ** -511  # below it a square can underflow, and |dx| exceed the distance
+
+
+def _pairs_within(xy: list, reach: float) -> list:
+    """The pairs (i, j), i < j, in row-major order, of the robots in a list
+    of N [x, y] floats that lie at most ``reach`` apart on x: a sort-and-sweep
+    over the robots in x order that stops each robot's scan at its first
+    partner beyond reach (the broad phase of I-COLLIDE, Cohen et al. 1995).
+
+    A pair left out is at least as far apart as on x, sqrt(fl(dx*dx +
+    dy*dy)) >= |dx|, unless dx*dx underflows: so a reach under 2**-511 is
+    raised to it, and the pairs the pair loops skip give exactly the bits
+    they would give if every pair were visited.
+    """
+    n = len(xy)
+    xs = [p[0] for p in xy]
+    order = sorted(range(n), key=xs.__getitem__)
+    if reach < _LEAST_REACH:
+        reach = _LEAST_REACH
+    pairs = []
+    for a in range(1, n):
+        i = order[a - 1]
+        xi = xs[i]
+        # a while loop: most robots have no partner in reach, and a range
+        # would cost more than the one comparison
+        b = a
+        while b < n:
+            j = order[b]
+            if xs[j] - xi > reach:
+                break
+            pairs.append((i, j) if i < j else (j, i))
+            b += 1
+    pairs.sort()
+    return pairs
+
+
 def _guidance(xy: list, d_margin: float) -> list:
     """``interrobot_guidance`` on a list of N [x, y] Python floats; returns
     N [gx, gy] lists.
 
-    Each unordered pair is visited once, i ascending, then j ascending: its
-    term is added to robot i and subtracted from robot j, so each robot gets
-    its terms in index order.  A pair at or beyond ``d_margin`` would add
-    only +-0.0, which leaves every such sum's bits as they are, so it is
-    skipped.
+    Only the pairs within ``d_margin`` on x are visited (``_pairs_within``),
+    i ascending, then j ascending: a pair's term is added to robot i and
+    subtracted from robot j, so each robot gets its terms in index order.
+    A pair at or beyond ``d_margin`` would add only +-0.0, which leaves every
+    such sum's bits as they are, so it is skipped.
     """
-    n = len(xy)
-    g = [[0.0, 0.0] for _ in range(n)]
-    for i in range(n):
+    g = [[0.0, 0.0] for _ in xy]
+    for i, j in _pairs_within(xy, d_margin):
         xi, yi = xy[i]
-        gi = g[i]
-        for j in range(i + 1, n):
-            dx = xi - xy[j][0]
-            dy = yi - xy[j][1]
-            d = math.sqrt(dx * dx + dy * dy)
-            if d == 0.0:
-                raise ParameterError("puts two robots on the same point", field="positions")
-            if d < d_margin:
-                dd = d * d
-                w = 1.0 / dd if dd else math.inf
-                if w == math.inf:
-                    raise ParameterError("puts two robots too close for a finite guidance", field="positions")
-                tx, ty = w * dx, w * dy
-                gi[0] += tx
-                gi[1] += ty
-                gj = g[j]
-                gj[0] -= tx
-                gj[1] -= ty
+        xj, yj = xy[j]
+        dx = xi - xj
+        dy = yi - yj
+        d = math.sqrt(dx * dx + dy * dy)
+        if d == 0.0:
+            raise ParameterError("puts two robots on the same point", field="positions")
+        if d < d_margin:
+            dd = d * d
+            w = 1.0 / dd if dd else math.inf
+            if w == math.inf:
+                raise ParameterError("puts two robots too close for a finite guidance", field="positions")
+            tx, ty = w * dx, w * dy
+            gi, gj = g[i], g[j]
+            gi[0] += tx
+            gi[1] += ty
+            gj[0] -= tx
+            gj[1] -= ty
     return g
 
 
@@ -289,12 +323,15 @@ def _effective_level(ladder: dict, t: int, cell, t_max: int):
     Fine-t fields cover only the heat's reach; a robot outside follows the
     coarsest-necessary field (and its step size) until it catches up.  In a
     sealed component no level is supported and the robot keeps level t with
-    a zero score.
+    a zero score.  ``cell`` is a (col, row) pair, read in each field's
+    flat support view.
     """
     col, row = cell
+    k = row * ladder[t].map.width_cells + col
     for tt in range(t, t_max + 1):
         f = ladder[tt]
-        if f.supported is None or f.supported[row, col]:
+        covered = f._support_view
+        if covered is None or covered[k]:
             return tt, f
     return t, ladder[t]
 
@@ -331,9 +368,16 @@ def langevin_step(
     because numpy's fixed cost per call outweighs the arithmetic on a few
     rows.  Its IEEE operations, and their order, are those of the array
     expressions x + ((0.5*alpha)*alpha)*(s + beta*g) + alpha*eps and
-    minimum(maximum(0, x), bound).  The pair loops are O(N^2) interpreted
-    Python: near N = 25 robots this costs as much as whole-array code, and
-    past that it costs more.
+    minimum(maximum(0, x), bound).  The per-robot reads take no numpy call:
+    the support and the score through each field's flat views, and the
+    free-box gate through the map's summed-area list (``obstacles_in``).
+    The guidance and the separation pass measure only the pairs that an
+    x-sorted sweep finds within reach on x (``_pairs_within``), with the
+    bits of visiting every pair, so on a spread team they cost close to
+    O(N) in place of O(N^2).  One guidance call on 200 random teams on the
+    2x2 world (2-vCPU Xeon) took 1.7 us against 1.4 us for every pair at
+    N = 3, 4.5 against 6.9 at N = 9, 9.7 against 19.5 at N = 16 and 47
+    against 108 at N = 40.
     """
     n = _length(positions, "positions")
     if n == 0:
@@ -410,20 +454,26 @@ def langevin_step(
                 raise ParameterError(f"must hold [x, y] pairs of finite numbers: {exc}", field=name) from exc
         raise ParameterError(f"must hold ScoreFields with finite vectors: {exc}", field="ladders") from exc
 
-    # reject moves that breach the hard pairwise separation; symmetric in the
-    # pair, so the update stays permutation-equivariant
-    d_safe = config.d_safe
+    return _separate(positions, new, config.d_safe)
+
+
+def _separate(positions: list, new: list, d_safe: float) -> list:
+    """Reject the moves that breach the hard pairwise separation: in rounds,
+    every robot that moved and lies at or within ``d_safe`` of another gets
+    its ``positions`` pair back in ``new``, until no such robot is left.
+    Symmetric in the pair, so the update stays permutation-equivariant.
+    Only the pairs within ``d_safe`` on x are measured (``_pairs_within``);
+    the others are farther apart."""
+    n = len(new)
     for _round in range(n + 1):
-        if n < 2:
-            break
         bad = [False] * n
-        for i in range(n):
+        for i, j in _pairs_within(new, d_safe):
             xi, yi = new[i]
-            for j in range(i + 1, n):
-                dx = xi - new[j][0]
-                dy = yi - new[j][1]
-                if math.sqrt(dx * dx + dy * dy) <= d_safe:
-                    bad[i] = bad[j] = True
+            xj, yj = new[j]
+            dx = xi - xj
+            dy = yi - yj
+            if math.sqrt(dx * dx + dy * dy) <= d_safe:
+                bad[i] = bad[j] = True
         # compared by component: a sequence compare would call a NaN equal to itself
         revert = [k for k in range(n) if bad[k] and (new[k][0] != positions[k][0] or new[k][1] != positions[k][1])]
         if not revert:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .gridmap import WorldMap, _int_pair, _is_int, resolve_goal_regions
+from .heatfield import _state_peak
 
 LAYERS = ("occupancy", "regions", "heat", "field_arrows", "trajectories", "starts", "goals")
 # the render_svg argument each layer draws from, for the layers that need one
@@ -129,8 +130,9 @@ def render_svg(
     scenario=None,
 ) -> str:
     """Compose the requested layers into an SVG 1.1 document.  A layer's
-    input that is missing, off the map's grid, or a heat state without finite
-    mass raises a ParameterError naming the argument (``_INPUT_OF``)."""
+    input that is missing, off the map's grid, or a heat state that breaks
+    ``build_score_field``'s rule (a cell below 0, or no finite, positive
+    peak) raises a ParameterError naming the argument (``_INPUT_OF``)."""
     spec = spec if spec is not None else RenderSpec()
     cv = _Canvas(worldmap, spec)
     given = {"heat": heat, "score_field": score_field, "trajectories": trajectories, "scenario": scenario}
@@ -151,9 +153,10 @@ def render_svg(
                 parts += [cv.cells(r, c0, c1, OBSTACLE_FILL) for c0, c1 in _row_runs(row)]
         elif layer == "heat":
             u = _on_grid(layer, heat.u, worldmap)
-            peak = float(u.max())
-            if not 0.0 < peak < np.inf:  # NaN too, which drew an empty layer
-                raise ParameterError(f"has no finite mass for layer {layer!r}", field="heat")
+            try:  # a cell below 0, or no finite mass (NaN drew an empty layer)
+                peak = _state_peak(heat)
+            except ParameterError as exc:
+                raise ParameterError(f"{str(exc).removeprefix('state ')} for layer {layer!r}", field="heat") from exc
             levels = np.floor(np.clip((u / peak) ** HEAT_GAMMA, 0, 1) * 15).astype(int)
             for r, row in enumerate(levels):
                 for level in range(1, 16):

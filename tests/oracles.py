@@ -1,6 +1,7 @@
 """Test oracles: reference computations that the tests compare heatplan
 against, kept out of the runtime package."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -232,6 +233,53 @@ def interrobot_guidance(positions, d_margin: float) -> np.ndarray:
     if np.isinf(w).any():
         raise ParameterError("puts two robots too close for a finite guidance", field="positions")
     return (w[:, :, None] * diff).sum(axis=1)
+
+
+def guidance_loop(xy: list, d_margin: float) -> list:
+    """``planner._guidance`` visiting every pair, i ascending, then j
+    ascending, on a list of N [x, y] floats: the oracle for the swept pair
+    loop, which must give the same bits and raise on the same pair."""
+    n = len(xy)
+    g = [[0.0, 0.0] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = xy[i][0] - xy[j][0]
+            dy = xy[i][1] - xy[j][1]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d == 0.0:
+                raise ParameterError("puts two robots on the same point", field="positions")
+            if d < d_margin:
+                dd = d * d
+                w = 1.0 / dd if dd else math.inf
+                if w == math.inf:
+                    raise ParameterError("puts two robots too close for a finite guidance", field="positions")
+                tx, ty = w * dx, w * dy
+                g[i][0] += tx
+                g[i][1] += ty
+                g[j][0] -= tx
+                g[j][1] -= ty
+    return g
+
+
+def separate_loop(positions: list, new: list, d_safe: float) -> list:
+    """``planner._separate`` measuring every pair in each round: the oracle
+    for the swept separation pass.  ``new`` is changed in place and
+    returned."""
+    n = len(new)
+    for _round in range(n + 1):
+        bad = [False] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                dx = new[i][0] - new[j][0]
+                dy = new[i][1] - new[j][1]
+                if math.sqrt(dx * dx + dy * dy) <= d_safe:
+                    bad[i] = bad[j] = True
+        revert = [k for k in range(n) if bad[k] and (new[k][0] != positions[k][0] or new[k][1] != positions[k][1])]
+        if not revert:
+            break
+        for k in revert:
+            new[k] = positions[k]
+    return new
 
 
 def pair_distances(trajectories):

@@ -587,6 +587,18 @@ def test_scenario_keeps_starts_as_float_pairs_and_names_unknown_labels():
     assert ei.value.field == "robots[0].instruction" and "'pear'" in str(ei.value)
 
 
+@pytest.mark.parametrize("instruction, message", [
+    ("move to the kiwi", "robots[0].instruction names 'kiwi', which labels no region; "
+                         "available labels: apple, basketball"),
+    (5, "robots[0].instruction must be a nonempty string, got 5"),
+    ("  ", "robots[0].instruction must be a nonempty string, got '  '"),
+])
+def test_robot_instruction_faults_name_the_field_once(instruction, message):
+    with pytest.raises(ParameterError) as ei:
+        _scenario(robots=(gridmap.RobotSpec("r0", instruction, None),))
+    assert ei.value.field == "robots[0].instruction" and str(ei.value) == message
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("map", "regions", 0, "cells", 0), [1.5, 2], "regions[0].cells[0]"),
     (("map", "regions", 0, "label"), "Apple", "regions[0].label"),

@@ -1,9 +1,11 @@
 import base64
+import copy
 import dataclasses
 import gc
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -18,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 import heatplan as hp
 from heatplan import gridmap
 from heatplan import heatfield as hf
+from heatplan import planner
 from heatplan.gridmap import hop_distances, reachable
 from heatplan.errors import (
     MapFormatError,
@@ -706,6 +709,105 @@ def test_score_field_off_its_map_grid_named(vectors, supported, field):
     with pytest.raises(ParameterError) as ei:
         hf.ScoreField(1, vectors, hp.empty_map(cells=8), supported=supported)
     assert ei.value.field == field
+
+
+@pytest.mark.parametrize("vectors, supported, field", [
+    (np.full((8, 8, 2), "a"), None, "vectors"),
+    (np.zeros((8, 8, 2), complex), None, "vectors"),
+    (np.zeros((8, 8, 2)), np.full((8, 8), None), "supported"),
+])
+def test_score_field_of_no_real_numbers_named(vectors, supported, field):
+    with pytest.raises(ParameterError) as ei:
+        hf.ScoreField(1, vectors, hp.empty_map(cells=8), supported=supported)
+    assert ei.value.field == field
+
+
+def _views_agree(field):
+    """The flat views read the stored arrays' own memory, cell by cell."""
+    assert field.vectors.flags.c_contiguous and field.vectors.dtype == np.float64
+    assert np.shares_memory(np.asarray(field._vector_view), field.vectors)
+    assert field._vector_view.tolist() == field.vectors.ravel().tolist()
+    if field.supported is None:
+        assert field._support_view is None
+    else:
+        assert field.supported.flags.c_contiguous and field.supported.dtype == bool
+        assert np.shares_memory(np.asarray(field._support_view), field.supported)
+        assert field._support_view.tolist() == field.supported.ravel().tolist()
+
+
+def _ladder_field():
+    m = hp.generate_map("room", 3, cells=32)
+    return hf.FieldCache().fields(m, m.labels()[0], hp.build_schedule(2, 0.01, 0.1))[1]
+
+
+def test_score_field_keeps_float64_and_bool_grids_without_a_copy():
+    field = _ladder_field()
+    vectors, supported = field.vectors, field.supported
+    again = hf.ScoreField(1, vectors, field.map, supported)
+    assert again.vectors is vectors and again.supported is supported
+    _views_agree(again)
+
+
+@pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_score_field_round_trips_with_its_views(clone):
+    field = _ladder_field()
+    back = clone(field)
+    _views_agree(back)
+    assert back.t == field.t and np.array_equal(back.vectors, field.vectors)
+    assert np.array_equal(back.supported, field.supported)
+    pts = [[0.3, 0.4], [1.7, 1.1], [1.999, 0.0]]
+    assert hf.interpolate([back] * 3, pts) == hf.interpolate([field] * 3, pts)
+
+
+def test_replaced_score_field_reads_its_new_grids():
+    field = _ladder_field()
+    shifted = dataclasses.replace(field, vectors=field.vectors + 1.0, supported=None)
+    _views_agree(shifted)
+    assert dataclasses.replace(field, t=4)._vector_view.tolist() == field._vector_view.tolist()
+    pts = [[0.3, 0.4], [1.7, 1.1]]
+    assert np.array_equal(np.array(hf.interpolate([shifted] * 2, pts)), oracles.interpolate(shifted, pts))
+    assert np.array_equal(np.array(hf.interpolate([shifted] * 2, pts)), np.array(hf.interpolate([field] * 2, pts)) + 1.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1)])
+@pytest.mark.parametrize("layout", ["float32", "transposed", "sliced", "int"])
+def test_score_field_from_any_numeric_layout_reads_as_before(shape, layout):
+    """A field's lookups, and its support read cell by cell, are those of
+    its grids as float64 and bool C arrays, whatever layout they came in."""
+    h, w = shape
+    m = hp.WorldMap("g", np.zeros(shape, dtype=bool), world_size=(2.0, 1.0))
+    rng = np.random.default_rng(h * 10 + w)
+    side = 2 * max(shape)
+    full = rng.uniform(-4, 4, (side, side, 2)).round(3)
+    mask = rng.random((side, side)) < 0.5
+    vectors, supported = {
+        "float32": (full[:h, :w].astype(np.float32), mask[:h, :w].astype(np.uint8)),
+        "transposed": (full[:w, :h].transpose(1, 0, 2), mask[:w, :h].T),
+        "sliced": (full[:2 * h:2, :2 * w:2], mask[:2 * h:2, :2 * w:2]),
+        "int": ((full[:h, :w] * 1000).astype(np.int64), mask[:h, :w].astype(float)),
+    }[layout]
+    field = hf.ScoreField(1, vectors, m, supported)
+    plain = hf.ScoreField(1, np.array(vectors, dtype=np.float64), m, np.array(supported, dtype=bool))
+    _views_agree(field)
+    pts = rng.uniform(0.0, 1.0, (12, 2)) * m.world_size
+    got = hf.interpolate([field] * len(pts), pts.tolist())
+    assert np.array_equal(np.array(got), oracles.interpolate(plain, pts))
+    ladder = {1: field, 2: hf.ScoreField(2, np.zeros((h, w, 2)), m)}
+    for row in range(h):
+        for col in range(w):
+            assert planner._effective_level(ladder, 1, (col, row), 2)[0] == (1 if supported[row, col] else 2)
+
+
+def test_world_map_round_trips_with_its_summed_area_list():
+    m = hp.generate_map("room", 5, cells=32)
+    boxes = [(0, 0, 32, 32), (2, 3, 19, 4), (5, 5, 5, 29), (31, 0, 32, 32)]
+    counts = [m.obstacles_in(*box) for box in boxes]  # builds the table
+    assert type(m._table) is list and len(m._table) == 33 * 33
+    for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert back._table == m._table
+        assert [back.obstacles_in(*box) for box in boxes] == counts
+    assert counts == [int(m.occupancy[r0:r1, c0:c1].sum()) for c0, r0, c1, r1 in boxes]
 
 
 @st.composite

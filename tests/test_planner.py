@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -248,6 +249,85 @@ def test_guidance_rejects_bad_positions():
     with pytest.raises(ParameterError):
         hp.interrobot_guidance(np.array([[0.0, 0.0], [np.nan, 0.5]]), 0.12)
     assert np.array_equal(hp.interrobot_guidance([[0.5, 0.5]], 0.12), np.zeros((1, 2)))
+
+
+@st.composite
+def _swept_teams(draw):
+    """1-40 robots on a 2x2 or a 2:1 world: spread, in a tight cluster, or on
+    a few tied x values with 0.0 and -0.0 among them; and a reach that is
+    half the time one of the team's own x distances, so that some partners
+    lie exactly that far apart on x.  Also the team's previous positions,
+    each robot either where it is (the same floats) or moved by up to 0.05."""
+    size = draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0)]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "cluster", "tied"]))
+    if kind == "spread":
+        xy = rng.uniform(0.0, 1.0, (n, 2)) * size
+    elif kind == "cluster":
+        xy = rng.uniform(0.3, 0.7, 2) * size + rng.uniform(-0.03, 0.03, (n, 2))
+    else:
+        xy = rng.choice([0.0, -0.0, 0.02, 0.1, 0.12, 0.22, 0.25], (n, 2))
+        xy[:, 1] += rng.uniform(0.0, 0.2, n).round(2) * draw(st.sampled_from([0.0, 1.0]))
+    xy = xy.tolist()
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        reach = abs(xy[a][0] - xy[b][0])
+    else:
+        reach = draw(st.floats(0.01, 0.3))
+    moved = rng.random(n) < 0.5
+    before = [[x + dx, y + dy] if m else [x, y]
+              for (x, y), (dx, dy), m in zip(xy, rng.uniform(-0.05, 0.05, (n, 2)).tolist(), moved)]
+    return xy, before, reach
+
+
+@settings(deadline=None, max_examples=300)
+@given(_swept_teams())
+def test_pair_sweep_finds_every_pair_within_reach_on_x(case):
+    xy, _before, reach = case
+    bound = max(reach, planner._LEAST_REACH)
+    want = [(i, j) for i in range(len(xy)) for j in range(i + 1, len(xy)) if abs(xy[i][0] - xy[j][0]) <= bound]
+    assert planner._pairs_within(xy, reach) == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(_swept_teams())
+# 1e-160 apart on x, where dx * dx underflows: the distance rounds to
+# 9.99994433575849e-161, within a d_safe of that, so the mover is reverted
+@example(case=([[0.0, 0.5], [1e-160, 0.5]], [[0.0, 0.5], [0.01, 0.5]], 9.99994433575849e-161))
+def test_swept_pair_loops_equal_the_all_pairs_loops(case):
+    """The guidance and the separation pass give the bits of the loops that
+    measure every pair (signed zeros included, as ``repr`` shows them), and
+    the guidance raises on the same pair."""
+    xy, before, reach = case
+    try:
+        want = oracles.guidance_loop(xy, reach)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as ei:
+            planner._guidance(xy, reach)
+        assert str(ei.value) == str(exc)
+    else:
+        assert repr(planner._guidance(xy, reach)) == repr(want)
+    got = planner._separate(before, [row[:] for row in xy], reach)
+    assert repr(got) == repr(oracles.separate_loop(before, [row[:] for row in xy], reach))
+
+
+@pytest.mark.parametrize("n", [9, 16, 40])
+def test_pair_sweep_measures_few_pairs_of_a_spread_team(n, monkeypatch):
+    """On a seeded team spread over the 2x2 world, the guidance and the
+    separation pass each take far fewer square roots per call than the
+    N(N-1)/2 pairs: 2 and 2 of 36 at N = 9, 13 and 11 of 120 at N = 16,
+    100 and 80 of 780 at N = 40."""
+    xy = np.random.default_rng(n).uniform(0.0, 2.0, (n, 2)).tolist()
+    cfg = PlannerConfig()
+    roots = []
+    monkeypatch.setattr(planner, "math", SimpleNamespace(sqrt=lambda v: roots.append(v) or math.sqrt(v), inf=math.inf))
+    planner._guidance(xy, cfg.d_margin)
+    guided = len(roots)
+    planner._separate(xy, [row[:] for row in xy], cfg.d_safe)
+    counts = (guided, len(roots) - guided)
+    assert counts == {9: (2, 2), 16: (13, 11), 40: (100, 80)}[n]
+    assert max(counts) <= n * (n - 1) // 2 // 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -92,6 +93,19 @@ def test_heat_without_finite_mass_named(u):
     with pytest.raises(ParameterError) as ei:
         render_svg(m, RenderSpec(layers=("heat",)), heat=hf.HeatState(u=u, time=0.0, map=m))
     assert ei.value.field == "heat"
+
+
+def test_heat_with_a_cell_below_zero_named():
+    """A cell at -5.0 drew a layer, with a RuntimeWarning from the power of
+    a negative ratio; the heat state now breaks ``_state_peak``'s rule."""
+    m = hp.empty_map(cells=8)
+    u = np.full((8, 8), 1 / 63)
+    u[3, 4] = -5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as ei:
+            render_svg(m, RenderSpec(layers=("heat",)), heat=hf.HeatState(u=u, time=0.0, map=m))
+    assert ei.value.field == "heat" and "below 0" in str(ei.value)
 
 
 @pytest.mark.parametrize("cells, other", [(32, 16), (16, 32)])
